@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from linkspectra import GraphBasis, KeepRule, backbone, decompose, partition_svd
+from linkspectra import KeepRule, backbone, decompose, default_basis
 from linkspectra import io as lio
 from linkspectra import synth
 
@@ -31,8 +31,7 @@ def main():
 
     stream = synth.gen_daynight(2, args.per_comm, args.period, args.duty,
                                 args.p_active, args.times, args.seed)
-    basis = GraphBasis(partition_svd(stream.aggregate_graph(), seed=args.seed),
-                       synth.block_level(args.per_comm))
+    basis = default_basis(stream, synth.block_level(args.per_comm), args.seed)
     coeffs = decompose(stream, basis)
     kept, mask = backbone(stream, basis,
                           KeepRule.box(0, args.freq_cut, 0, basis.num_scaling - 1))

@@ -18,7 +18,6 @@ from .graphbasis import (
     coarse_filter,
     detail_filter,
     edit_distance_spectrum,
-    embed,
     embed_coarse,
     graph_regularity,
     motif_counts,
@@ -29,11 +28,9 @@ from .graphbasis import (
 from .partition import (
     PartitionTree,
     VertexSplit,
-    leaf_order_to_tree,
     morton_index,
     partition_bfs,
     partition_svd,
-    tree_to_leaf_order,
 )
 from .spectra import (
     CoefficientMatrix,
@@ -67,7 +64,6 @@ from .timebasis import (
     aggregate,
     aggregation_operator,
     apply_frequency_filter,
-    dft_forward,
     dft_inverse,
     time_diff,
     time_diff_operator,

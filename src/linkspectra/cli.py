@@ -16,19 +16,20 @@ from . import io as lio
 from . import synth
 from .config import RunConfig
 from .graphbasis import GraphBasis
-from .partition import partition_bfs, partition_svd
+from .partition import partition_bfs
 from .spectra import (
     JointFilter,
     KeepRule,
     apply_joint_filter,
     backbone,
     decompose,
+    default_basis,
     freq_relational,
     regularity,
     relaxed_time_regularity,
     time_structure,
 )
-from .stream import active_space, is_power_of_two, restrict_stream, stream_from_slices
+from .stream import active_space, restrict_stream, stream_from_slices
 from .timebasis import aggregate, aggregation_filter
 
 
@@ -58,14 +59,11 @@ def _load_stream(cfg: RunConfig):
     return result
 
 
-def _prepare(cfg: RunConfig, result):
+def _prepare(cfg: RunConfig, stream):
     """Resolve the basis; BFS mode restricts the stream to the active space."""
-    stream = result.stream
     if cfg.basis == "svd":
-        if not is_power_of_two(stream.space.num_vertices):
-            raise ValueError("SVD basis needs a power-of-two vertex count; re-ingest with padding")
-        tree = partition_svd(stream.aggregate_graph(), seed=cfg.seed)
-    elif cfg.basis == "bfs":
+        return stream, default_basis(stream, cfg.level, cfg.seed)
+    if cfg.basis == "bfs":
         agg = stream.aggregate_graph()
         pairs = [stream.space.relations[k] for k in sorted(agg.edge_set)]
         space = active_space(stream.space.num_vertices, pairs)
@@ -211,47 +209,41 @@ def run_command(args) -> int:
     cfg = _config_from_args(args)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    if cfg.input is not None:
+        result = _load_stream(cfg)
+        stream, names = result.stream, result.vertex_names
+    if cfg.command in _BASIS_COMMANDS:
+        stream, basis = _prepare(cfg, stream)
 
     if cfg.command == "ingest":
-        result = _load_stream(cfg)
-        _write_stream_outputs(outdir, result.stream, result.vertex_names)
+        _write_stream_outputs(outdir, stream, names)
 
     elif cfg.command == "basis":
-        result = _load_stream(cfg)
-        stream, basis = _prepare(cfg, result)
-        lio.write_tree_json(outdir / "tree.json", basis.tree, stream.space,
-                            result.vertex_names)
+        lio.write_tree_json(outdir / "tree.json", basis.tree, stream.space, names)
 
     elif cfg.command == "decompose":
-        result = _load_stream(cfg)
-        stream, basis = _prepare(cfg, result)
         coeffs = decompose(stream, basis)
         x = time_structure(stream, basis)
         f = freq_relational(stream)
-        lio.write_plot_bundle(outdir, stream, x, f, coeffs, result.vertex_names)
+        lio.write_plot_bundle(outdir, stream, x, f, coeffs, names)
 
     elif cfg.command == "filter":
-        result = _load_stream(cfg)
-        stream, basis = _prepare(cfg, result)
         jf = JointFilter(lio.frequency_filter(cfg.freq, stream.num_times),
                          lio.structural_response(cfg.struct, basis))
         filtered = apply_joint_filter(stream, jf, basis)
-        _write_stream_outputs(outdir, filtered, result.vertex_names, stem="filtered")
+        _write_stream_outputs(outdir, filtered, names, stem="filtered")
 
     elif cfg.command == "backbone":
-        result = _load_stream(cfg)
-        stream, basis = _prepare(cfg, result)
         kept_stream, mask = backbone(stream, basis, _parse_keep(cfg.keep))
-        _write_stream_outputs(outdir, kept_stream, result.vertex_names, stem="backbone")
+        _write_stream_outputs(outdir, kept_stream, names, stem="backbone")
         lio.write_grid_csv(outdir / "kept_mask.csv", mask.astype(float), "freq",
                            [str(u) for u in range(mask.shape[0])],
                            lio.coefficient_labels(basis))
 
     elif cfg.command == "aggregate":
-        result = _load_stream(cfg)
-        aggregated = aggregate(result.stream, args.agg_window)
-        _write_stream_outputs(outdir, aggregated, result.vertex_names, stem="aggregated")
-        chi = aggregation_filter(args.agg_window, result.stream.num_times)
+        aggregated = aggregate(stream, args.agg_window)
+        _write_stream_outputs(outdir, aggregated, names, stem="aggregated")
+        chi = aggregation_filter(args.agg_window, stream.num_times)
         lines = ["freq_index,re,im"]
         for u, c in enumerate(chi.response):
             lines.append(f"{u},{lio.fmt_float(c.real)},{lio.fmt_float(c.imag)}")
@@ -259,8 +251,6 @@ def run_command(args) -> int:
         cfg.params["agg_window"] = args.agg_window
 
     elif cfg.command == "embed":
-        result = _load_stream(cfg)
-        stream, basis = _prepare(cfg, result)
         x = time_structure(stream, basis)
         s = x[:, : basis.num_scaling]
         labels = lio.coefficient_labels(basis)[: basis.num_scaling]
@@ -268,8 +258,6 @@ def run_command(args) -> int:
                            [str(int(t)) for t in stream.times], labels)
 
     elif cfg.command == "regularity":
-        result = _load_stream(cfg)
-        stream, basis = _prepare(cfg, result)
         report = regularity(stream, basis, boundary=cfg.boundary)
         doc = report.as_dict()
         doc["relaxed_reg_t"] = relaxed_time_regularity(stream, basis,
@@ -286,7 +274,7 @@ def run_command(args) -> int:
         elif args.generator == "sbm-pair":
             g1, g2, tree = synth.gen_sbm_pair(args.blocks, args.per_block,
                                               args.p_in, args.p_out, args.seed)
-            pair = stream_from_slices([g1, g2], unweighted=True)
+            pair = stream_from_slices([g1, g2])
             _write_stream_outputs(outdir, pair, None, stem="pair")
             lio.write_tree_json(outdir / "tree.json", tree, g1.space)
         else:
@@ -295,10 +283,10 @@ def run_command(args) -> int:
             _write_stream_outputs(outdir, stream, None)
 
     elif cfg.command == "verify-lemmas":
-        lemmas = [args.lemma] if args.lemma else [1, 2, 3, 4]
-        checks = []
-        for lemma in lemmas:
-            checks.extend(synth.verify_lemma(lemma, trials=args.trials, seed=args.seed))
+        if args.lemma:
+            checks = synth.verify_lemma(args.lemma, trials=args.trials, seed=args.seed)
+        else:
+            checks = synth.verify_all(trials=args.trials, seed=args.seed)
         report = [c.as_dict() for c in checks]
         (outdir / "lemma_report.json").write_text(json.dumps(report, indent=1) + "\n")
         sys.stdout.write(json.dumps(report) + "\n")

@@ -24,12 +24,8 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
     def validate(self):
-        if self.fmt not in ("csv", "ndjson", "raw", "dense"):
-            raise ValueError(f"unknown input format {self.fmt!r}")
-        if self.boundary not in ("circular", "linear"):
-            raise ValueError("boundary must be 'circular' or 'linear'")
-        if self.window is not None and self.window[1] < 1:
-            raise ValueError("window length must be positive")
+        """Checks the level only: argparse checks the format, ``parse_window``
+        the window, and a flag sets the boundary."""
         if self.level is not None and self.level < 1:
             raise ValueError("level must be >= 1")
         return self

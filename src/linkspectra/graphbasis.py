@@ -26,7 +26,6 @@ __all__ = [
     "GraphCoefficients",
     "analyze",
     "synthesize",
-    "embed",
     "embed_coarse",
     "edit_distance_spectrum",
     "structural_filter_graph",
@@ -187,7 +186,11 @@ def _clear_inert(space, values: np.ndarray) -> np.ndarray:
 
 
 def analyze(g: GraphSlice, basis: GraphBasis) -> GraphCoefficients:
-    """Coefficients <f_G, phi_k> and <f_G, theta_k> via the fast filter bank."""
+    """Coefficients <f_G, phi_k> and <f_G, theta_k> via the fast filter bank.
+
+    ``.values`` is the full embedding x = [s, w]; it preserves sizes, overlaps
+    and edit distance.
+    """
     basis._check_slice(g)
     return GraphCoefficients(basis, basis.analyze_values(g.weights))
 
@@ -197,11 +200,6 @@ def synthesize(coeffs: GraphCoefficients, space) -> GraphSlice:
     if space.num_relations != coeffs.basis.num_relations:
         raise ValueError("space size does not match the basis")
     return GraphSlice(space, _clear_inert(space, coeffs.basis.synthesize_values(coeffs.values)))
-
-
-def embed(g: GraphSlice, basis: GraphBasis) -> np.ndarray:
-    """Full embedding x = [s, w]; preserves sizes, overlaps and edit distance."""
-    return analyze(g, basis).values.copy()
 
 
 def embed_coarse(g: GraphSlice, basis: GraphBasis) -> np.ndarray:

@@ -127,25 +127,26 @@ def ingest_triplets(path, fmt: str = "csv", window=None,
     vals = np.zeros((count, space.num_relations))
     for t, u, v, w in records:
         vals[t - t0, u * n + v] += w
-    unweighted = bool(np.all((vals == 0.0) | (vals == 1.0)))
-    stream = LinkStreamMatrix(space, t0, vals, unweighted=unweighted)
     names += [f"~v{i}" for i in range(len(names), n)]
-    return IngestResult(stream, tuple(names), dropped)
+    return IngestResult(LinkStreamMatrix(space, t0, vals), tuple(names), dropped)
 
 
 # ---------------------------------------------------------------------------
 # dense CSV
 
 def write_dense_csv(path, stream: LinkStreamMatrix, names=None):
-    labels = stream.space.labels(names)
-    lines = ["t," + ",".join(labels)]
-    for row, t in zip(stream.values, stream.times):
-        lines.append(str(int(t)) + "," + ",".join(fmt_float(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_grid_csv(path, stream.values, "t", [str(int(t)) for t in stream.times],
+                   stream.space.labels(names))
 
 
-def _names_from_labels(labels):
-    names: list = []
+def _parse_labels(path, labels, vertices=None):
+    """Relation labels ``u->v`` (pads ``~padK``) to vertex names and relations.
+
+    Vertex indices follow ``vertices`` when given (it keeps isolated
+    vertices), otherwise the order in which names first appear.
+    """
+    names = [] if vertices is None else [str(x) for x in vertices]
+    index = {nm: i for i, nm in enumerate(names)}
     rels = []
     for lab in labels:
         if lab.startswith("~pad"):
@@ -154,13 +155,14 @@ def _names_from_labels(labels):
         try:
             u, v = lab.split("->")
         except ValueError:
-            raise IngestError(f"bad relation label {lab!r}") from None
+            raise IngestError(f"{path}: bad relation label {lab!r}") from None
         for nm in (u, v):
-            if nm not in names:
+            if nm not in index:
+                if vertices is not None:
+                    raise IngestError(f"{path}: bad relation label {lab!r}")
+                index[nm] = len(names)
                 names.append(nm)
-        rels.append((u, v))
-    index = {nm: i for i, nm in enumerate(names)}
-    rels = [None if r is None else (index[r[0]], index[r[1]]) for r in rels]
+        rels.append((index[u], index[v]))
     return names, rels
 
 
@@ -171,7 +173,7 @@ def read_dense_csv(path) -> IngestResult:
     header = lines[0].split(",")
     if header[0] != "t":
         raise IngestError(f"{path}: dense CSV must start with a 't' header column")
-    names, rels = _names_from_labels(header[1:])
+    names, rels = _parse_labels(path, header[1:])
     space = RelationSpace(len(names), tuple(rels))
     times = []
     rows = []
@@ -188,10 +190,7 @@ def read_dense_csv(path) -> IngestResult:
     times = np.array(times)
     if not np.array_equal(times, np.arange(times[0], times[0] + len(times))):
         raise IngestError("dense CSV times must be contiguous")
-    vals = np.array(rows)
-    unweighted = bool(np.all((vals == 0.0) | (vals == 1.0)))
-    return IngestResult(LinkStreamMatrix(space, int(times[0]), vals, unweighted=unweighted),
-                        tuple(names))
+    return IngestResult(LinkStreamMatrix(space, int(times[0]), np.array(rows)), tuple(names))
 
 
 # ---------------------------------------------------------------------------
@@ -229,26 +228,9 @@ def read_raw(path) -> IngestResult:
     if len(data) != expected:
         raise IngestError(f"{path}: payload has {len(data)} bytes, expected {expected}")
     vals = np.frombuffer(data, dtype="<f8").reshape(t, m)
-    if "vertices" in header:
-        # the stored vertex list fixes indices even for isolated vertices
-        names = [str(x) for x in header["vertices"]]
-        index = {nm: i for i, nm in enumerate(names)}
-        rels = []
-        for lab in labels:
-            if lab.startswith("~pad"):
-                rels.append(None)
-                continue
-            try:
-                u, v = lab.split("->")
-                rels.append((index[u], index[v]))
-            except (ValueError, KeyError):
-                raise IngestError(f"{path}: bad relation label {lab!r}") from None
-    else:
-        names, rels = _names_from_labels(labels)
+    names, rels = _parse_labels(path, labels, header.get("vertices"))
     space = RelationSpace(len(names), tuple(rels))
-    unweighted = bool(np.all((vals == 0.0) | (vals == 1.0)))
-    return IngestResult(LinkStreamMatrix(space, t0, vals, unweighted=unweighted),
-                        tuple(names))
+    return IngestResult(LinkStreamMatrix(space, t0, vals), tuple(names))
 
 
 def read_stream(path, fmt: str, window=None, pad_vertices: bool = False) -> IngestResult:
@@ -424,12 +406,11 @@ def write_coefficient_matrix(outdir, coeffs, names=None):
     cols = coefficient_labels(coeffs.basis)
     freqs = [str(u) for u in range(coeffs.num_times)]
     write_grid_csv(outdir / "C_abs.csv", np.abs(coeffs.values), "freq", freqs, cols)
-    lines = ["freq,column,re,im"]
-    for u in range(coeffs.num_times):
-        for k in range(coeffs.num_relations):
-            v = coeffs.values[u, k]
-            lines.append(f"{u},{k},{fmt_float(v.real)},{fmt_float(v.imag)}")
-    (outdir / "C_rect.csv").write_text("\n".join(lines) + "\n")
+    with open(outdir / "C_rect.csv", "w") as fh:
+        fh.write("freq,column,re,im\n")
+        for u, row in enumerate(coeffs.values):
+            fh.write("".join(f"{u},{k},{fmt_float(v.real)},{fmt_float(v.imag)}\n"
+                             for k, v in enumerate(row)))
 
 
 def write_plot_bundle(outdir, stream, x, f, coeffs, names=None):

@@ -77,14 +77,6 @@ class PartitionTree:
         return build(0, self.num_relations)
 
 
-def tree_to_leaf_order(tree: PartitionTree) -> np.ndarray:
-    return tree.leaf_order.copy()
-
-
-def leaf_order_to_tree(perm) -> PartitionTree:
-    return PartitionTree(np.asarray(perm, dtype=np.int64))
-
-
 def tree_from_nested(nested, num_relations: int) -> PartitionTree:
     """Rebuild a tree from nested [left, right] arrays, validating the shape."""
     order = np.full(num_relations, -1, dtype=np.int64)
@@ -245,11 +237,11 @@ def svd_vertex_split(adj: GraphSlice, seed: int, first_split=None) -> VertexSpli
     half. Degenerate submatrices split by ascending vertex index. An explicit
     ``first_split`` pair of vertex sets overrides the top-level split.
     """
-    if not adj.is_full_space():
-        raise ValueError("SVD partitioning requires a full relation space")
     n = adj.space.num_vertices
     if not is_power_of_two(n):
         raise ValueError(f"vertex count {n} is not a power of two; pad vertices first")
+    if not adj.space.is_full:
+        raise ValueError("SVD partitioning requires a full relation space")
     mat = adj.adjacency()
     rng = np.random.default_rng(seed)
 

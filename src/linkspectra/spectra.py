@@ -136,9 +136,10 @@ class KeepRule:
     """Coefficient selection for backbone extraction.
 
     ``top``: keep the k largest |C| entries (ties broken by frequency then
-    basis index). ``box``: keep folded frequencies u0..u1 (a frequency u
-    counts as min(u, T-u), so the conjugate mirror is kept too and real
-    streams reconstruct to real backbones) crossed with basis columns k0..k1.
+    basis index) plus the conjugate mirror (T-u, k) of each, so up to 2k
+    entries. ``box``: keep folded frequencies u0..u1 (a frequency u counts as
+    min(u, T-u)) crossed with basis columns k0..k1. Both rules keep every
+    mirror pair whole, so real streams reconstruct to real backbones.
     """
 
     mode: str
@@ -168,7 +169,8 @@ class KeepRule:
             order = np.lexsort((k, u, -mag.ravel()))
             mask = np.zeros(t * m, dtype=bool)
             mask[order[: self.top]] = True
-            return mask.reshape(t, m)
+            mask = mask.reshape(t, m)
+            return mask | mask[(-np.arange(t)) % t]
         if self.mode == "box":
             if not (0 <= self.freq_range[0] and self.freq_range[1] <= t // 2):
                 raise ValueError(f"folded frequency box must lie in 0..{t // 2}")

@@ -159,13 +159,10 @@ class GraphSlice:
 
     def adjacency(self) -> np.ndarray:
         """Dense num_vertices x num_vertices adjacency (full spaces only)."""
-        if not self.is_full_space():
+        if not self.space.is_full:
             raise ValueError("adjacency requires a full relation space")
         n = self.space.num_vertices
         return self.weights[: n * n].reshape(n, n).copy()
-
-    def is_full_space(self) -> bool:
-        return self.space.is_full
 
 
 def empty_slice(space: RelationSpace) -> GraphSlice:
@@ -205,13 +202,11 @@ class LinkStreamMatrix:
     """Dense T x M link-stream matrix over a contiguous integer time window.
 
     Row t is the graph at time ``t0 + t``; column k the series of relation k.
-    ``unweighted`` is a validated flag: when set, all entries are 0/1.
     """
 
     space: RelationSpace
     t0: int
     values: np.ndarray = field(repr=False)
-    unweighted: bool = False
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -223,11 +218,14 @@ class LinkStreamMatrix:
             raise ValueError("stream values must be finite")
         if np.any(vals[:, self.space.inert] != 0.0):
             raise ValueError("inert (padding) columns must be zero")
-        if self.unweighted and not np.all((vals == 0.0) | (vals == 1.0)):
-            raise ValueError("unweighted stream must have 0/1 entries")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def unweighted(self) -> bool:
+        """True when every entry is 0 or 1."""
+        return bool(np.all((self.values == 0.0) | (self.values == 1.0)))
 
     @property
     def num_times(self) -> int:
@@ -265,17 +263,17 @@ class LinkStreamMatrix:
         """Sum of all slices; the all-time aggregate used to fix a basis."""
         return GraphSlice(self.space, self.values.sum(axis=0))
 
-    def with_values(self, values, unweighted: bool = False) -> "LinkStreamMatrix":
-        return LinkStreamMatrix(self.space, self.t0, values, unweighted=unweighted)
+    def with_values(self, values) -> "LinkStreamMatrix":
+        return LinkStreamMatrix(self.space, self.t0, values)
 
 
-def stream_from_slices(slices, t0: int = 0, unweighted: bool = False) -> LinkStreamMatrix:
+def stream_from_slices(slices, t0: int = 0) -> LinkStreamMatrix:
     slices = list(slices)
     if not slices:
         raise ValueError("no slices given")
     space = slices[0].space
     vals = np.stack([s.weights for s in slices])
-    return LinkStreamMatrix(space, t0, vals, unweighted=unweighted)
+    return LinkStreamMatrix(space, t0, vals)
 
 
 def restrict_stream(stream: LinkStreamMatrix, space: RelationSpace) -> LinkStreamMatrix:
@@ -293,4 +291,4 @@ def restrict_stream(stream: LinkStreamMatrix, space: RelationSpace) -> LinkStrea
     for k, rel in enumerate(stream.space.relations):
         if rel is not None and rel not in kept and np.any(stream.values[:, k] != 0.0):
             raise ValueError(f"active relation {rel} is outside the restricted space")
-    return LinkStreamMatrix(space, stream.t0, vals, unweighted=stream.unweighted)
+    return LinkStreamMatrix(space, stream.t0, vals)

@@ -150,17 +150,9 @@ def lowpass_filter(cutoff: float, length: int) -> FrequencyFilter:
                            label=f"lowpass:{cutoff}")
 
 
-def allpass_filter(length: int) -> FrequencyFilter:
-    return FrequencyFilter(np.ones(length), label="allpass")
-
-
-def dft_forward(stream: LinkStreamMatrix) -> np.ndarray:
-    """Frequency-relational representation F, complex T x M."""
-    return FourierBasis(stream.num_times).forward(stream.values)
-
-
 def dft_inverse(coeffs: np.ndarray, like: LinkStreamMatrix) -> LinkStreamMatrix:
-    """Invert dft_forward back to a real stream on the window of ``like``."""
+    """Invert ``spectra.freq_relational`` back to a real stream on the window of
+    ``like``."""
     vals = FourierBasis(like.num_times).inverse(coeffs)
     return like.with_values(_realify(vals))
 

@@ -3,14 +3,35 @@ import json
 import numpy as np
 import pytest
 
+from linkspectra import (
+    JointFilter,
+    KeepRule,
+    apply_joint_filter,
+    backbone,
+    decompose,
+    default_basis,
+    freq_relational,
+    regularity,
+    relaxed_time_regularity,
+    synth,
+    time_structure,
+)
 from linkspectra import io as lio
 from linkspectra.cli import main
+from linkspectra.graphbasis import coarse_pass_response
+from linkspectra.timebasis import lowpass_filter
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_grid(path):
+    """Values of a CSV grid, header row and label column dropped."""
+    rows = path.read_text().splitlines()[1:]
+    return np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
 
 
 def test_synth_then_aggregate_constant_clique(tmp_path, capsys):
@@ -179,3 +200,70 @@ def test_bfs_basis_cli(tmp_path, capsys):
     assert code == 0, err
     doc = json.loads((outdir / "tree.json").read_text())
     assert doc["num_relations"] == 8
+
+
+def test_cli_outputs_equal_library_results(tmp_path, capsys):
+    stream = synth.gen_daynight(2, 4, 8, 0.5, 0.5, 24, seed=3)
+    src = tmp_path / "daynight.raw"
+    lio.write_raw(src, stream)
+    basis = default_basis(stream, level=4, seed=2)
+    common = ["--input", str(src), "--format", "raw", "--basis", "svd", "--level", "4",
+              "--seed", "2"]
+
+    def cli(command, *extra):
+        outdir = tmp_path / command
+        code, out, err = run(capsys, command, *common, *extra, "--out", str(outdir))
+        assert code == 0, err
+        return outdir, out
+
+    d, _ = cli("decompose")
+    coeffs = decompose(stream, basis)
+    assert np.array_equal(read_grid(d / "L.csv"), stream.values)
+    assert np.array_equal(read_grid(d / "X.csv"), time_structure(stream, basis))
+    assert np.array_equal(read_grid(d / "F_abs.csv"), np.abs(freq_relational(stream)))
+    assert np.array_equal(read_grid(d / "C_abs.csv"), coeffs.magnitude)
+    rect = read_grid(d / "C_rect.csv")
+    assert np.array_equal(rect[:, 1].reshape(coeffs.values.shape), coeffs.values.real)
+    assert np.array_equal(rect[:, 2].reshape(coeffs.values.shape), coeffs.values.imag)
+
+    d, _ = cli("filter", "--freq", "lowpass:0.1", "--struct", "coarse")
+    filtered = apply_joint_filter(
+        stream, JointFilter(lowpass_filter(0.1, 24), coarse_pass_response(basis)), basis)
+    assert np.array_equal(lio.read_raw(d / "filtered.raw").stream.values, filtered.values)
+    assert np.array_equal(read_grid(d / "filtered.csv"), filtered.values)
+
+    d, _ = cli("backbone", "--keep", "top:3")
+    kept, mask = backbone(stream, basis, KeepRule.top_k(3))
+    assert np.array_equal(lio.read_raw(d / "backbone.raw").stream.values, kept.values)
+    assert np.array_equal(read_grid(d / "backbone.csv"), kept.values)
+    assert np.array_equal(read_grid(d / "kept_mask.csv"), mask.astype(float))
+
+    d, _ = cli("embed")
+    assert np.array_equal(read_grid(d / "embedding.csv"),
+                          time_structure(stream, basis)[:, : basis.num_scaling])
+
+    d, out = cli("regularity")
+    doc = regularity(stream, basis).as_dict()
+    doc["relaxed_reg_t"] = relaxed_time_regularity(stream, basis)
+    assert json.loads((d / "regularity.json").read_text()) == doc
+    assert json.loads(out) == doc
+
+
+def test_svd_basis_rejects_unpadded_raw_stream(tmp_path, capsys):
+    src = tmp_path / "three.csv"
+    src.write_text("0,a,b\n1,b,c\n2,c,a\n")
+    code, _, err = run(capsys, "ingest", "--input", str(src), "--out", str(tmp_path / "ing"))
+    assert code == 0, err
+    code, _, err = run(capsys, "basis", "--input", str(tmp_path / "ing" / "stream.raw"),
+                       "--format", "raw", "--out", str(tmp_path / "basis"))
+    assert code == 1
+    message = json.loads(err.strip().splitlines()[-1])["error"]["message"]
+    assert "vertex count 3 is not a power of two" in message
+    assert "pad" in message
+
+
+def test_verify_lemmas_cli_equals_verify_all(tmp_path, capsys):
+    code, out, err = run(capsys, "verify-lemmas", "--trials", "500", "--seed", "7",
+                         "--out", str(tmp_path / "report"))
+    assert code == 0, err
+    assert json.loads(out) == [c.as_dict() for c in synth.verify_all(trials=500, seed=7)]

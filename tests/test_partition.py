@@ -7,11 +7,9 @@ from linkspectra import (
     GraphSlice,
     active_space,
     full_space,
-    leaf_order_to_tree,
     morton_index,
     partition_bfs,
     partition_svd,
-    tree_to_leaf_order,
 )
 from linkspectra.partition import (
     PartitionTree,
@@ -105,15 +103,15 @@ def test_tree_invariants_random(rng):
 
 
 def test_leaf_order_round_trip_identity():
-    tree = leaf_order_to_tree(np.arange(8))
-    assert np.array_equal(tree_to_leaf_order(tree), np.arange(8))
+    tree = PartitionTree(np.arange(8))
+    assert np.array_equal(tree.leaf_order, np.arange(8))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.permutations(list(range(16))))
 def test_leaf_order_round_trip(perm):
-    tree = leaf_order_to_tree(perm)
-    assert np.array_equal(tree_to_leaf_order(tree), perm)
+    tree = PartitionTree(perm)
+    assert np.array_equal(tree.leaf_order, perm)
     rebuilt = tree_from_nested(tree.to_nested(), 16)
     assert np.array_equal(rebuilt.leaf_order, tree.leaf_order)
 
@@ -125,9 +123,9 @@ def test_morton_order_n2_table():
 
 def test_bad_permutation_rejected():
     with pytest.raises(ValueError):
-        leaf_order_to_tree([0, 0, 1, 2])
+        PartitionTree([0, 0, 1, 2])
     with pytest.raises(ValueError):
-        leaf_order_to_tree([0, 1, 2])  # not a power of two
+        PartitionTree([0, 1, 2])  # not a power of two
 
 
 # ---------------------------------------------------------------------------

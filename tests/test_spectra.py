@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkspectra import (
     FourierBasis,
@@ -29,10 +31,10 @@ from linkspectra import synth
 from conftest import random_tree
 
 
-def random_stream(rng, t=16, n=4, density=0.4, unweighted=True):
+def random_stream(rng, t=16, n=4, density=0.4):
     space = full_space(n)
     vals = (rng.random((t, space.num_relations)) < density).astype(float)
-    return LinkStreamMatrix(space, 0, vals, unweighted=unweighted)
+    return LinkStreamMatrix(space, 0, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +94,7 @@ def test_two_application_orders_agree(rng, fig_basis):
 
 
 def test_parseval_2d_and_round_trip(rng, fig_basis):
-    stream = random_stream(rng, t=10, unweighted=False)
+    stream = random_stream(rng, t=10)
     c = decompose(stream, fig_basis)
     assert np.linalg.norm(c.values) == pytest.approx(np.linalg.norm(stream.values), rel=1e-12)
     back = reconstruct(c)
@@ -136,7 +138,7 @@ def test_freq_relational_matches_dft(rng):
 
 def test_default_basis_from_aggregate():
     g1, _, _ = synth.gen_sbm_pair(2, 4, 0.9, 0.05, seed=2)
-    stream = stream_from_slices([g1, g1], unweighted=True)
+    stream = stream_from_slices([g1, g1])
     basis = default_basis(stream, level=4, seed=1)
     assert basis.level == 4
     assert basis.num_relations == 64
@@ -146,14 +148,14 @@ def test_default_basis_from_aggregate():
 # joint filters
 
 def test_identity_joint_filter(rng, fig_basis):
-    stream = random_stream(rng, t=8, unweighted=False)
+    stream = random_stream(rng, t=8)
     jf = JointFilter(FrequencyFilter(np.ones(8)), np.ones(16))
     out = apply_joint_filter(stream, jf, fig_basis)
     assert np.abs(out.values - stream.values).max() < 1e-10
 
 
 def test_joint_filter_two_paths_agree(rng, fig_basis):
-    stream = random_stream(rng, t=8, unweighted=False)
+    stream = random_stream(rng, t=8)
     chi = np.fft.fft(np.array([0.5, 0.3, 0.0, 0.0, 0.1, 0.0, 0.0, 0.1]))
     jf = JointFilter(FrequencyFilter(chi), rng.standard_normal(16))
     fast = apply_joint_filter(stream, jf, fig_basis)
@@ -181,7 +183,7 @@ def test_embedding_filter_keeps_scaling_columns(fig_basis):
 
 
 def test_joint_filter_composition(rng, fig_basis):
-    stream = random_stream(rng, t=8, unweighted=False)
+    stream = random_stream(rng, t=8)
     folded = np.minimum(np.arange(8), 8 - np.arange(8))
     jf1 = JointFilter(FrequencyFilter(np.where(folded % 2 == 0, 1.0, 0.5)),
                       rng.random(16))
@@ -197,7 +199,7 @@ def test_joint_filter_composition(rng, fig_basis):
 # backbone
 
 def test_backbone_keep_all(rng, fig_basis):
-    stream = random_stream(rng, t=8, unweighted=False)
+    stream = random_stream(rng, t=8)
     out, mask = backbone(stream, fig_basis, KeepRule.box(0, 4, 0, 15))
     assert mask.all()
     assert np.abs(out.values - stream.values).max() < 1e-10
@@ -237,13 +239,44 @@ def test_backbone_tie_break_deterministic(fig_basis):
     assert m1[0, 0] and m1[0, 1]
 
 
+@pytest.mark.parametrize("k", [3, 5])
+def test_backbone_top_k_keeps_conjugate_pairs(k):
+    # the k largest entries alone hold a frequency without its mirror here
+    stream = synth.gen_daynight(2, 16, 20, 0.5, 0.5, 200, seed=0)
+    basis = default_basis(stream, level=8, seed=0)
+    out, mask = backbone(stream, basis, KeepRule.top_k(k))
+    assert np.array_equal(mask, mask[(-np.arange(200)) % 200])
+    assert k < mask.sum() <= 2 * k
+    assert out.values.shape == stream.values.shape
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([2, 3, 4]), st.data())
+def test_backbone_mask_closed_under_mirror(seed, t, n, data):
+    rng = np.random.default_rng(seed)
+    space = full_space(n)
+    m = space.num_relations
+    vals = rng.standard_normal((t, m))
+    vals[:, space.inert] = 0.0
+    basis = GraphBasis(random_tree(m, rng), data.draw(st.integers(1, m.bit_length() - 1)))
+    if data.draw(st.booleans()):
+        rule = KeepRule.top_k(data.draw(st.integers(1, t * m)))
+    else:
+        f0 = data.draw(st.integers(0, t // 2))
+        c0 = data.draw(st.integers(0, m - 1))
+        rule = KeepRule.box(f0, data.draw(st.integers(f0, t // 2)),
+                            c0, data.draw(st.integers(c0, m - 1)))
+    _, mask = backbone(LinkStreamMatrix(space, 0, vals), basis, rule)
+    assert np.array_equal(mask, mask[(-np.arange(t)) % t])
+
+
 # ---------------------------------------------------------------------------
 # regularity
 
 def test_regularity_zero_for_trivial_stream(fig_basis):
     # constant stream of full motifs (the clique)
     vals = np.ones((6, 16))
-    stream = LinkStreamMatrix(full_space(4), 0, vals, unweighted=True)
+    stream = LinkStreamMatrix(full_space(4), 0, vals)
     rep = regularity(stream, fig_basis)
     assert rep.reg_t == 0.0
     assert rep.reg_e == pytest.approx(0.0, abs=1e-12)
@@ -281,7 +314,7 @@ def test_relaxed_regularity_zero_on_structural_class(rng):
     profile = rng.integers(0, 17, size=4)
     cls = synth.StructuralClass(full_space(8), basis.tree, 4, profile)
     slices = [synth.sample_structurally_equal(cls, rng) for _ in range(16)]
-    stream = stream_from_slices(slices, unweighted=True)
+    stream = stream_from_slices(slices)
     assert relaxed_time_regularity(stream, basis) < 1e-10
 
 
@@ -291,5 +324,5 @@ def test_relaxed_regularity_alternating_value(fig_basis, osc_space):
     tri = analyze(stream.slice_at(1), fig_basis).scaling
     expected = 16 * float(np.sum((claw - tri) ** 2))
     assert relaxed_time_regularity(stream, fig_basis) == pytest.approx(expected, rel=1e-12)
-    const = LinkStreamMatrix(osc_space, 0, np.ones((6, 16)), unweighted=True)
+    const = LinkStreamMatrix(osc_space, 0, np.ones((6, 16)))
     assert relaxed_time_regularity(const, fig_basis) == 0.0

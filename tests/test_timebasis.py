@@ -10,8 +10,8 @@ from linkspectra import (
     aggregate,
     aggregation_operator,
     apply_frequency_filter,
-    dft_forward,
     dft_inverse,
+    freq_relational,
     full_space,
     time_diff,
     time_diff_operator,
@@ -32,7 +32,7 @@ def test_dft_matrix_unitary():
 
 def test_constant_column_concentrates_at_dc():
     stream = make_stream(np.full((16, 4), 3.0))
-    f = dft_forward(stream)
+    f = freq_relational(stream)
     assert f[0, 0] == pytest.approx(np.sqrt(16) * 3.0)
     assert np.abs(f[1:, :]).max() < 1e-12
 
@@ -41,7 +41,7 @@ def test_alternating_column_two_frequencies():
     t = 16
     vals = np.zeros((t, 4))
     vals[0::2, 0] = 1.0
-    f = dft_forward(make_stream(vals))
+    f = freq_relational(make_stream(vals))
     col = np.abs(f[:, 0])
     assert col[0] == pytest.approx(np.sqrt(t) / 2)
     assert col[t // 2] == pytest.approx(np.sqrt(t) / 2)
@@ -54,7 +54,7 @@ def test_alternating_column_two_frequencies():
 def test_dft_round_trip_and_parseval(seed, t):
     rng = np.random.default_rng(seed)
     stream = make_stream(rng.standard_normal((t, 4)))
-    f = dft_forward(stream)
+    f = freq_relational(stream)
     back = dft_inverse(f, stream)
     assert np.abs(back.values - stream.values).max() < 1e-10
     assert np.linalg.norm(f) == pytest.approx(np.linalg.norm(stream.values), rel=1e-12)
@@ -65,7 +65,7 @@ def test_fft_matches_dense_oracle(rng):
         vals = rng.standard_normal((t, 4))
         stream = make_stream(vals)
         psi = FourierBasis(t).matrix()
-        assert np.abs(dft_forward(stream) - psi.conj().T @ vals).max() < 1e-10
+        assert np.abs(freq_relational(stream) - psi.conj().T @ vals).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
