@@ -69,4 +69,22 @@ from .timebasis import (
     time_diff_operator,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # graphbasis
+    "GraphBasis", "GraphCoefficients", "analyze", "coarse_filter", "detail_filter",
+    "edit_distance_spectrum", "embed_coarse", "graph_regularity", "motif_counts",
+    "structural_filter_graph", "synthesize", "template_graph",
+    # partition
+    "PartitionTree", "VertexSplit", "morton_index", "partition_bfs", "partition_svd",
+    # spectra
+    "CoefficientMatrix", "JointFilter", "KeepRule", "apply_joint_filter", "backbone",
+    "decompose", "default_basis", "freq_relational", "reconstruct", "regularity",
+    "relaxed_time_regularity", "time_structure",
+    # stream
+    "GraphSlice", "LinkStreamMatrix", "RelationSpace", "active_space", "full_space",
+    "graph_dist", "graph_edit", "restrict_stream", "slice_from_edges",
+    "stream_from_slices",
+    # timebasis
+    "FourierBasis", "FrequencyFilter", "aggregate", "aggregation_operator",
+    "apply_frequency_filter", "dft_inverse", "time_diff", "time_diff_operator",
+]

@@ -18,19 +18,18 @@ from .config import RunConfig
 from .graphbasis import GraphBasis
 from .partition import partition_bfs
 from .spectra import (
+    CoefficientMatrix,
     JointFilter,
     KeepRule,
     apply_joint_filter,
     backbone,
-    decompose,
     default_basis,
-    freq_relational,
     regularity,
     relaxed_time_regularity,
     time_structure,
 )
 from .stream import active_space, restrict_stream, stream_from_slices
-from .timebasis import aggregate, aggregation_filter
+from .timebasis import FourierBasis, aggregate, aggregation_filter
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,16 +50,22 @@ _BASIS_COMMANDS = {"basis", "decompose", "filter", "backbone", "embed", "regular
 
 
 def _load_stream(cfg: RunConfig):
-    pad = (cfg.command in _BASIS_COMMANDS and cfg.basis == "svd"
-           and cfg.fmt in ("csv", "ndjson"))
-    result = lio.read_stream(cfg.input, cfg.fmt, window=cfg.window, pad_vertices=pad)
+    basis = cfg.basis if cfg.command in _BASIS_COMMANDS else None
+    result = lio.read_stream(cfg.input, cfg.fmt, window=cfg.window,
+                             pad_vertices=basis == "svd", active_only=basis == "bfs")
     if result.dropped:
         _emit_warning("triplets outside the window were dropped", dropped=result.dropped)
     return result
 
 
 def _prepare(cfg: RunConfig, stream):
-    """Resolve the basis; BFS mode restricts the stream to the active space."""
+    """Resolve the basis; BFS mode restricts the stream to the active space.
+
+    Triplet input already arrives over the relations that carry a nonzero
+    entry (``_load_stream``); that space differs from the active one only
+    when some relation's entries sum to exactly zero, and ``restrict_stream``
+    then refuses the stream.
+    """
     if cfg.basis == "svd":
         return stream, default_basis(stream, cfg.level, cfg.seed)
     if cfg.basis == "bfs":
@@ -222,9 +227,10 @@ def run_command(args) -> int:
         lio.write_tree_json(outdir / "tree.json", basis.tree, stream.space, names)
 
     elif cfg.command == "decompose":
-        coeffs = decompose(stream, basis)
         x = time_structure(stream, basis)
-        f = freq_relational(stream)
+        fourier = FourierBasis(stream.num_times)
+        coeffs = CoefficientMatrix(fourier.forward(x), basis, fourier, stream.space, stream.t0)
+        f = fourier.forward(stream.values)
         lio.write_plot_bundle(outdir, stream, x, f, coeffs, names)
 
     elif cfg.command == "filter":

@@ -85,14 +85,17 @@ def _iter_triplets_ndjson(lines):
         yield t, u, v, w
 
 
-def ingest_triplets(path, fmt: str = "csv", window=None,
-                    pad_vertices: bool = False) -> IngestResult:
-    """Read triplet records into a dense stream over a full relation space.
+def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = False,
+                    active_only: bool = False) -> IngestResult:
+    """Read triplet records into a dense stream.
 
-    Vertices are indexed in first-seen order; duplicate triplets sum;
-    out-of-window triplets are dropped and counted. ``pad_vertices`` grows
-    the vertex set to the next power of two (required before SVD
-    partitioning).
+    Vertices are indexed in first-seen order; duplicate triplets sum in
+    record order; out-of-window triplets are dropped and counted.
+    ``pad_vertices`` grows the vertex set to the next power of two (required
+    before SVD partitioning). By default the columns are the full relation
+    space; ``active_only`` keeps only the relations that carry a nonzero
+    entry, in lexicographic order and padded to a power of two, so nothing of
+    size N^2 is allocated (BFS mode).
     """
     text = Path(path).read_text()
     if not text.strip():
@@ -102,7 +105,7 @@ def ingest_triplets(path, fmt: str = "csv", window=None,
         raise IngestError(f"unknown triplet format {fmt!r}")
     names: list = []
     index: dict = {}
-    records = []
+    times, us, vs, ws = [], [], [], []
     dropped = 0
     for t, u, v, w in it(text.splitlines()):
         if window is not None and not (window[0] <= t < window[0] + window[1]):
@@ -112,21 +115,37 @@ def ingest_triplets(path, fmt: str = "csv", window=None,
             if name not in index:
                 index[name] = len(names)
                 names.append(name)
-        records.append((t, index[u], index[v], w))
-    if not records:
+        times.append(t)
+        us.append(index[u])
+        vs.append(index[v])
+        ws.append(w)
+    if not times:
         raise IngestError("no triplets inside the window")
     if window is not None:
         t0, count = window
     else:
-        times = [r[0] for r in records]
         t0, count = min(times), max(times) - min(times) + 1
     n = len(names)
     if pad_vertices:
         n = next_power_of_two(n)
-    space = full_space(n)
-    vals = np.zeros((count, space.num_relations))
-    for t, u, v, w in records:
-        vals[t - t0, u * n + v] += w
+    rows = np.array(times, dtype=np.int64) - t0
+    cols = np.array(us, dtype=np.int64) * n + np.array(vs, dtype=np.int64)
+    if active_only:
+        cols, inverse = np.unique(cols, return_inverse=True)
+        sums = np.zeros((count, len(cols)))
+        np.add.at(sums, (rows, inverse), ws)
+        carried = sums.any(axis=0)
+        rels = [(int(c) // n, int(c) % n) for c in cols[carried]]
+        # padded here, not by active_space(), which refuses an empty set: a
+        # window of zero weights still ingests, and BFS set-up reports it
+        pads = next_power_of_two(len(rels)) - len(rels)
+        space = RelationSpace(n, tuple(rels) + (None,) * pads)
+        vals = np.zeros((count, space.num_relations))
+        vals[:, : len(rels)] = sums[:, carried]
+    else:
+        space = full_space(n)
+        vals = np.zeros((count, space.num_relations))
+        np.add.at(vals, (rows, cols), ws)
     names += [f"~v{i}" for i in range(len(names), n)]
     return IngestResult(LinkStreamMatrix(space, t0, vals), tuple(names), dropped)
 
@@ -145,10 +164,16 @@ def _parse_labels(path, labels, vertices=None):
     Vertex indices follow ``vertices`` when given (it keeps isolated
     vertices), otherwise the order in which names first appear.
     """
-    names = [] if vertices is None else [str(x) for x in vertices]
+    names = [] if vertices is None else vertices
+    bad = [x for x in names if not isinstance(x, str)] if isinstance(names, list) else [names]
+    if bad:
+        raise IngestError(f"{path}: bad relation label vertex {bad[0]!r}")
+    names = list(names)
     index = {nm: i for i, nm in enumerate(names)}
     rels = []
     for lab in labels:
+        if not isinstance(lab, str):
+            raise IngestError(f"{path}: bad relation label {lab!r}")
         if lab.startswith("~pad"):
             rels.append(None)
             continue
@@ -204,7 +229,7 @@ def write_raw(path, stream: LinkStreamMatrix, names=None):
         "M": stream.num_relations,
         "t0": stream.t0,
         "labels": stream.space.labels(names),
-        "vertices": list(names) if names is not None
+        "vertices": [str(x) for x in names] if names is not None
         else [str(i) for i in range(stream.space.num_vertices)],
     }
     with open(path, "wb") as fh:
@@ -220,7 +245,7 @@ def read_raw(path) -> IngestResult:
             t = int(header["T"])
             m = int(header["M"])
             t0 = int(header["t0"])
-            labels = header["labels"]
+            labels = list(header["labels"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             raise IngestError(f"{path}: malformed raw header") from None
         data = fh.read()
@@ -233,9 +258,11 @@ def read_raw(path) -> IngestResult:
     return IngestResult(LinkStreamMatrix(space, t0, vals), tuple(names))
 
 
-def read_stream(path, fmt: str, window=None, pad_vertices: bool = False) -> IngestResult:
+def read_stream(path, fmt: str, window=None, pad_vertices: bool = False,
+                active_only: bool = False) -> IngestResult:
     if fmt in ("csv", "ndjson"):
-        return ingest_triplets(path, fmt, window=window, pad_vertices=pad_vertices)
+        return ingest_triplets(path, fmt, window=window, pad_vertices=pad_vertices,
+                               active_only=active_only)
     if fmt == "dense":
         return read_dense_csv(path)
     if fmt == "raw":

@@ -281,14 +281,14 @@ def restrict_stream(stream: LinkStreamMatrix, space: RelationSpace) -> LinkStrea
 
     Every relation with activity must be present in the target space.
     """
+    src = [stream.space.index_of(*rel) for rel in space.relations if rel is not None]
     vals = np.zeros((stream.num_times, space.num_relations))
-    kept = set()
-    for k, rel in enumerate(space.relations):
-        if rel is None:
-            continue
-        vals[:, k] = stream.values[:, stream.space.index_of(*rel)]
-        kept.add(rel)
-    for k, rel in enumerate(stream.space.relations):
-        if rel is not None and rel not in kept and np.any(stream.values[:, k] != 0.0):
-            raise ValueError(f"active relation {rel} is outside the restricted space")
+    vals[:, ~space.inert] = stream.values[:, src]
+    rest = np.ones(stream.num_relations, dtype=bool)
+    rest[src] = False
+    others = np.flatnonzero(rest)
+    outside = others[np.any(stream.values[:, others] != 0.0, axis=0)]
+    if outside.size:
+        rel = stream.space.relations[outside[0]]
+        raise ValueError(f"active relation {rel} is outside the restricted space")
     return LinkStreamMatrix(space, stream.t0, vals)

@@ -18,6 +18,7 @@ from linkspectra import (
 )
 from linkspectra import io as lio
 from linkspectra.cli import main
+from linkspectra.stream import active_space, restrict_stream
 from linkspectra.graphbasis import coarse_pass_response
 from linkspectra.timebasis import lowpass_filter
 
@@ -190,16 +191,61 @@ def test_usage_error_json(tmp_path, capsys):
     assert doc["error"]["type"] == "usage"
 
 
-def test_bfs_basis_cli(tmp_path, capsys):
+def ring_csv(tmp_path):
     src = tmp_path / "ring.csv"
     lines = [f"{t},{v},{(v + 1) % 8}" for t in range(4) for v in range(8)]
     src.write_text("\n".join(lines) + "\n")
+    return src
+
+
+def test_bfs_basis_cli(tmp_path, capsys):
+    src = ring_csv(tmp_path)
     outdir = tmp_path / "basis"
     code, _, err = run(capsys, "basis", "--input", str(src), "--basis", "bfs",
                        "--seed", "3", "--out", str(outdir))
     assert code == 0, err
     doc = json.loads((outdir / "tree.json").read_text())
     assert doc["num_relations"] == 8
+
+
+def test_bfs_commands_from_csv_equal_restricted_raw(tmp_path, capsys):
+    src = ring_csv(tmp_path)
+    full = lio.ingest_triplets(src, "csv")
+    agg = full.stream.aggregate_graph()
+    space = active_space(8, [full.stream.space.relations[k] for k in sorted(agg.edge_set)])
+    raw = tmp_path / "ring.raw"
+    lio.write_raw(raw, restrict_stream(full.stream, space), full.vertex_names)
+    for command, extra in (("regularity", []), ("decompose", []),
+                           ("backbone", ["--keep", "box:0:1,0:3"])):
+        outputs = []
+        for fmt, path in (("csv", src), ("raw", raw)):
+            outdir = tmp_path / f"{command}-{fmt}"
+            code, out, err = run(capsys, command, "--input", str(path), "--format", fmt,
+                                 "--basis", "bfs", "--seed", "3", *extra,
+                                 "--out", str(outdir))
+            assert code == 0, err
+            files = {p.name: p.read_bytes() for p in outdir.iterdir()
+                     if p.name != "config.json"}
+            outputs.append((out, err, files))
+        assert outputs[0] == outputs[1], command
+
+
+@pytest.mark.parametrize("records, message", [
+    ("0,a,b\n1,b,c\n2,c,a\n",
+     "BFS partitioning needs a power-of-two active relation count, got 3"),
+    ("0,a,b,1\n1,a,b,-1\n0,b,a\n0,a,a\n1,b,b\n2,b,c\n",
+     "active relation (0, 1) is outside the restricted space"),
+    ("0,a,b,1\n1,a,b,-1\n0,b,a\n0,a,a\n1,b,b\n",
+     "BFS partitioning needs a power-of-two active relation count, got 3"),
+])
+def test_bfs_refuses_unusable_active_set(tmp_path, capsys, records, message):
+    src = tmp_path / "in.csv"
+    src.write_text(records)
+    code, _, err = run(capsys, "basis", "--input", str(src), "--basis", "bfs",
+                       "--out", str(tmp_path / "basis"))
+    assert code == 1
+    assert json.loads(err.strip().splitlines()[-1])["error"] == {
+        "type": "ValueError", "message": message}
 
 
 def test_cli_outputs_equal_library_results(tmp_path, capsys):

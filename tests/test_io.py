@@ -1,11 +1,22 @@
 import json
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linkspectra import LinkStreamMatrix, analyze, full_space
+from linkspectra import (
+    LinkStreamMatrix,
+    active_space,
+    analyze,
+    full_space,
+    restrict_stream,
+)
 from linkspectra import io as lio
 from linkspectra import synth
+from linkspectra.cli import main
 from linkspectra.io import IngestError
 from linkspectra.partition import PartitionTree
 
@@ -88,6 +99,92 @@ def test_ingest_pad_vertices(tmp_path):
     result = lio.ingest_triplets(path, "csv", pad_vertices=True)
     assert result.stream.space.num_vertices == 4
     assert result.vertex_names == ("a", "b", "c", "~v3")
+
+
+def write_triplets(path, records, fmt):
+    """Triplet file of (t, u, v, w) records; ``w`` None leaves the weight out."""
+    lines = []
+    for t, u, v, w in records:
+        if fmt == "csv":
+            lines.append(f"{t},{u},{v}" + ("" if w is None else f",{w!r}"))
+        else:
+            rec = {"t": t, "u": u, "v": v}
+            if w is not None:
+                rec["w"] = w
+            lines.append(json.dumps(rec))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def aggregate_pairs(stream):
+    """Relations whose all-time aggregate is nonzero: the BFS active set."""
+    return [stream.space.relations[k] for k in sorted(stream.aggregate_graph().edge_set)]
+
+
+# (t, u, v, kind): kind 'split' writes two half-weight records, 'zero' a
+# zero-weight one (a zero-weight self-loop leaves an isolated vertex).
+RECORDS = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5), st.integers(0, 5),
+                             st.sampled_from(["plain", "split", "double", "zero"])),
+                   min_size=1, max_size=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(records=RECORDS,
+       window=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(1, 6))),
+       fmt=st.sampled_from(["csv", "ndjson"]))
+def test_active_ingest_equals_restricted_full_ingest(tmp_path_factory, records, window, fmt):
+    weights = {"plain": [None], "split": [0.5, 0.5], "double": [2.0], "zero": [0.0]}
+    lines = [(t, f"n{u}", f"n{v}", w)
+             for t, u, v, kind in records for w in weights[kind]]
+    path = tmp_path_factory.mktemp("active") / f"in.{fmt}"
+    write_triplets(path, lines, fmt)
+    try:
+        full = lio.ingest_triplets(path, fmt, window=window)
+    except IngestError:
+        with pytest.raises(IngestError, match="no triplets inside the window"):
+            lio.ingest_triplets(path, fmt, window=window, active_only=True)
+        return
+    active = lio.ingest_triplets(path, fmt, window=window, active_only=True)
+    assert active.vertex_names == full.vertex_names
+    assert active.dropped == full.dropped
+    pairs = aggregate_pairs(full.stream)
+    if not pairs:   # every weight in the window is zero
+        assert active.stream.space.num_active == 0
+        assert not active.stream.values.any()
+        return
+    expected = restrict_stream(full.stream, active_space(len(full.vertex_names), pairs))
+    assert active.stream.space == expected.space
+    assert active.stream.t0 == expected.t0
+    assert np.array_equal(active.stream.values, expected.values)
+
+
+def test_active_ingest_keeps_zero_aggregate_relation_for_refusal(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("0,a,b,1\n1,a,b,-1\n0,b,a\n0,a,a\n1,b,b\n2,b,c\n")
+    active = lio.ingest_triplets(path, "csv", active_only=True).stream
+    assert active.space.relations == ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2),
+                                      None, None, None)
+    space = active_space(3, aggregate_pairs(active))
+    assert space.relations == ((0, 0), (1, 0), (1, 1), (1, 2))
+    for stream in (active, lio.ingest_triplets(path, "csv").stream):
+        with pytest.raises(ValueError, match=re.escape(
+                "active relation (0, 1) is outside the restricted space")):
+            restrict_stream(stream, space)
+
+
+@pytest.mark.parametrize("patch", [{"labels": [5]}, {"labels": [None]},
+                                   {"vertices": [5]}, {"vertices": "a"}])
+def test_raw_header_non_string_label(tmp_path, capsys, patch):
+    path = tmp_path / "bad.raw"
+    header = {"T": 1, "M": 1, "t0": 0, "labels": ["a->a"], "vertices": ["a"], **patch}
+    path.write_bytes((json.dumps(header) + "\n").encode() + np.ones(1, "<f8").tobytes())
+    with pytest.raises(IngestError, match=re.escape(f"{path}: bad relation label")):
+        lio.read_raw(path)
+    code = main(["ingest", "--input", str(path), "--format", "raw",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err["type"] == "IngestError"
+    assert err["message"].startswith(f"{path}: bad relation label")
 
 
 def test_dense_csv_round_trip(tmp_path, rng):
