@@ -34,11 +34,9 @@ def main():
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    labels = lio.coefficient_labels(basis)
-    lines = ["column,label,squared_difference"]
-    for k, (lab, v) in enumerate(zip(labels, spectrum)):
-        lines.append(f"{k},{lab},{lio.fmt_float(v)}")
-    (outdir / "edit_profile.csv").write_text("\n".join(lines) + "\n")
+    keys = (f"{k},{lab}" for k, lab in enumerate(lio.coefficient_labels(basis)))
+    lio.write_grid_csv(outdir / "edit_profile.csv", spectrum[:, None], "column,label", keys,
+                       ["squared_difference"])
 
     coarse = spectrum[: basis.num_scaling].sum()
     print(f"edit distance          : {edit}")

@@ -243,25 +243,22 @@ def run_command(args) -> int:
         kept_stream, mask = backbone(stream, basis, _parse_keep(cfg.keep))
         _write_stream_outputs(outdir, kept_stream, names, stem="backbone")
         lio.write_grid_csv(outdir / "kept_mask.csv", mask.astype(float), "freq",
-                           [str(u) for u in range(mask.shape[0])],
-                           lio.coefficient_labels(basis))
+                           range(mask.shape[0]), lio.coefficient_labels(basis))
 
     elif cfg.command == "aggregate":
         aggregated = aggregate(stream, args.agg_window)
         _write_stream_outputs(outdir, aggregated, names, stem="aggregated")
         chi = aggregation_filter(args.agg_window, stream.num_times)
-        lines = ["freq_index,re,im"]
-        for u, c in enumerate(chi.response):
-            lines.append(f"{u},{lio.fmt_float(c.real)},{lio.fmt_float(c.imag)}")
-        (outdir / "aggregation_response.csv").write_text("\n".join(lines) + "\n")
+        lio.write_grid_csv(outdir / "aggregation_response.csv",
+                           chi.response.view(float).reshape(-1, 2), "freq_index",
+                           range(chi.length), ["re", "im"])
         cfg.params["agg_window"] = args.agg_window
 
     elif cfg.command == "embed":
         x = time_structure(stream, basis)
         s = x[:, : basis.num_scaling]
         labels = lio.coefficient_labels(basis)[: basis.num_scaling]
-        lio.write_grid_csv(outdir / "embedding.csv", s, "t",
-                           [str(int(t)) for t in stream.times], labels)
+        lio.write_grid_csv(outdir / "embedding.csv", s, "t", stream.times, labels)
 
     elif cfg.command == "regularity":
         report = regularity(stream, basis, boundary=cfg.boundary)

@@ -24,10 +24,6 @@ from .timebasis import (
 )
 
 
-def fmt_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 class IngestError(ValueError):
     pass
 
@@ -154,15 +150,15 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
 # dense CSV
 
 def write_dense_csv(path, stream: LinkStreamMatrix, names=None):
-    write_grid_csv(path, stream.values, "t", [str(int(t)) for t in stream.times],
-                   stream.space.labels(names))
+    write_grid_csv(path, stream.values, "t", stream.times, stream.space.labels(names))
 
 
 def _parse_labels(path, labels, vertices=None):
     """Relation labels ``u->v`` (pads ``~padK``) to vertex names and relations.
 
     Vertex indices follow ``vertices`` when given (it keeps isolated
-    vertices), otherwise the order in which names first appear.
+    vertices), otherwise the order in which names first appear. A repeated
+    vertex name or relation label is refused.
     """
     names = [] if vertices is None else vertices
     bad = [x for x in names if not isinstance(x, str)] if isinstance(names, list) else [names]
@@ -170,7 +166,11 @@ def _parse_labels(path, labels, vertices=None):
         raise IngestError(f"{path}: bad relation label vertex {bad[0]!r}")
     names = list(names)
     index = {nm: i for i, nm in enumerate(names)}
+    if len(index) != len(names):
+        dup = next(nm for i, nm in enumerate(names) if index[nm] != i)
+        raise IngestError(f"{path}: duplicate vertex {dup!r}")
     rels = []
+    seen = set()
     for lab in labels:
         if not isinstance(lab, str):
             raise IngestError(f"{path}: bad relation label {lab!r}")
@@ -187,6 +187,9 @@ def _parse_labels(path, labels, vertices=None):
                     raise IngestError(f"{path}: bad relation label {lab!r}")
                 index[nm] = len(names)
                 names.append(nm)
+        if lab in seen:
+            raise IngestError(f"{path}: duplicate relation label {lab!r}")
+        seen.add(lab)
         rels.append((index[u], index[v]))
     return names, rels
 
@@ -208,8 +211,11 @@ def read_dense_csv(path) -> IngestResult:
         parts = line.split(",")
         if len(parts) != len(header):
             raise IngestError(f"line {lineno}: expected {len(header)} fields")
-        times.append(int(parts[0]))
-        rows.append([float(x) for x in parts[1:]])
+        try:
+            times.append(int(parts[0]))
+            rows.append([float(x) for x in parts[1:]])
+        except ValueError:
+            raise IngestError(f"{path}: line {lineno}: malformed numeric field") from None
     if not rows:
         raise IngestError(f"{path}: no data rows")
     times = np.array(times)
@@ -293,8 +299,8 @@ def write_tree_json(path, tree: PartitionTree, space: RelationSpace, names=None)
 def read_tree_json(path, space: RelationSpace = None) -> PartitionTree:
     """Load and validate a tree; cross-checks the nested arrays against the
     leaf order and, when a space is given, against its size."""
-    doc = json.loads(Path(path).read_text())
     try:
+        doc = json.loads(Path(path).read_text())
         m = int(doc["num_relations"])
         labels = list(doc["labels"])
         leaf_order = np.array(doc["leaf_order"], dtype=np.int64)
@@ -334,11 +340,9 @@ def coefficient_labels(basis: GraphBasis) -> list:
 
 def write_coefficients_csv(path, coeffs: GraphCoefficients):
     basis = coeffs.basis
-    lines = ["kind,level,index,value"]
-    for k, l, i, v in zip(basis.column_kinds, basis.column_levels,
-                          basis.column_indices, coeffs.values):
-        lines.append(f"{k},{l},{i},{fmt_float(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    keys = (f"{k},{l},{i}" for k, l, i in zip(basis.column_kinds, basis.column_levels,
+                                              basis.column_indices))
+    write_grid_csv(path, coeffs.values[:, None], "kind,level,index", keys, ["value"])
 
 
 def read_structural_response_csv(path, basis: GraphBasis) -> np.ndarray:
@@ -355,7 +359,10 @@ def read_structural_response_csv(path, basis: GraphBasis) -> np.ndarray:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:
             raise IngestError(f"line {lineno}: expected 'kind,level,index,value'")
-        kind, level, idx, value = parts[0], int(parts[1]), int(parts[2]), float(parts[3])
+        try:
+            kind, level, idx, value = parts[0], int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError:
+            raise IngestError(f"{path}: line {lineno}: malformed numeric field") from None
         if kind == "s":
             if level != basis.level or not (0 <= idx < basis.num_scaling):
                 raise IngestError(f"line {lineno}: scaling index out of range")
@@ -393,10 +400,13 @@ def read_frequency_filter_csv(path, length: int) -> FrequencyFilter:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 3:
             raise IngestError(f"line {lineno}: expected 'freq_index,re,im'")
-        u = int(parts[0])
+        try:
+            u, real, imag = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError:
+            raise IngestError(f"{path}: line {lineno}: malformed numeric field") from None
         if not (0 <= u < length):
             raise IngestError(f"line {lineno}: frequency index {u} out of range")
-        response[u] = float(parts[1]) + 1j * float(parts[2])
+        response[u] = real + 1j * imag
         seen[u] = True
     if not seen.any():
         raise IngestError(f"{path}: empty frequency filter")
@@ -420,24 +430,29 @@ def frequency_filter(spec: str, length: int) -> FrequencyFilter:
 # coefficient matrices and the plot bundle
 
 def write_grid_csv(path, values: np.ndarray, row_name: str, row_labels, col_labels):
-    lines = [row_name + "," + ",".join(col_labels)]
-    for lab, row in zip(row_labels, values):
-        lines.append(str(lab) + "," + ",".join(fmt_float(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """The one float-to-text writer: a header, then one row per label.
+
+    ``row_name`` and each row label may hold several comma-separated cells.
+    Floats are written as ``%.17g``, which round-trips exactly. Rows stream
+    to the file one at a time, so no whole-file string is built.
+    """
+    fmt = "%s" + ",%.17g" * values.shape[1] + "\n"
+    with open(path, "w") as fh:
+        fh.write(row_name + "," + ",".join(col_labels) + "\n")
+        for lab, row in zip(row_labels, values):
+            fh.write(fmt % (lab, *row.tolist()))
 
 
-def write_coefficient_matrix(outdir, coeffs, names=None):
+def write_coefficient_matrix(outdir, coeffs):
     """|C| grid plus the companion long-format (re, im) file."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cols = coefficient_labels(coeffs.basis)
-    freqs = [str(u) for u in range(coeffs.num_times)]
-    write_grid_csv(outdir / "C_abs.csv", np.abs(coeffs.values), "freq", freqs, cols)
-    with open(outdir / "C_rect.csv", "w") as fh:
-        fh.write("freq,column,re,im\n")
-        for u, row in enumerate(coeffs.values):
-            fh.write("".join(f"{u},{k},{fmt_float(v.real)},{fmt_float(v.imag)}\n"
-                             for k, v in enumerate(row)))
+    t, m = coeffs.values.shape
+    write_grid_csv(outdir / "C_abs.csv", np.abs(coeffs.values), "freq", range(t),
+                   coefficient_labels(coeffs.basis))
+    write_grid_csv(outdir / "C_rect.csv", coeffs.values.view(np.float64).reshape(-1, 2),
+                   "freq,column", (f"{u},{k}" for u in range(t) for k in range(m)),
+                   ["re", "im"])
 
 
 def write_plot_bundle(outdir, stream, x, f, coeffs, names=None):
@@ -445,10 +460,7 @@ def write_plot_bundle(outdir, stream, x, f, coeffs, names=None):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     labels = stream.space.labels(names)
-    times = [str(int(t)) for t in stream.times]
-    freqs = [str(u) for u in range(stream.num_times)]
-    cols = coefficient_labels(coeffs.basis)
-    write_grid_csv(outdir / "L.csv", stream.values, "t", times, labels)
-    write_grid_csv(outdir / "X.csv", x, "t", times, cols)
-    write_grid_csv(outdir / "F_abs.csv", np.abs(f), "freq", freqs, labels)
-    write_coefficient_matrix(outdir, coeffs, names)
+    write_grid_csv(outdir / "L.csv", stream.values, "t", stream.times, labels)
+    write_grid_csv(outdir / "X.csv", x, "t", stream.times, coefficient_labels(coeffs.basis))
+    write_grid_csv(outdir / "F_abs.csv", np.abs(f), "freq", range(stream.num_times), labels)
+    write_coefficient_matrix(outdir, coeffs)

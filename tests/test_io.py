@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from linkspectra import (
     LinkStreamMatrix,
+    RelationSpace,
     active_space,
     analyze,
     full_space,
@@ -18,7 +19,10 @@ from linkspectra import io as lio
 from linkspectra import synth
 from linkspectra.cli import main
 from linkspectra.io import IngestError
+from linkspectra.graphbasis import GraphBasis
 from linkspectra.partition import PartitionTree
+from linkspectra.spectra import CoefficientMatrix
+from linkspectra.timebasis import FourierBasis
 
 
 TRIPLETS = """\
@@ -187,6 +191,51 @@ def test_raw_header_non_string_label(tmp_path, capsys, patch):
     assert err["message"].startswith(f"{path}: bad relation label")
 
 
+@pytest.mark.parametrize("labels, vertices, message", [
+    (["a->b", "b->a"], ["a", "a", "b"], "duplicate vertex 'a'"),
+    (["a->b", "a->b"], ["a", "b"], "duplicate relation label 'a->b'"),
+], ids=["vertex", "relation"])
+def test_raw_header_duplicates(tmp_path, capsys, labels, vertices, message):
+    path = tmp_path / "dup.raw"
+    header = {"T": 1, "M": 2, "t0": 0, "labels": labels, "vertices": vertices}
+    path.write_bytes((json.dumps(header) + "\n").encode() + np.ones(2, "<f8").tobytes())
+    with pytest.raises(IngestError, match=re.escape(f"{path}: {message}")):
+        lio.read_raw(path)
+    code = main(["ingest", "--input", str(path), "--format", "raw",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err == {"type": "IngestError", "message": f"{path}: {message}"}
+
+
+def test_dense_csv_duplicate_relation_label(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("t,a->b,b->a,a->b,~pad0\n0,1,0,1,0\n")
+    with pytest.raises(IngestError, match=re.escape(f"{path}: duplicate relation label 'a->b'")):
+        lio.read_dense_csv(path)
+
+
+def _read_struct(path):
+    return lio.read_structural_response_csv(path, GraphBasis(synth.fig_partition(), 3))
+
+
+@pytest.mark.parametrize("reader, text, where", [
+    (lio.read_dense_csv, "t,a->b\n0,1\n1,x\n", "line 3"),
+    (lio.read_dense_csv, "t,a->b\n0.5,1\n", "line 2"),
+    (_read_struct, "kind,level,index,value\ns,3,0,1\nw,3,one,0.5\n", "line 3"),
+    (_read_struct, "s,3,0,half\n", "line 1"),
+    (lambda p: lio.read_frequency_filter_csv(p, 8), "freq_index,re,im\n0,1,x\n", "line 2"),
+    (lambda p: lio.read_frequency_filter_csv(p, 8), "1.5,1,0\n", "line 1"),
+    (lio.read_tree_json, "not json\n", "malformed tree document"),
+], ids=["dense-value", "dense-time", "struct-index", "struct-value", "freq-value",
+        "freq-index", "tree-json"])
+def test_malformed_numbers_name_file_and_line(tmp_path, reader, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(IngestError, match=re.escape(f"{path}: {where}")):
+        reader(path)
+
+
 def test_dense_csv_round_trip(tmp_path, rng):
     stream = LinkStreamMatrix(full_space(3), 7, np.round(rng.standard_normal((4, 16)), 3)
                               * (~full_space(3).inert))
@@ -218,10 +267,33 @@ def test_raw_corrupt_payload(tmp_path):
         lio.read_raw(path)
 
 
-def test_float_formatting_round_trips():
-    x = 0.1 + 0.2
-    assert float(lio.fmt_float(x)) == x
-    assert float(lio.fmt_float(1e-300)) == 1e-300
+def test_float_export_golden_bytes(tmp_path):
+    tricky = [0.1 + 0.2, 1e-300, -0.0, 1.0, 5e-324, 2**60 + 0.0]
+    path = tmp_path / "grid.csv"
+    lio.write_grid_csv(path, np.array([tricky, [-x for x in tricky]]), "t",
+                       np.arange(-1, 1), list("abcdef"))
+    text = path.read_text()
+    assert text == (
+        "t,a,b,c,d,e,f\n"
+        "-1,0.30000000000000004,1e-300,-0,1,4.9406564584124654e-324,1.152921504606847e+18\n"
+        "0,-0.30000000000000004,-1e-300,0,-1,-4.9406564584124654e-324,-1.152921504606847e+18\n"
+    )
+    back = [float(x) for x in text.splitlines()[1].split(",")[1:]]
+    assert back == tricky and np.signbit(back[2])
+
+    coeffs = CoefficientMatrix(
+        np.array([[complex(0.1 + 0.2, -0.0), complex(1e-300, 5e-324)],
+                  [complex(-0.0, 1.0), complex(2**60, -0.5)]]),
+        GraphBasis(PartitionTree(np.arange(2)), 1), FourierBasis(2),
+        RelationSpace(2, ((0, 1), (1, 0))))
+    lio.write_coefficient_matrix(tmp_path, coeffs)
+    assert (tmp_path / "C_rect.csv").read_text() == (
+        "freq,column,re,im\n"
+        "0,0,0.30000000000000004,-0\n"
+        "0,1,1e-300,4.9406564584124654e-324\n"
+        "1,0,-0,1\n"
+        "1,1,1.152921504606847e+18,-0.5\n"
+    )
 
 
 def test_tree_json_round_trip(tmp_path, rng):
