@@ -46,7 +46,7 @@ def main():
     corr = np.corrcoef(kept.values.ravel(), template.values.ravel())[0, 1]
     mag = coeffs.magnitude
     top = np.dstack(np.unravel_index(np.argsort(-mag.ravel())[:4], mag.shape))[0]
-    print("top-4 coefficients (freq index, column):", [tuple(t) for t in top])
+    print("top-4 coefficients (freq index, column):", [(int(u), int(k)) for u, k in top])
     print(f"kept {int(mask.sum())} of {mask.size} coefficients")
     print(f"correlation with the noiseless template: {corr:.4f}")
     print(f"outputs written to {outdir}")

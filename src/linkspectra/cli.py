@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import io as lio
 from . import synth
-from .config import RunConfig
 from .graphbasis import GraphBasis
 from .partition import partition_bfs
 from .spectra import (
@@ -26,6 +25,7 @@ from .spectra import (
     default_basis,
     regularity,
     relaxed_time_regularity,
+    structure_split,
     time_structure,
 )
 from .stream import active_space, restrict_stream, stream_from_slices
@@ -42,23 +42,17 @@ def _emit_error(kind: str, message: str):
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
 
 
-def _emit_warning(message: str, **extra):
-    sys.stderr.write(json.dumps({"warning": message, **extra}) + "\n")
-
-
-_BASIS_COMMANDS = {"basis", "decompose", "filter", "backbone", "embed", "regularity"}
-
-
-def _load_stream(cfg: RunConfig):
-    basis = cfg.basis if cfg.command in _BASIS_COMMANDS else None
-    result = lio.read_stream(cfg.input, cfg.fmt, window=cfg.window,
+def _load_stream(args, window):
+    basis = args.basis if args.needs_basis else None
+    result = lio.read_stream(args.input, args.format, window=window,
                              pad_vertices=basis == "svd", active_only=basis == "bfs")
     if result.dropped:
-        _emit_warning("triplets outside the window were dropped", dropped=result.dropped)
-    return result
+        sys.stderr.write(json.dumps({"warning": "triplets outside the window were dropped",
+                                     "dropped": result.dropped}) + "\n")
+    return result.stream, result.vertex_names
 
 
-def _prepare(cfg: RunConfig, stream):
+def _prepare(args, stream):
     """Resolve the basis; BFS mode restricts the stream to the active space.
 
     Triplet input already arrives over the relations that carry a nonzero
@@ -66,9 +60,9 @@ def _prepare(cfg: RunConfig, stream):
     when some relation's entries sum to exactly zero, and ``restrict_stream``
     then refuses the stream.
     """
-    if cfg.basis == "svd":
-        return stream, default_basis(stream, cfg.level, cfg.seed)
-    if cfg.basis == "bfs":
+    if args.basis == "svd":
+        return stream, default_basis(stream, args.level, args.seed)
+    if args.basis == "bfs":
         agg = stream.aggregate_graph()
         pairs = [stream.space.relations[k] for k in sorted(agg.edge_set)]
         space = active_space(stream.space.num_vertices, pairs)
@@ -76,14 +70,13 @@ def _prepare(cfg: RunConfig, stream):
             raise ValueError(f"BFS partitioning needs a power-of-two active relation count,"
                              f" got {space.num_active}")
         stream = restrict_stream(stream, space)
-        tree = partition_bfs(space, stream.aggregate_graph(), seed=cfg.seed)
+        tree = partition_bfs(space, stream.aggregate_graph(), seed=args.seed)
     else:
-        tree = lio.read_tree_json(cfg.basis, stream.space)
-    return stream, GraphBasis(tree, cfg.level)
+        tree = lio.read_tree_json(args.basis, stream.space)
+    return stream, GraphBasis(tree, args.level)
 
 
 def _write_stream_outputs(outdir: Path, stream, names, stem: str = "stream"):
-    outdir.mkdir(parents=True, exist_ok=True)
     lio.write_raw(outdir / f"{stem}.raw", stream, names)
     lio.write_dense_csv(outdir / f"{stem}.csv", stream, names)
 
@@ -103,203 +96,200 @@ def _parse_keep(text: str) -> KeepRule:
     raise ValueError(f"unknown keep rule {text!r}")
 
 
-def _common_args(p, needs_input=True, time_window=True):
-    if needs_input:
-        p.add_argument("--input", required=True)
-        p.add_argument("--format", default="csv", choices=["csv", "ndjson", "raw", "dense"])
-        if time_window:
-            p.add_argument("--window", default=None, help="time window t0:T (triplet formats)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+# ---------------------------------------------------------------------------
+# commands: each writes its outputs into ``out`` and may return an exit status
+
+def _ingest(args, out, stream, names, basis):
+    _write_stream_outputs(out, stream, names)
 
 
-def _basis_args(p):
-    p.add_argument("--basis", default="svd",
-                   help="'svd', 'bfs', or a path to a tree JSON file")
-    p.add_argument("--level", type=int, default=None)
+def _basis(args, out, stream, names, basis):
+    lio.write_tree_json(out / "tree.json", basis.tree, stream.space, names)
+
+
+def _decompose(args, out, stream, names, basis):
+    x = time_structure(stream, basis)
+    fourier = FourierBasis(stream.num_times)
+    coeffs = CoefficientMatrix(fourier.forward(x), basis, fourier, stream.space, stream.t0)
+    lio.write_plot_bundle(out, stream, x, fourier.forward(stream.values), coeffs, names)
+
+
+def _filter(args, out, stream, names, basis):
+    jf = JointFilter(lio.frequency_filter(args.freq, stream.num_times),
+                     lio.structural_response(args.struct, basis))
+    _write_stream_outputs(out, apply_joint_filter(stream, jf, basis), names, stem="filtered")
+
+
+def _backbone(args, out, stream, names, basis):
+    kept_stream, mask = backbone(stream, basis, _parse_keep(args.keep))
+    _write_stream_outputs(out, kept_stream, names, stem="backbone")
+    lio.write_grid_csv(out / "kept_mask.csv", mask.astype(float), "freq",
+                       range(mask.shape[0]), lio.coefficient_labels(basis))
+
+
+def _aggregate(args, out, stream, names, basis):
+    _write_stream_outputs(out, aggregate(stream, args.agg_window), names, stem="aggregated")
+    chi = aggregation_filter(args.agg_window, stream.num_times)
+    lio.write_grid_csv(out / "aggregation_response.csv",
+                       chi.response.view(float).reshape(-1, 2), "freq_index",
+                       range(chi.length), ["re", "im"])
+
+
+def _embed(args, out, stream, names, basis):
+    scaling, _ = structure_split(time_structure(stream, basis), basis)
+    labels = lio.coefficient_labels(basis)[: basis.num_scaling]
+    lio.write_grid_csv(out / "embedding.csv", scaling, "t", stream.times, labels)
+
+
+def _regularity(args, out, stream, names, basis):
+    doc = regularity(stream, basis, boundary=args.boundary).as_dict()
+    doc["relaxed_reg_t"] = relaxed_time_regularity(stream, basis, boundary=args.boundary)
+    (out / "regularity.json").write_text(json.dumps(doc, indent=1) + "\n")
+    sys.stdout.write(json.dumps(doc) + "\n")
+
+
+def _oscillating(args, out, *_):
+    stream = synth.gen_oscillating(args.times)
+    _write_stream_outputs(out, stream, None)
+    lio.write_tree_json(out / "tree.json", synth.fig_partition(), stream.space)
+
+
+def _sbm_pair(args, out, *_):
+    g1, g2, tree = synth.gen_sbm_pair(args.blocks, args.per_block, args.p_in, args.p_out,
+                                      args.seed)
+    _write_stream_outputs(out, stream_from_slices([g1, g2]), None, stem="pair")
+    lio.write_tree_json(out / "tree.json", tree, g1.space)
+
+
+def _daynight(args, out, *_):
+    stream = synth.gen_daynight(args.communities, args.per_comm, args.period, args.duty,
+                                args.p_active, args.times, args.seed)
+    _write_stream_outputs(out, stream, None)
+
+
+def _verify_lemmas(args, out, *_):
+    if args.lemma:
+        checks = synth.verify_lemma(args.lemma, trials=args.trials, seed=args.seed)
+    else:
+        checks = synth.verify_all(trials=args.trials, seed=args.seed)
+    report = [c.as_dict() for c in checks]
+    (out / "lemma_report.json").write_text(json.dumps(report, indent=1) + "\n")
+    sys.stdout.write(json.dumps(report) + "\n")
+    return 0 if all(c.passed for c in checks) else 1
+
+
+def _flag(*names, **kwargs):
+    return names, kwargs
+
+
+_STREAM_FLAGS = [
+    _flag("--input", required=True),
+    _flag("--format", default="csv", choices=["csv", "ndjson", "raw", "dense"]),
+    _flag("--window", default=None, help="time window t0:T (triplet formats)"),
+]
+_RUN_FLAGS = [_flag("--seed", type=int, default=0), _flag("--out", required=True)]
+_BASIS_FLAGS = [
+    _flag("--basis", default="svd", help="'svd', 'bfs', or a path to a tree JSON file"),
+    _flag("--level", type=int, default=None),
+]
+
+
+def _command(sub, name, run, *flags, stream=True, basis=False, params=(), **parser_kw):
+    """Declare one subcommand: whether ``run_command`` loads a ``stream`` and
+    prepares a ``basis`` for ``run``, and the arguments that ``config.json``
+    records as ``params``. An own flag replaces the common flag of its name
+    (``aggregate --window``); a command without input lists its own first."""
+    own = {names[0] for names, _ in flags}
+    common = [f for f in (_STREAM_FLAGS if stream else []) + _RUN_FLAGS
+              + (_BASIS_FLAGS if basis else []) if f[0][0] not in own]
+    p = sub.add_parser(name, **parser_kw)
+    for names, kwargs in [*common, *flags] if stream else [*flags, *common]:
+        p.add_argument(*names, **kwargs)
+    p.set_defaults(run=run, reads_stream=stream, needs_basis=basis, params=params)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="linkspectra",
                      description="Frequency-structure analysis of link streams")
+    # what config.json records for a common flag that a command lacks
+    parser.set_defaults(input=None, format="csv", window=None, basis="svd", level=None,
+                        keep=None, freq=None, struct=None, boundary="circular")
     sub = parser.add_subparsers(dest="command", required=True)
+    _command(sub, "ingest", _ingest, help="read triplets, write dense + raw exports")
+    _command(sub, "basis", _basis, basis=True, help="build and save a partition tree")
+    _command(sub, "decompose", _decompose, basis=True,
+             help="write the L/X/|F|/|C| plot bundle")
+    _command(sub, "filter", _filter,
+             _flag("--freq", default="all",
+                   help="preset lowpass:<cutoff>|agg:<k>|diff|all or CSV path"),
+             _flag("--struct", default="all", help="preset coarse|detail|all or CSV path"),
+             basis=True, help="apply joint frequency and structural filters")
+    _command(sub, "backbone", _backbone,
+             _flag("--keep", required=True, help="top:<k> or box:<u0:u1,k0:k1>"),
+             basis=True, help="keep dominant coefficients and reconstruct")
+    _command(sub, "aggregate", _aggregate,
+             _flag("--window", dest="agg_window", type=int, required=True, metavar="K",
+                   help="aggregation window size (samples)"),
+             params=("agg_window",), help="k-sample aggregation of the stream")
+    _command(sub, "embed", _embed, basis=True,
+             help="export the coarse embedding time series")
+    _command(sub, "regularity", _regularity,
+             _flag("--linear-boundary", dest="boundary", action="store_const",
+                   const="linear", default="circular",
+                   help="drop the circular wrap term in time derivatives"),
+             basis=True, help="time/relation regularity metrics")
 
-    p = sub.add_parser("ingest", help="read triplets, write dense + raw exports")
-    _common_args(p)
+    gens = sub.add_parser("synth", help="generate synthetic fixtures").add_subparsers(
+        dest="generator", required=True)
+    fixture = dict(stream=False, params=("generator",))
+    _command(gens, "oscillating", _oscillating, _flag("--times", type=int, default=32),
+             **fixture)
+    _command(gens, "sbm-pair", _sbm_pair,
+             _flag("--blocks", type=int, default=2),
+             _flag("--per-block", type=int, default=16),
+             _flag("--p-in", type=float, default=0.5),
+             _flag("--p-out", type=float, default=0.01), **fixture)
+    _command(gens, "daynight", _daynight,
+             _flag("--communities", type=int, default=2),
+             _flag("--per-comm", type=int, default=16),
+             _flag("--period", type=int, default=20),
+             _flag("--duty", type=float, default=0.5),
+             _flag("--p-active", type=float, default=0.5),
+             _flag("--times", type=int, default=200), **fixture)
 
-    p = sub.add_parser("basis", help="build and save a partition tree")
-    _common_args(p)
-    _basis_args(p)
-
-    p = sub.add_parser("decompose", help="write the L/X/|F|/|C| plot bundle")
-    _common_args(p)
-    _basis_args(p)
-
-    p = sub.add_parser("filter", help="apply joint frequency and structural filters")
-    _common_args(p)
-    _basis_args(p)
-    p.add_argument("--freq", default="all",
-                   help="preset lowpass:<cutoff>|agg:<k>|diff|all or CSV path")
-    p.add_argument("--struct", default="all",
-                   help="preset coarse|detail|all or CSV path")
-
-    p = sub.add_parser("backbone", help="keep dominant coefficients and reconstruct")
-    _common_args(p)
-    _basis_args(p)
-    p.add_argument("--keep", required=True, help="top:<k> or box:<u0:u1,k0:k1>")
-
-    p = sub.add_parser("aggregate", help="k-sample aggregation of the stream")
-    _common_args(p, time_window=False)
-    p.add_argument("--window", dest="agg_window", type=int, required=True,
-                   metavar="K", help="aggregation window size (samples)")
-
-    p = sub.add_parser("embed", help="export the coarse embedding time series")
-    _common_args(p)
-    _basis_args(p)
-
-    p = sub.add_parser("regularity", help="time/relation regularity metrics")
-    _common_args(p)
-    _basis_args(p)
-    p.add_argument("--linear-boundary", action="store_true",
-                   help="drop the circular wrap term in time derivatives")
-
-    p = sub.add_parser("synth", help="generate synthetic fixtures")
-    gens = p.add_subparsers(dest="generator", required=True)
-    g = gens.add_parser("oscillating")
-    g.add_argument("--times", type=int, default=32)
-    _common_args(g, needs_input=False)
-    g = gens.add_parser("sbm-pair")
-    g.add_argument("--blocks", type=int, default=2)
-    g.add_argument("--per-block", type=int, default=16)
-    g.add_argument("--p-in", type=float, default=0.5)
-    g.add_argument("--p-out", type=float, default=0.01)
-    _common_args(g, needs_input=False)
-    g = gens.add_parser("daynight")
-    g.add_argument("--communities", type=int, default=2)
-    g.add_argument("--per-comm", type=int, default=16)
-    g.add_argument("--period", type=int, default=20)
-    g.add_argument("--duty", type=float, default=0.5)
-    g.add_argument("--p-active", type=float, default=0.5)
-    g.add_argument("--times", type=int, default=200)
-    _common_args(g, needs_input=False)
-
-    p = sub.add_parser("verify-lemmas", help="run the lemma oracles, emit a JSON report")
-    p.add_argument("--trials", type=int, default=20000)
-    p.add_argument("--lemma", type=int, default=None, choices=[1, 2, 3, 4])
-    _common_args(p, needs_input=False)
-
+    _command(sub, "verify-lemmas", _verify_lemmas,
+             _flag("--trials", type=int, default=20000),
+             _flag("--lemma", type=int, default=None, choices=[1, 2, 3, 4]),
+             stream=False, params=("trials",),
+             help="run the lemma oracles, emit a JSON report")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    window = lio.parse_window(args.window) if getattr(args, "window", None) \
-        and isinstance(args.window, str) else None
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        fmt=getattr(args, "format", "csv"),
-        window=window,
-        basis=getattr(args, "basis", "svd"),
-        level=getattr(args, "level", None),
-        seed=args.seed,
-        out=args.out,
-        keep=getattr(args, "keep", None),
-        freq=getattr(args, "freq", None),
-        struct=getattr(args, "struct", None),
-        boundary="linear" if getattr(args, "linear_boundary", False) else "circular",
-    ).validate()
+def _write_config(out: Path, args, window):
+    """``config.json``: the common flags plus the command's ``params``."""
+    doc = {"command": args.command, "input": args.input, "fmt": args.format,
+           "window": window, "basis": args.basis, "level": args.level, "seed": args.seed,
+           "out": args.out, "keep": args.keep, "freq": args.freq, "struct": args.struct,
+           "boundary": args.boundary, "params": {k: getattr(args, k) for k in args.params}}
+    (out / "config.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def run_command(args) -> int:
-    cfg = _config_from_args(args)
-    outdir = Path(cfg.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.input is not None:
-        result = _load_stream(cfg)
-        stream, names = result.stream, result.vertex_names
-    if cfg.command in _BASIS_COMMANDS:
-        stream, basis = _prepare(cfg, stream)
-
-    if cfg.command == "ingest":
-        _write_stream_outputs(outdir, stream, names)
-
-    elif cfg.command == "basis":
-        lio.write_tree_json(outdir / "tree.json", basis.tree, stream.space, names)
-
-    elif cfg.command == "decompose":
-        x = time_structure(stream, basis)
-        fourier = FourierBasis(stream.num_times)
-        coeffs = CoefficientMatrix(fourier.forward(x), basis, fourier, stream.space, stream.t0)
-        f = fourier.forward(stream.values)
-        lio.write_plot_bundle(outdir, stream, x, f, coeffs, names)
-
-    elif cfg.command == "filter":
-        jf = JointFilter(lio.frequency_filter(cfg.freq, stream.num_times),
-                         lio.structural_response(cfg.struct, basis))
-        filtered = apply_joint_filter(stream, jf, basis)
-        _write_stream_outputs(outdir, filtered, names, stem="filtered")
-
-    elif cfg.command == "backbone":
-        kept_stream, mask = backbone(stream, basis, _parse_keep(cfg.keep))
-        _write_stream_outputs(outdir, kept_stream, names, stem="backbone")
-        lio.write_grid_csv(outdir / "kept_mask.csv", mask.astype(float), "freq",
-                           range(mask.shape[0]), lio.coefficient_labels(basis))
-
-    elif cfg.command == "aggregate":
-        aggregated = aggregate(stream, args.agg_window)
-        _write_stream_outputs(outdir, aggregated, names, stem="aggregated")
-        chi = aggregation_filter(args.agg_window, stream.num_times)
-        lio.write_grid_csv(outdir / "aggregation_response.csv",
-                           chi.response.view(float).reshape(-1, 2), "freq_index",
-                           range(chi.length), ["re", "im"])
-        cfg.params["agg_window"] = args.agg_window
-
-    elif cfg.command == "embed":
-        x = time_structure(stream, basis)
-        s = x[:, : basis.num_scaling]
-        labels = lio.coefficient_labels(basis)[: basis.num_scaling]
-        lio.write_grid_csv(outdir / "embedding.csv", s, "t", stream.times, labels)
-
-    elif cfg.command == "regularity":
-        report = regularity(stream, basis, boundary=cfg.boundary)
-        doc = report.as_dict()
-        doc["relaxed_reg_t"] = relaxed_time_regularity(stream, basis,
-                                                       boundary=cfg.boundary)
-        (outdir / "regularity.json").write_text(json.dumps(doc, indent=1) + "\n")
-        sys.stdout.write(json.dumps(doc) + "\n")
-
-    elif cfg.command == "synth":
-        cfg.params["generator"] = args.generator
-        if args.generator == "oscillating":
-            stream = synth.gen_oscillating(args.times)
-            _write_stream_outputs(outdir, stream, None)
-            lio.write_tree_json(outdir / "tree.json", synth.fig_partition(), stream.space)
-        elif args.generator == "sbm-pair":
-            g1, g2, tree = synth.gen_sbm_pair(args.blocks, args.per_block,
-                                              args.p_in, args.p_out, args.seed)
-            pair = stream_from_slices([g1, g2])
-            _write_stream_outputs(outdir, pair, None, stem="pair")
-            lio.write_tree_json(outdir / "tree.json", tree, g1.space)
-        else:
-            stream = synth.gen_daynight(args.communities, args.per_comm, args.period,
-                                        args.duty, args.p_active, args.times, args.seed)
-            _write_stream_outputs(outdir, stream, None)
-
-    elif cfg.command == "verify-lemmas":
-        if args.lemma:
-            checks = synth.verify_lemma(args.lemma, trials=args.trials, seed=args.seed)
-        else:
-            checks = synth.verify_all(trials=args.trials, seed=args.seed)
-        report = [c.as_dict() for c in checks]
-        (outdir / "lemma_report.json").write_text(json.dumps(report, indent=1) + "\n")
-        sys.stdout.write(json.dumps(report) + "\n")
-        cfg.params["trials"] = args.trials
-        if not all(c.passed for c in checks):
-            cfg.write(outdir)
-            return 1
-
-    cfg.write(outdir)
-    return 0
+    """Check the flags, load the input and prepare the basis once, run the
+    command, then record ``config.json``."""
+    window = lio.parse_window(args.window) if args.window else None
+    if args.level is not None and args.level < 1:
+        raise ValueError("level must be >= 1")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    stream = names = basis = None
+    if args.reads_stream:
+        stream, names = _load_stream(args, window)
+    if args.needs_basis:
+        stream, basis = _prepare(args, stream)
+    status = args.run(args, out, stream, names, basis) or 0
+    _write_config(out, args, window)
+    return status
 
 
 def main(argv=None) -> int:

@@ -47,7 +47,7 @@ def parse_window(text: str):
     return t0, count
 
 
-def _iter_triplets_csv(lines):
+def _iter_triplets_csv(path, lines):
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -56,16 +56,16 @@ def _iter_triplets_csv(lines):
         if lineno == 1 and parts[0].lower() in ("t", "time"):
             continue
         if len(parts) not in (3, 4):
-            raise IngestError(f"line {lineno}: expected 't,u,v[,w]', got {line!r}")
+            raise IngestError(f"{path}: line {lineno}: expected 't,u,v[,w]', got {line!r}")
         try:
             t = int(parts[0])
             w = float(parts[3]) if len(parts) == 4 else 1.0
         except ValueError:
-            raise IngestError(f"line {lineno}: malformed numeric field in {line!r}") from None
+            raise IngestError(f"{path}: line {lineno}: malformed numeric field in {line!r}") from None
         yield t, parts[1], parts[2], w
 
 
-def _iter_triplets_ndjson(lines):
+def _iter_triplets_ndjson(path, lines):
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -77,7 +77,7 @@ def _iter_triplets_ndjson(lines):
             v = str(rec["v"])
             w = float(rec.get("w", 1.0))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise IngestError(f"line {lineno}: malformed NDJSON record") from None
+            raise IngestError(f"{path}: line {lineno}: malformed NDJSON record") from None
         yield t, u, v, w
 
 
@@ -103,7 +103,7 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
     index: dict = {}
     times, us, vs, ws = [], [], [], []
     dropped = 0
-    for t, u, v, w in it(text.splitlines()):
+    for t, u, v, w in it(path, text.splitlines()):
         if window is not None and not (window[0] <= t < window[0] + window[1]):
             dropped += 1
             continue
@@ -116,7 +116,7 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
         vs.append(index[v])
         ws.append(w)
     if not times:
-        raise IngestError("no triplets inside the window")
+        raise IngestError(f"{path}: no triplets inside the window")
     if window is not None:
         t0, count = window
     else:
@@ -154,7 +154,7 @@ def write_dense_csv(path, stream: LinkStreamMatrix, names=None):
 
 
 def _parse_labels(path, labels, vertices=None):
-    """Relation labels ``u->v`` (pads ``~padK``) to vertex names and relations.
+    """Relation labels ``u->v`` (pads ``~padK``) to vertex names and their space.
 
     Vertex indices follow ``vertices`` when given (it keeps isolated
     vertices), otherwise the order in which names first appear. A repeated
@@ -191,7 +191,10 @@ def _parse_labels(path, labels, vertices=None):
             raise IngestError(f"{path}: duplicate relation label {lab!r}")
         seen.add(lab)
         rels.append((index[u], index[v]))
-    return names, rels
+    try:
+        return names, RelationSpace(len(names), tuple(rels))
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def read_dense_csv(path) -> IngestResult:
@@ -201,8 +204,7 @@ def read_dense_csv(path) -> IngestResult:
     header = lines[0].split(",")
     if header[0] != "t":
         raise IngestError(f"{path}: dense CSV must start with a 't' header column")
-    names, rels = _parse_labels(path, header[1:])
-    space = RelationSpace(len(names), tuple(rels))
+    names, space = _parse_labels(path, header[1:])
     times = []
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -210,7 +212,7 @@ def read_dense_csv(path) -> IngestResult:
             continue
         parts = line.split(",")
         if len(parts) != len(header):
-            raise IngestError(f"line {lineno}: expected {len(header)} fields")
+            raise IngestError(f"{path}: line {lineno}: expected {len(header)} fields")
         try:
             times.append(int(parts[0]))
             rows.append([float(x) for x in parts[1:]])
@@ -220,7 +222,7 @@ def read_dense_csv(path) -> IngestResult:
         raise IngestError(f"{path}: no data rows")
     times = np.array(times)
     if not np.array_equal(times, np.arange(times[0], times[0] + len(times))):
-        raise IngestError("dense CSV times must be contiguous")
+        raise IngestError(f"{path}: dense CSV times must be contiguous")
     return IngestResult(LinkStreamMatrix(space, int(times[0]), np.array(rows)), tuple(names))
 
 
@@ -259,8 +261,9 @@ def read_raw(path) -> IngestResult:
     if len(data) != expected:
         raise IngestError(f"{path}: payload has {len(data)} bytes, expected {expected}")
     vals = np.frombuffer(data, dtype="<f8").reshape(t, m)
-    names, rels = _parse_labels(path, labels, header.get("vertices"))
-    space = RelationSpace(len(names), tuple(rels))
+    if len(labels) != m:
+        raise IngestError(f"{path}: header has M = {m} but {len(labels)} labels")
+    names, space = _parse_labels(path, labels, header.get("vertices"))
     return IngestResult(LinkStreamMatrix(space, t0, vals), tuple(names))
 
 
@@ -303,29 +306,33 @@ def read_tree_json(path, space: RelationSpace = None) -> PartitionTree:
         doc = json.loads(Path(path).read_text())
         m = int(doc["num_relations"])
         labels = list(doc["labels"])
+        index = {lab: k for k, lab in enumerate(labels)}
         leaf_order = np.array(doc["leaf_order"], dtype=np.int64)
         nested = doc["nested"]
     except (KeyError, TypeError, ValueError):
         raise IngestError(f"{path}: malformed tree document") from None
-    if space is not None and space.num_relations != m:
-        raise IngestError(f"tree has {m} relations, space has {space.num_relations}")
-    if len(labels) != m:
-        raise IngestError("label list length does not match num_relations")
-    tree = PartitionTree(leaf_order)
-    index = {lab: k for k, lab in enumerate(labels)}
 
     def unlabelled(node):
         if isinstance(node, list):
             if len(node) != 2:
-                raise IngestError("nested nodes must have two children")
+                raise ValueError("nested nodes must have two children")
             return [unlabelled(node[0]), unlabelled(node[1])]
-        if node not in index:
-            raise IngestError(f"unknown relation label {node!r} in tree")
-        return index[node]
+        try:
+            return index[node]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown relation label {node!r} in tree") from None
 
-    rebuilt = tree_from_nested(unlabelled(nested), m)
-    if not np.array_equal(rebuilt.leaf_order, tree.leaf_order):
-        raise IngestError("nested arrays disagree with the stored leaf order")
+    try:
+        if space is not None and space.num_relations != m:
+            raise ValueError(f"tree has {m} relations, space has {space.num_relations}")
+        if len(labels) != m:
+            raise ValueError("label list length does not match num_relations")
+        tree = PartitionTree(leaf_order)
+        rebuilt = tree_from_nested(unlabelled(nested), m)
+        if not np.array_equal(rebuilt.leaf_order, tree.leaf_order):
+            raise ValueError("nested arrays disagree with the stored leaf order")
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
     return tree
 
 
@@ -357,23 +364,26 @@ def read_structural_response_csv(path, basis: GraphBasis) -> np.ndarray:
         if not line or (lineno == 1 and line.lower().startswith("kind")):
             continue
         parts = [p.strip() for p in line.split(",")]
+        where = f"{path}: line {lineno}"
         if len(parts) != 4:
-            raise IngestError(f"line {lineno}: expected 'kind,level,index,value'")
+            raise IngestError(f"{where}: expected 'kind,level,index,value'")
         try:
             kind, level, idx, value = parts[0], int(parts[1]), int(parts[2]), float(parts[3])
         except ValueError:
-            raise IngestError(f"{path}: line {lineno}: malformed numeric field") from None
+            raise IngestError(f"{where}: malformed numeric field") from None
         if kind == "s":
             if level != basis.level or not (0 <= idx < basis.num_scaling):
-                raise IngestError(f"line {lineno}: scaling index out of range")
+                raise IngestError(f"{where}: scaling index out of range")
             response[idx] = value
         elif kind == "w":
+            if not (1 <= level <= basis.level):
+                raise IngestError(f"{where}: wavelet level {level} out of range 1..{basis.level}")
             sl = basis.wavelet_slice(level)
             if not (0 <= idx < sl.stop - sl.start):
-                raise IngestError(f"line {lineno}: wavelet index out of range")
+                raise IngestError(f"{where}: wavelet index out of range")
             response[sl.start + idx] = value
         else:
-            raise IngestError(f"line {lineno}: kind must be 's' or 'w'")
+            raise IngestError(f"{where}: kind must be 's' or 'w'")
     return response
 
 
@@ -398,14 +408,15 @@ def read_frequency_filter_csv(path, length: int) -> FrequencyFilter:
         if not line or (lineno == 1 and line.lower().startswith("freq")):
             continue
         parts = [p.strip() for p in line.split(",")]
+        where = f"{path}: line {lineno}"
         if len(parts) != 3:
-            raise IngestError(f"line {lineno}: expected 'freq_index,re,im'")
+            raise IngestError(f"{where}: expected 'freq_index,re,im'")
         try:
             u, real, imag = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError:
-            raise IngestError(f"{path}: line {lineno}: malformed numeric field") from None
+            raise IngestError(f"{where}: malformed numeric field") from None
         if not (0 <= u < length):
-            raise IngestError(f"line {lineno}: frequency index {u} out of range")
+            raise IngestError(f"{where}: frequency index {u} out of range")
         response[u] = real + 1j * imag
         seen[u] = True
     if not seen.any():

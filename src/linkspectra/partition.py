@@ -61,10 +61,6 @@ class PartitionTree:
         inv = self.position_to_relation
         return [np.sort(inv[i * width : (i + 1) * width]) for i in range(self.num_relations // width)]
 
-    def set_of(self, relation: int, level: int) -> int:
-        """Index of the level-``level`` set containing ``relation``."""
-        return int(self.leaf_order[relation]) >> level
-
     def to_nested(self):
         """Nested [left, right] lists down to relation-index leaves."""
 

@@ -165,10 +165,6 @@ class GraphSlice:
         return self.weights[: n * n].reshape(n, n).copy()
 
 
-def empty_slice(space: RelationSpace) -> GraphSlice:
-    return GraphSlice(space, np.zeros(space.num_relations))
-
-
 def slice_from_edges(space: RelationSpace, edges) -> GraphSlice:
     w = np.zeros(space.num_relations)
     for e in edges:

@@ -76,14 +76,6 @@ def gen_oscillating(num_times: int) -> LinkStreamMatrix:
     return LinkStreamMatrix(space, 0, vals)
 
 
-def community_tree(num_communities: int, per_community: int) -> PartitionTree:
-    """Identity-order tree aligned with contiguous vertex blocks; at
-    ``block_level(per_community)`` each block-to-block relation group is one
-    motif."""
-    n = num_communities * per_community
-    return tree_from_vertex_order(VertexSplit(np.arange(n)), full_space(n))
-
-
 def block_level(per_community: int) -> int:
     """Resolution level at which one community's relation block is one motif."""
     return 2 * int(np.log2(per_community))
@@ -164,14 +156,6 @@ class StructuralClass:
             raise ValueError(f"profile entries must lie in 0..{width}")
         p.setflags(write=False)
         object.__setattr__(self, "profile", p)
-
-    @property
-    def motif_width(self) -> int:
-        return 1 << self.level
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.profile.sum())
 
     @classmethod
     def of_graph(cls, g: GraphSlice, basis: GraphBasis) -> "StructuralClass":

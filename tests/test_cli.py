@@ -313,3 +313,61 @@ def test_verify_lemmas_cli_equals_verify_all(tmp_path, capsys):
                          "--out", str(tmp_path / "report"))
     assert code == 0, err
     assert json.loads(out) == [c.as_dict() for c in synth.verify_all(trials=500, seed=7)]
+
+
+_CONFIG_DEFAULTS = {"basis": "svd", "boundary": "circular", "fmt": "csv", "freq": None,
+                    "input": None, "keep": None, "level": None, "out": "out", "params": {},
+                    "seed": 0, "struct": None, "window": None}
+_RAW = ["--input", "stream.raw", "--format", "raw"]
+_TREE = [*_RAW, "--basis", "tree.json", "--level", "3"]
+_RAW_CONFIG = {"input": "stream.raw", "fmt": "raw"}
+_TREE_CONFIG = {**_RAW_CONFIG, "basis": "tree.json", "level": 3}
+
+
+@pytest.mark.parametrize("argv, recorded", [
+    (["ingest", "--input", "in.csv"], {"input": "in.csv"}),
+    (["ingest", "--input", "in.csv", "--window", "1:2", "--seed", "4"],
+     {"input": "in.csv", "window": [1, 2], "seed": 4}),
+    (["basis", *_RAW, "--seed", "2"], {**_RAW_CONFIG, "seed": 2}),
+    (["decompose", *_TREE], _TREE_CONFIG),
+    (["filter", *_TREE, "--freq", "agg:2", "--struct", "coarse"],
+     {**_TREE_CONFIG, "freq": "agg:2", "struct": "coarse"}),
+    (["backbone", *_TREE, "--keep", "top:2"], {**_TREE_CONFIG, "keep": "top:2"}),
+    (["aggregate", *_RAW, "--window", "2"], {**_RAW_CONFIG, "params": {"agg_window": 2}}),
+    (["embed", *_TREE], _TREE_CONFIG),
+    (["regularity", *_TREE, "--linear-boundary"], {**_TREE_CONFIG, "boundary": "linear"}),
+    (["synth", "oscillating", "--times", "4"], {"params": {"generator": "oscillating"}}),
+    (["synth", "sbm-pair", "--per-block", "2", "--seed", "5"],
+     {"params": {"generator": "sbm-pair"}, "seed": 5}),
+    (["synth", "daynight", "--per-comm", "2", "--times", "8"],
+     {"params": {"generator": "daynight"}}),
+    (["verify-lemmas", "--lemma", "1", "--trials", "100", "--seed", "3"],
+     {"params": {"trials": 100}, "seed": 3}),
+], ids=["ingest", "ingest-window", "basis", "decompose", "filter", "backbone", "aggregate",
+        "embed", "regularity-linear", "synth-oscillating", "synth-sbm-pair", "synth-daynight",
+        "verify-lemmas"])
+def test_config_json_records_common_flags_and_params(tmp_path, capsys, monkeypatch,
+                                                     argv, recorded):
+    stream = synth.gen_oscillating(8)
+    lio.write_raw(tmp_path / "stream.raw", stream)
+    lio.write_tree_json(tmp_path / "tree.json", synth.fig_partition(), stream.space)
+    (tmp_path / "in.csv").write_text("0,a,b\n1,b,a\n2,a,a\n3,b,b\n")
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv, "--out", "out")
+    assert code == 0, err
+    text = (tmp_path / "out" / "config.json").read_text()
+    assert json.loads(text) == {**_CONFIG_DEFAULTS, "command": argv[0], **recorded}
+    assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+
+def test_verify_lemmas_failure_exits_1_with_report_and_config(tmp_path, capsys, monkeypatch):
+    failed = synth.LemmaCheck(1, "mean", 1.0, 2.0, 0.1, 100, False)
+    monkeypatch.setattr(synth, "verify_all", lambda trials, seed: [failed])
+    outdir = tmp_path / "report"
+    code, out, _ = run(capsys, "verify-lemmas", "--trials", "100", "--out", str(outdir))
+    assert code == 1
+    assert json.loads((outdir / "lemma_report.json").read_text()) == [failed.as_dict()]
+    assert json.loads(out) == [failed.as_dict()]
+    config = json.loads((outdir / "config.json").read_text())
+    assert config["command"] == "verify-lemmas"
+    assert config["params"] == {"trials": 100}

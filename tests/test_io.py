@@ -219,16 +219,63 @@ def _read_struct(path):
     return lio.read_structural_response_csv(path, GraphBasis(synth.fig_partition(), 3))
 
 
+def _read_freq(path):
+    return lio.read_frequency_filter_csv(path, 8)
+
+
+def _tree_doc(**changes):
+    doc = {"num_relations": 2, "labels": ["x", "y"], "leaf_order": [0, 1], "nested": ["x", "y"]}
+    return json.dumps({**doc, **changes})
+
+
 @pytest.mark.parametrize("reader, text, where", [
     (lio.read_dense_csv, "t,a->b\n0,1\n1,x\n", "line 3"),
     (lio.read_dense_csv, "t,a->b\n0.5,1\n", "line 2"),
     (_read_struct, "kind,level,index,value\ns,3,0,1\nw,3,one,0.5\n", "line 3"),
     (_read_struct, "s,3,0,half\n", "line 1"),
-    (lambda p: lio.read_frequency_filter_csv(p, 8), "freq_index,re,im\n0,1,x\n", "line 2"),
-    (lambda p: lio.read_frequency_filter_csv(p, 8), "1.5,1,0\n", "line 1"),
+    (_read_freq, "freq_index,re,im\n0,1,x\n", "line 2"),
+    (_read_freq, "1.5,1,0\n", "line 1"),
     (lio.read_tree_json, "not json\n", "malformed tree document"),
+    (lambda p: lio.ingest_triplets(p, "csv"), "0,a\n", "line 1: expected 't,u,v[,w]', got '0,a'"),
+    (lambda p: lio.ingest_triplets(p, "csv"), "t,u,v\n0,a,b,heavy\n",
+     "line 2: malformed numeric field in '0,a,b,heavy'"),
+    (lambda p: lio.ingest_triplets(p, "ndjson"), '{"t": 0, "u": "a"}\n',
+     "line 1: malformed NDJSON record"),
+    (lambda p: lio.ingest_triplets(p, "csv", window=(5, 2)), "0,a,b\n",
+     "no triplets inside the window"),
+    (lio.read_dense_csv, "t,a->b\n0,1,2\n", "line 2: expected 2 fields"),
+    (lio.read_dense_csv, "t,a->b\n0,1\n2,1\n", "dense CSV times must be contiguous"),
+    (lio.read_dense_csv, "t,a->b,b->a,a->a\n0,1,0,1\n", "relation count 3 is not a power of two"),
+    (lio.read_raw, '{"T": 0, "M": 2, "t0": 0, "labels": ["a->b"]}\n',
+     "header has M = 2 but 1 labels"),
+    (_read_struct, "s,3,0\n", "line 1: expected 'kind,level,index,value'"),
+    (_read_struct, "s,3,2,1\n", "line 1: scaling index out of range"),
+    (_read_struct, "w,3,2,1\n", "line 1: wavelet index out of range"),
+    (_read_struct, "w,4,0,1\n", "line 1: wavelet level 4 out of range 1..3"),
+    (_read_struct, "v,3,0,1\n", "line 1: kind must be 's' or 'w'"),
+    (_read_freq, "0,1\n", "line 1: expected 'freq_index,re,im'"),
+    (_read_freq, "8,1,0\n", "line 1: frequency index 8 out of range"),
+    (lambda p: lio.read_tree_json(p, full_space(1)), _tree_doc(),
+     "tree has 2 relations, space has 1"),
+    (lio.read_tree_json, _tree_doc(labels=["x"]),
+     "label list length does not match num_relations"),
+    (lio.read_tree_json, _tree_doc(leaf_order=[0, 0]),
+     "leaf order is not a permutation of 0..M-1"),
+    (lio.read_tree_json, _tree_doc(nested=["x", "y", "x"]),
+     "nested nodes must have two children"),
+    (lio.read_tree_json, _tree_doc(nested=["x", "z"]), "unknown relation label 'z' in tree"),
+    (lio.read_tree_json, _tree_doc(nested=["x", {"y": 1}]),
+     "unknown relation label {'y': 1} in tree"),
+    (lio.read_tree_json, _tree_doc(nested=["x", "x"]),
+     "nested tree does not cover all relations"),
+    (lio.read_tree_json, _tree_doc(leaf_order=[1, 0]),
+     "nested arrays disagree with the stored leaf order"),
 ], ids=["dense-value", "dense-time", "struct-index", "struct-value", "freq-value",
-        "freq-index", "tree-json"])
+        "freq-index", "tree-json", "csv-fields", "csv-weight", "ndjson-record",
+        "empty-window", "dense-fields", "dense-gap", "dense-space", "raw-labels", "struct-fields", "struct-scaling-range",
+        "struct-wavelet-range", "struct-wavelet-level", "struct-kind", "freq-fields",
+        "freq-range", "tree-space", "tree-labels", "tree-leaf-order", "tree-children",
+        "tree-label", "tree-leaf-type", "tree-cover", "tree-disagree"])
 def test_malformed_numbers_name_file_and_line(tmp_path, reader, text, where):
     path = tmp_path / "bad.txt"
     path.write_text(text)

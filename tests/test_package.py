@@ -1,6 +1,12 @@
+import argparse
 import inspect
+import re
+from pathlib import Path
+
+import pytest
 
 import linkspectra
+from linkspectra.cli import build_parser, main
 
 
 def test_all_exports_classes_and_functions_only():
@@ -8,3 +14,21 @@ def test_all_exports_classes_and_functions_only():
     for name in linkspectra.__all__:
         obj = getattr(linkspectra, name)
         assert inspect.isclass(obj) or inspect.isfunction(obj), name
+
+
+def _subcommands():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return list(action.choices)
+
+
+def test_readme_command_list_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Commands: (.*?)\.", readme, re.S).group(1)
+    assert re.findall(r"`([\w-]+)`", listed) == _subcommands()
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_command_help_exits_0(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: linkspectra " + command)

@@ -28,7 +28,8 @@ def run_script(name, *args, out):
      ["C_abs.csv", "C_rect.csv", "backbone.raw", "backbone.csv"]),
 ])
 def test_script_runs(tmp_path, name, args, outputs):
-    run_script(name, *args, out=tmp_path)
+    stdout = run_script(name, *args, out=tmp_path)
+    assert "np.int64" not in stdout
     for out in outputs:
         assert (tmp_path / out).stat().st_size > 0
 
