@@ -110,7 +110,7 @@ def _basis(args, out, stream, names, basis):
 def _decompose(args, out, stream, names, basis):
     x = time_structure(stream, basis)
     fourier = FourierBasis(stream.num_times)
-    coeffs = CoefficientMatrix(fourier.forward(x), basis, fourier, stream.space, stream.t0)
+    coeffs = CoefficientMatrix(fourier.forward(x), basis, stream.space, stream.t0)
     lio.write_plot_bundle(out, stream, x, fourier.forward(stream.values), coeffs, names)
 
 

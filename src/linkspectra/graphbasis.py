@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .partition import PartitionTree
-from .stream import GraphSlice
+from .stream import GraphSlice, _frozen, _readonly
 
 __all__ = [
     "GraphBasis",
@@ -69,29 +69,23 @@ class GraphBasis:
 
     @cached_property
     def column_kinds(self) -> np.ndarray:
-        kinds = np.array(["s"] * self.num_scaling
-                         + sum((["w"] * (self.num_relations >> l)
-                                for l in range(self.level, 0, -1)), []))
-        kinds.setflags(write=False)
-        return kinds
+        return _readonly(np.array(["s"] * self.num_scaling
+                                  + sum((["w"] * (self.num_relations >> l)
+                                         for l in range(self.level, 0, -1)), [])))
 
     @cached_property
     def column_levels(self) -> np.ndarray:
-        levels = np.concatenate(
+        return _readonly(np.concatenate(
             [np.full(self.num_scaling, self.level, dtype=np.int64)]
             + [np.full(self.num_relations >> l, l, dtype=np.int64)
-               for l in range(self.level, 0, -1)])
-        levels.setflags(write=False)
-        return levels
+               for l in range(self.level, 0, -1)]))
 
     @cached_property
     def column_indices(self) -> np.ndarray:
-        idx = np.concatenate(
+        return _readonly(np.concatenate(
             [np.arange(self.num_scaling, dtype=np.int64)]
             + [np.arange(self.num_relations >> l, dtype=np.int64)
-               for l in range(self.level, 0, -1)])
-        idx.setflags(write=False)
-        return idx
+               for l in range(self.level, 0, -1)]))
 
     def analyze_values(self, values: np.ndarray) -> np.ndarray:
         """Filter-bank transform of weight vectors laid along the last axis."""
@@ -159,10 +153,9 @@ class GraphCoefficients:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64).copy()
+        vals = _frozen(self.values, np.float64)
         if vals.shape != (self.basis.num_relations,):
             raise ValueError("coefficient vector has wrong length")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -174,14 +167,12 @@ class GraphCoefficients:
 
 
 def _clear_inert(space, values: np.ndarray) -> np.ndarray:
-    """Force padding columns back to exact zero after a synthesis step.
+    """Force padding columns of a fresh synthesis output to exact zero, in place.
 
     Pads exist only to align M to a power of two; any mass the transform
     assigns them (or float residue on reconstruction) is a padding artifact.
     """
-    if space.inert.any():
-        values = values.copy()
-        values[..., space.inert] = 0.0
+    values[..., space.inert] = 0.0
     return values
 
 
@@ -203,8 +194,8 @@ def synthesize(coeffs: GraphCoefficients, space) -> GraphSlice:
 
 
 def embed_coarse(g: GraphSlice, basis: GraphBasis) -> np.ndarray:
-    """Scaling-only embedding s; reflects structural classes, not single graphs."""
-    return analyze(g, basis).scaling.copy()
+    """Scaling-only view s; reflects structural classes, not single graphs."""
+    return analyze(g, basis).scaling
 
 
 def edit_distance_spectrum(g1: GraphSlice, g2: GraphSlice, basis: GraphBasis) -> np.ndarray:

@@ -8,6 +8,7 @@ the same values and byte-identical reruns only depend on the seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +48,14 @@ def parse_window(text: str):
     return t0, count
 
 
+def _float(text) -> float:
+    """``float(text)``, refusing nan and +-inf with a ValueError."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {text!r}")
+    return x
+
+
 def _iter_triplets_csv(path, lines):
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -59,7 +68,7 @@ def _iter_triplets_csv(path, lines):
             raise IngestError(f"{path}: line {lineno}: expected 't,u,v[,w]', got {line!r}")
         try:
             t = int(parts[0])
-            w = float(parts[3]) if len(parts) == 4 else 1.0
+            w = _float(parts[3]) if len(parts) == 4 else 1.0
         except ValueError:
             raise IngestError(f"{path}: line {lineno}: malformed numeric field in {line!r}") from None
         yield t, parts[1], parts[2], w
@@ -75,8 +84,8 @@ def _iter_triplets_ndjson(path, lines):
             t = int(rec["t"])
             u = str(rec["u"])
             v = str(rec["v"])
-            w = float(rec.get("w", 1.0))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            w = _float(rec.get("w", 1.0))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             raise IngestError(f"{path}: line {lineno}: malformed NDJSON record") from None
         yield t, u, v, w
 
@@ -215,7 +224,7 @@ def read_dense_csv(path) -> IngestResult:
             raise IngestError(f"{path}: line {lineno}: expected {len(header)} fields")
         try:
             times.append(int(parts[0]))
-            rows.append([float(x) for x in parts[1:]])
+            rows.append([_float(x) for x in parts[1:]])
         except ValueError:
             raise IngestError(f"{path}: line {lineno}: malformed numeric field") from None
     if not rows:
@@ -254,15 +263,19 @@ def read_raw(path) -> IngestResult:
             m = int(header["M"])
             t0 = int(header["t0"])
             labels = list(header["labels"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             raise IngestError(f"{path}: malformed raw header") from None
         data = fh.read()
     expected = t * m * 8
     if len(data) != expected:
         raise IngestError(f"{path}: payload has {len(data)} bytes, expected {expected}")
-    vals = np.frombuffer(data, dtype="<f8").reshape(t, m)
     if len(labels) != m:
         raise IngestError(f"{path}: header has M = {m} but {len(labels)} labels")
+    if t < 1:
+        raise IngestError(f"{path}: header has T = {t}, the time window is empty")
+    vals = np.frombuffer(data, dtype="<f8").reshape(t, m)
+    if not np.all(np.isfinite(vals)):
+        raise IngestError(f"{path}: payload holds non-finite values")
     names, space = _parse_labels(path, labels, header.get("vertices"))
     return IngestResult(LinkStreamMatrix(space, t0, vals), tuple(names))
 
@@ -309,7 +322,7 @@ def read_tree_json(path, space: RelationSpace = None) -> PartitionTree:
         index = {lab: k for k, lab in enumerate(labels)}
         leaf_order = np.array(doc["leaf_order"], dtype=np.int64)
         nested = doc["nested"]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise IngestError(f"{path}: malformed tree document") from None
 
     def unlabelled(node):
@@ -368,7 +381,7 @@ def read_structural_response_csv(path, basis: GraphBasis) -> np.ndarray:
         if len(parts) != 4:
             raise IngestError(f"{where}: expected 'kind,level,index,value'")
         try:
-            kind, level, idx, value = parts[0], int(parts[1]), int(parts[2]), float(parts[3])
+            kind, level, idx, value = parts[0], int(parts[1]), int(parts[2]), _float(parts[3])
         except ValueError:
             raise IngestError(f"{where}: malformed numeric field") from None
         if kind == "s":
@@ -412,7 +425,7 @@ def read_frequency_filter_csv(path, length: int) -> FrequencyFilter:
         if len(parts) != 3:
             raise IngestError(f"{where}: expected 'freq_index,re,im'")
         try:
-            u, real, imag = int(parts[0]), float(parts[1]), float(parts[2])
+            u, real, imag = int(parts[0]), _float(parts[1]), _float(parts[2])
         except ValueError:
             raise IngestError(f"{where}: malformed numeric field") from None
         if not (0 <= u < length):
@@ -421,7 +434,7 @@ def read_frequency_filter_csv(path, length: int) -> FrequencyFilter:
         seen[u] = True
     if not seen.any():
         raise IngestError(f"{path}: empty frequency filter")
-    return FrequencyFilter(response, label=str(path))
+    return FrequencyFilter(response)
 
 
 def frequency_filter(spec: str, length: int) -> FrequencyFilter:
@@ -429,7 +442,7 @@ def frequency_filter(spec: str, length: int) -> FrequencyFilter:
     if spec == "diff":
         return diff_filter(length)
     if spec == "all":
-        return FrequencyFilter(np.ones(length), label="all")
+        return FrequencyFilter(np.ones(length))
     if spec.startswith("agg:"):
         return aggregation_filter(int(spec.split(":", 1)[1]), length)
     if spec.startswith("lowpass:"):

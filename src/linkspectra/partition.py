@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .stream import GraphSlice, RelationSpace, is_power_of_two
+from .stream import GraphSlice, RelationSpace, _frozen, _readonly, is_power_of_two
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,11 @@ class PartitionTree:
     leaf_order: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        lo = np.asarray(self.leaf_order, dtype=np.int64).copy()
+        lo = _frozen(self.leaf_order, np.int64)
         if lo.ndim != 1 or not is_power_of_two(lo.size):
             raise ValueError("leaf order length must be a power of two")
         if not np.array_equal(np.sort(lo), np.arange(lo.size)):
             raise ValueError("leaf order is not a permutation of 0..M-1")
-        lo.setflags(write=False)
         object.__setattr__(self, "leaf_order", lo)
 
     @property
@@ -49,9 +48,7 @@ class PartitionTree:
 
     @cached_property
     def position_to_relation(self) -> np.ndarray:
-        inv = np.argsort(self.leaf_order)
-        inv.setflags(write=False)
-        return inv
+        return _readonly(np.argsort(self.leaf_order))
 
     def sets(self, level: int) -> list:
         """Relation-index sets E_k at resolution ``level``, ascending indices."""
@@ -137,10 +134,9 @@ class VertexSplit:
     order: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        o = np.asarray(self.order, dtype=np.int64).copy()
+        o = _frozen(self.order, np.int64)
         if not is_power_of_two(o.size) or not np.array_equal(np.sort(o), np.arange(o.size)):
             raise ValueError("vertex order must be a permutation of 0..N-1 with N a power of two")
-        o.setflags(write=False)
         object.__setattr__(self, "order", o)
 
     @property
@@ -154,9 +150,7 @@ class VertexSplit:
     @cached_property
     def position(self) -> np.ndarray:
         """1-based relabelling: position[v] is the leaf rank of vertex v."""
-        pos = np.argsort(self.order) + 1
-        pos.setflags(write=False)
-        return pos
+        return _readonly(np.argsort(self.order) + 1)
 
 
 _POWER_TOL = 1e-10

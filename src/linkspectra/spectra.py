@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphbasis import GraphBasis, _clear_inert, detail_pass_response
 from .partition import partition_svd
-from .stream import LinkStreamMatrix
+from .stream import LinkStreamMatrix, _frozen, _readonly
 from .timebasis import (
     FourierBasis,
     FrequencyFilter,
@@ -31,15 +31,13 @@ class CoefficientMatrix:
 
     values: np.ndarray = field(repr=False)
     basis: GraphBasis
-    fourier: FourierBasis
     space: object
     t0: int = 0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128).copy()
-        if v.shape != (self.fourier.length, self.basis.num_relations):
+        v = _frozen(self.values, np.complex128)
+        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] != self.basis.num_relations:
             raise ValueError("coefficient grid shape does not match the bases")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -50,14 +48,16 @@ class CoefficientMatrix:
     def num_relations(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def fourier(self) -> FourierBasis:
+        return FourierBasis(self.num_times)
+
     @cached_property
     def magnitude(self) -> np.ndarray:
-        m = np.abs(self.values)
-        m.setflags(write=False)
-        return m
+        return _readonly(np.abs(self.values))
 
     def with_values(self, values) -> "CoefficientMatrix":
-        return CoefficientMatrix(values, self.basis, self.fourier, self.space, self.t0)
+        return CoefficientMatrix(values, self.basis, self.space, self.t0)
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,9 @@ class JointFilter:
     struct: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        s = np.asarray(self.struct, dtype=np.float64).copy()
+        s = _frozen(self.struct, np.float64)
         if s.ndim != 1:
             raise ValueError("structural response must be a vector")
-        s.setflags(write=False)
         object.__setattr__(self, "struct", s)
 
 
@@ -96,23 +95,23 @@ def freq_relational(stream: LinkStreamMatrix) -> np.ndarray:
     return FourierBasis(stream.num_times).forward(stream.values)
 
 
-def decompose(stream: LinkStreamMatrix, basis: GraphBasis,
-              fourier: FourierBasis = None) -> CoefficientMatrix:
+def decompose(stream: LinkStreamMatrix, basis: GraphBasis) -> CoefficientMatrix:
     """C = conj(Psi).T L Phi.T; graph-then-time and time-then-graph agree."""
     if basis.num_relations != stream.num_relations:
         raise ValueError("graph basis does not match the stream's relation space")
-    fourier = fourier or FourierBasis(stream.num_times)
-    if fourier.length != stream.num_times:
-        raise ValueError("Fourier basis does not match the stream window")
-    c = fourier.forward(basis.analyze_values(stream.values))
-    return CoefficientMatrix(c, basis, fourier, stream.space, stream.t0)
+    c = FourierBasis(stream.num_times).forward(basis.analyze_values(stream.values))
+    return CoefficientMatrix(c, basis, stream.space, stream.t0)
+
+
+def _synthesize_stream(grid: np.ndarray, basis: GraphBasis, space, t0: int) -> LinkStreamMatrix:
+    """L = Psi grid Phi for a grid laid out like C, realified before Phi (see _realify)."""
+    x = _realify(FourierBasis(grid.shape[0]).inverse(grid))
+    return LinkStreamMatrix(space, t0, _clear_inert(space, basis.synthesize_values(x)))
 
 
 def reconstruct(coeffs: CoefficientMatrix) -> LinkStreamMatrix:
     """L = Psi C Phi, realified (imaginary residue above tolerance is an error)."""
-    x = coeffs.fourier.inverse(coeffs.values)
-    vals = _clear_inert(coeffs.space, coeffs.basis.synthesize_values(x))
-    return LinkStreamMatrix(coeffs.space, coeffs.t0, _realify(vals))
+    return _synthesize_stream(coeffs.values, coeffs.basis, coeffs.space, coeffs.t0)
 
 
 def apply_joint_filter(stream: LinkStreamMatrix, jf: JointFilter,
@@ -120,7 +119,7 @@ def apply_joint_filter(stream: LinkStreamMatrix, jf: JointFilter,
     """L_hat = Psi Lambda_H C Lambda_Q Phi in one pass through C."""
     c = decompose(stream, basis)
     filtered = jf.freq.response[:, None] * c.values * jf.struct[None, :]
-    return reconstruct(c.with_values(filtered))
+    return _synthesize_stream(filtered, basis, stream.space, stream.t0)
 
 
 def apply_joint_filter_sequential(stream: LinkStreamMatrix, jf: JointFilter,
@@ -195,7 +194,7 @@ def backbone(stream: LinkStreamMatrix, basis: GraphBasis, keep: KeepRule):
     if not mask.any():
         raise ValueError("backbone selection is empty")
     kept = np.where(mask, coeffs.values, 0.0)
-    return reconstruct(coeffs.with_values(kept)), mask
+    return _synthesize_stream(kept, basis, stream.space, stream.t0), mask
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,18 @@ def next_power_of_two(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """Mark an array the package has just computed read-only, in place."""
+    a.setflags(write=False)
+    return a
+
+
+def _frozen(x, dtype=None) -> np.ndarray:
+    """A container's read-only copy of caller input; C order lets writers view
+    complex grids as float pairs."""
+    return _readonly(np.array(x, dtype=dtype, order="C"))
+
+
 @dataclass(frozen=True)
 class RelationSpace:
     """Ordered space of directed relations (u, v); ``None`` entries are inert pads.
@@ -58,9 +70,7 @@ class RelationSpace:
     @cached_property
     def inert(self) -> np.ndarray:
         """Boolean mask of padding columns."""
-        mask = np.array([rel is None for rel in self.relations], dtype=bool)
-        mask.setflags(write=False)
-        return mask
+        return _readonly(np.array([rel is None for rel in self.relations], dtype=bool))
 
     @cached_property
     def num_active(self) -> int:
@@ -123,15 +133,13 @@ def active_space(num_vertices: int, pairs) -> RelationSpace:
 
 
 def _as_weights(space: RelationSpace, weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
+    w = _frozen(weights, np.float64)
     if w.shape != (space.num_relations,):
         raise ValueError(f"weights shape {w.shape} != ({space.num_relations},)")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
     if np.any(w[space.inert] != 0.0):
         raise ValueError("inert (padding) relations must carry zero weight")
-    w = w.copy()
-    w.setflags(write=False)
     return w
 
 
@@ -158,11 +166,11 @@ class GraphSlice:
         return bool(np.all((self.weights == 0.0) | (self.weights == 1.0)))
 
     def adjacency(self) -> np.ndarray:
-        """Dense num_vertices x num_vertices adjacency (full spaces only)."""
+        """Dense num_vertices x num_vertices adjacency view (full spaces only)."""
         if not self.space.is_full:
             raise ValueError("adjacency requires a full relation space")
         n = self.space.num_vertices
-        return self.weights[: n * n].reshape(n, n).copy()
+        return self.weights[: n * n].reshape(n, n)
 
 
 def slice_from_edges(space: RelationSpace, edges) -> GraphSlice:
@@ -205,7 +213,7 @@ class LinkStreamMatrix:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = _frozen(self.values, np.float64)
         if vals.ndim != 2 or vals.shape[1] != self.space.num_relations:
             raise ValueError(f"values shape {vals.shape} incompatible with M={self.space.num_relations}")
         if vals.shape[0] < 1:
@@ -214,8 +222,6 @@ class LinkStreamMatrix:
             raise ValueError("stream values must be finite")
         if np.any(vals[:, self.space.inert] != 0.0):
             raise ValueError("inert (padding) columns must be zero")
-        vals = vals.copy()
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @cached_property
@@ -246,10 +252,10 @@ class LinkStreamMatrix:
         return GraphSlice(self.space, self.values[self._row(t)])
 
     def edge_series(self, k: int) -> np.ndarray:
-        """Time series of relation k over the window."""
+        """Time series of relation k over the window (a read-only view)."""
         if not (0 <= k < self.num_relations):
             raise ValueError(f"relation index {k} out of range")
-        return self.values[:, k].copy()
+        return self.values[:, k]
 
     def slices(self):
         for t in self.times:

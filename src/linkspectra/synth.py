@@ -23,12 +23,15 @@ from .stream import (
     GraphSlice,
     LinkStreamMatrix,
     RelationSpace,
+    _frozen,
     full_space,
     graph_edit,
     is_power_of_two,
 )
 
 MIN_TRIALS = 100
+_Z_THRESHOLD = 4.0
+_MC_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +151,12 @@ class StructuralClass:
     profile: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        p = np.asarray(self.profile, dtype=np.int64).copy()
+        p = _frozen(self.profile, np.int64)
         width = 1 << self.level
         if p.shape != (self.tree.num_relations >> self.level,):
             raise ValueError("profile length must match the motif count")
         if np.any(p < 0) or np.any(p > width):
             raise ValueError(f"profile entries must lie in 0..{width}")
-        p.setflags(write=False)
         object.__setattr__(self, "profile", p)
 
     @classmethod
@@ -212,15 +214,15 @@ class LemmaCheck:
                 "stderr": self.stderr, "trials": self.trials, "pass": self.passed}
 
 
-def _mc_samples(sample_chunk, trials: int, seed: int, chunk_size: int = 4096) -> np.ndarray:
+def _mc_samples(sample_chunk, trials: int, seed: int) -> np.ndarray:
     """Run ``sample_chunk(rng, n)`` over spawned seed streams, in parallel.
 
     Aggregation order is fixed by chunk index, so results do not depend on
     the worker count (capped by LINKSPECTRA_THREADS).
     """
-    chunks = [chunk_size] * (trials // chunk_size)
-    if trials % chunk_size:
-        chunks.append(trials % chunk_size)
+    chunks = [_MC_CHUNK] * (trials // _MC_CHUNK)
+    if trials % _MC_CHUNK:
+        chunks.append(trials % _MC_CHUNK)
     seeds = np.random.SeedSequence(seed).spawn(len(chunks))
     workers = min(max_threads(), len(chunks))
     if workers <= 1:
@@ -232,11 +234,10 @@ def _mc_samples(sample_chunk, trials: int, seed: int, chunk_size: int = 4096) ->
     return np.concatenate(parts)
 
 
-def _mc_check(lemma: int, statistic: str, expected: float, samples: np.ndarray,
-              z_threshold: float) -> LemmaCheck:
+def _mc_check(lemma: int, statistic: str, expected: float, samples: np.ndarray) -> LemmaCheck:
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(samples.size)) if samples.size > 1 else 0.0
-    tol = z_threshold * stderr if stderr > 0 else 1e-9
+    tol = _Z_THRESHOLD * stderr if stderr > 0 else 1e-9
     return LemmaCheck(lemma, statistic, float(expected), mean, stderr,
                       int(samples.size), bool(abs(mean - expected) <= tol))
 
@@ -272,7 +273,7 @@ def _scaling_closed_form(p1: np.ndarray, p2: np.ndarray, level: int) -> float:
 
 
 def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0,
-                 sizes: LemmaSizes = LemmaSizes(), z_threshold: float = 4.0) -> list:
+                 sizes: LemmaSizes = LemmaSizes()) -> list:
     """Check one of the four identities against brute force and Monte Carlo.
 
     Lemma 1: exact embedding identities on random unweighted pairs.
@@ -328,7 +329,7 @@ def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0,
             return (a & b).sum(axis=(1, 2)).astype(float)
 
         checks.append(_mc_check(2, "inner_product_mc_overlap", r12,
-                                _mc_samples(overlap_chunk, trials, seed), z_threshold))
+                                _mc_samples(overlap_chunk, trials, seed)))
 
         def self_overlap_chunk(crng, n):
             a = _membership_draws(p1, sizes.level, n, crng)
@@ -336,7 +337,7 @@ def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0,
             return (a & b).sum(axis=(1, 2)).astype(float)
 
         checks.append(_mc_check(2, "norm_sq_mc_overlap", r11,
-                                _mc_samples(self_overlap_chunk, trials, seed + 1), z_threshold))
+                                _mc_samples(self_overlap_chunk, trials, seed + 1)))
 
         def edit_gap_chunk(crng, n):
             a = _membership_draws(p1, sizes.level, n, crng)
@@ -350,7 +351,7 @@ def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0,
 
         diff = s1 - s2
         checks.append(_mc_check(2, "distance_sq_mc_identity", float(diff @ diff),
-                                _mc_samples(edit_gap_chunk, trials, seed + 2), z_threshold))
+                                _mc_samples(edit_gap_chunk, trials, seed + 2)))
         return checks
 
     if lemma == 3:
@@ -369,7 +370,7 @@ def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0,
             return (member[None] & ~draws).sum(axis=(1, 2)).astype(float)
 
         checks.append(_mc_check(3, "regularity_mc_expected_dist", closed,
-                                _mc_samples(dist_chunk, trials, seed), z_threshold))
+                                _mc_samples(dist_chunk, trials, seed)))
         return checks
 
     # lemma 4
@@ -399,11 +400,9 @@ def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0,
     return checks
 
 
-def verify_all(trials: int = 20000, seed: int = 0, sizes: LemmaSizes = LemmaSizes(),
-               z_threshold: float = 4.0) -> list:
+def verify_all(trials: int = 20000, seed: int = 0, sizes: LemmaSizes = LemmaSizes()) -> list:
     """Checks of all four lemmas, in order, each run with the same ``seed``."""
     out = []
     for lemma in (1, 2, 3, 4):
-        out.extend(verify_lemma(lemma, trials=trials, seed=seed,
-                                sizes=sizes, z_threshold=z_threshold))
+        out.extend(verify_lemma(lemma, trials=trials, seed=seed, sizes=sizes))
     return out

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .stream import LinkStreamMatrix
+from .stream import LinkStreamMatrix, _frozen
 
 #: imaginary residue above this magnitude is an error when realifying output
 IMAG_TOL = 1e-9
@@ -56,13 +56,11 @@ class FrequencyFilter:
     """Diagonal frequency response chi_u, one complex entry per index."""
 
     response: np.ndarray = field(repr=False)
-    label: str = ""
 
     def __post_init__(self):
-        r = np.asarray(self.response, dtype=np.complex128).copy()
+        r = _frozen(self.response, np.complex128)
         if r.ndim != 1 or r.size < 1:
             raise ValueError("frequency response must be a nonempty vector")
-        r.setflags(write=False)
         object.__setattr__(self, "response", r)
 
     @property
@@ -77,8 +75,7 @@ class FrequencyFilter:
     def compose(self, other: "FrequencyFilter") -> "FrequencyFilter":
         if other.length != self.length:
             raise ValueError("filter lengths differ")
-        return FrequencyFilter(self.response * other.response,
-                               label=f"{self.label}*{other.label}")
+        return FrequencyFilter(self.response * other.response)
 
 
 @dataclass(frozen=True)
@@ -88,9 +85,7 @@ class CirculantOperator:
     kernel: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        k = np.asarray(self.kernel, dtype=np.float64).copy()
-        k.setflags(write=False)
-        object.__setattr__(self, "kernel", k)
+        object.__setattr__(self, "kernel", _frozen(self.kernel, np.float64))
 
     @property
     def length(self) -> int:
@@ -132,12 +127,11 @@ def time_diff_operator(length: int) -> CirculantOperator:
 
 
 def aggregation_filter(window: int, length: int) -> FrequencyFilter:
-    f = aggregation_operator(window, length).frequency_filter()
-    return FrequencyFilter(f.response, label=f"agg:{window}")
+    return aggregation_operator(window, length).frequency_filter()
 
 
 def diff_filter(length: int) -> FrequencyFilter:
-    return FrequencyFilter(time_diff_operator(length).frequency_filter().response, label="diff")
+    return time_diff_operator(length).frequency_filter()
 
 
 def lowpass_filter(cutoff: float, length: int) -> FrequencyFilter:
@@ -146,8 +140,7 @@ def lowpass_filter(cutoff: float, length: int) -> FrequencyFilter:
         raise ValueError("cutoff is a cyclic frequency in [0, 0.5]")
     u = np.arange(length)
     folded = np.minimum(u, length - u) / length
-    return FrequencyFilter((folded <= cutoff + 1e-12).astype(np.complex128),
-                           label=f"lowpass:{cutoff}")
+    return FrequencyFilter((folded <= cutoff + 1e-12).astype(np.complex128))
 
 
 def dft_inverse(coeffs: np.ndarray, like: LinkStreamMatrix) -> LinkStreamMatrix:
@@ -157,13 +150,16 @@ def dft_inverse(coeffs: np.ndarray, like: LinkStreamMatrix) -> LinkStreamMatrix:
     return like.with_values(_realify(vals))
 
 
-def _realify(values: np.ndarray, tol: float = IMAG_TOL) -> np.ndarray:
-    residue = float(np.max(np.abs(values.imag))) if np.iscomplexobj(values) else 0.0
-    if residue > tol:
+def _realify(values: np.ndarray) -> np.ndarray:
+    """Real part (a view) of a time-synthesized grid; imaginary residue above
+    IMAG_TOL is an error. Exact before the graph synthesis too: Phi multiplies
+    by real scalars only, so it never mixes real and imaginary parts."""
+    residue = float(np.max(np.abs(values.imag)))
+    if residue > IMAG_TOL:
         raise ValueError(
-            f"imaginary residue {residue:.3e} exceeds {tol:.0e};"
+            f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.0e};"
             " the frequency response is not conjugate-symmetric")
-    return values.real.copy() if np.iscomplexobj(values) else values
+    return values.real
 
 
 def apply_frequency_filter(stream: LinkStreamMatrix, filt: FrequencyFilter) -> LinkStreamMatrix:

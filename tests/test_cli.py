@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from linkspectra import (
+    FrequencyFilter,
     JointFilter,
     KeepRule,
     apply_joint_filter,
@@ -371,3 +372,23 @@ def test_verify_lemmas_failure_exits_1_with_report_and_config(tmp_path, capsys, 
     config = json.loads((outdir / "config.json").read_text())
     assert config["command"] == "verify-lemmas"
     assert config["params"] == {"trials": 100}
+
+
+def test_asymmetric_frequency_filter_raises_imaginary_residue(tmp_path, capsys):
+    stream = synth.gen_daynight(num_times=40)
+    chi = np.zeros(40)
+    chi[1] = 1.0
+    jf = JointFilter(FrequencyFilter(chi), np.ones(stream.num_relations))
+    with pytest.raises(ValueError, match="imaginary residue"):
+        apply_joint_filter(stream, jf, default_basis(stream))
+
+    fixture = tmp_path / "fixture"
+    run(capsys, "synth", "daynight", "--times", "40", "--out", str(fixture))
+    asym = tmp_path / "asym.csv"
+    asym.write_text("freq_index,re,im\n1,1,0\n")
+    code, out, err = run(capsys, "filter", "--input", str(fixture / "stream.raw"),
+                         "--format", "raw", "--freq", str(asym), "--struct", "all",
+                         "--out", str(tmp_path / "f"))
+    assert code == 1 and out == ""
+    (line,) = err.strip().splitlines()
+    assert "imaginary residue" in json.loads(line)["error"]["message"]

@@ -22,7 +22,6 @@ from linkspectra.io import IngestError
 from linkspectra.graphbasis import GraphBasis
 from linkspectra.partition import PartitionTree
 from linkspectra.spectra import CoefficientMatrix
-from linkspectra.timebasis import FourierBasis
 
 
 TRIPLETS = """\
@@ -223,6 +222,17 @@ def _read_freq(path):
     return lio.read_frequency_filter_csv(path, 8)
 
 
+def _raw_with_payload(values):
+    """read_raw after appending ``values`` as the payload of the header file."""
+    def read(path):
+        path.write_bytes(path.read_bytes() + np.array(values, dtype="<f8").tobytes())
+        return lio.read_raw(path)
+    return read
+
+
+_RAW_1X2 = '{"T": 1, "M": 2, "t0": 0, "labels": ["a->b", "b->a"]}\n'
+
+
 def _tree_doc(**changes):
     doc = {"num_relations": 2, "labels": ["x", "y"], "leaf_order": [0, 1], "nested": ["x", "y"]}
     return json.dumps({**doc, **changes})
@@ -270,12 +280,34 @@ def _tree_doc(**changes):
      "nested tree does not cover all relations"),
     (lio.read_tree_json, _tree_doc(leaf_order=[1, 0]),
      "nested arrays disagree with the stored leaf order"),
+    (lambda p: lio.ingest_triplets(p, "csv"), "0,a,b,nan\n",
+     "line 1: malformed numeric field in '0,a,b,nan'"),
+    (lambda p: lio.ingest_triplets(p, "csv"), "0,a,b\n1,a,b,-inf\n",
+     "line 2: malformed numeric field in '1,a,b,-inf'"),
+    (lambda p: lio.ingest_triplets(p, "ndjson"), '{"t": 0, "u": "a", "v": "b", "w": NaN}\n',
+     "line 1: malformed NDJSON record"),
+    (lambda p: lio.ingest_triplets(p, "ndjson"), '{"t": 0, "u": "a", "v": "b", "w": Infinity}\n',
+     "line 1: malformed NDJSON record"),
+    (lambda p: lio.ingest_triplets(p, "ndjson"), '{"t": Infinity, "u": "a", "v": "b"}\n',
+     "line 1: malformed NDJSON record"),
+    (lio.read_dense_csv, "t,a->b\n0,1\n1,nan\n", "line 3: malformed numeric field"),
+    (_read_struct, "s,3,0,inf\n", "line 1: malformed numeric field"),
+    (_read_freq, "0,nan,0\n", "line 1: malformed numeric field"),
+    (_read_freq, "0,1,-inf\n", "line 1: malformed numeric field"),
+    (_raw_with_payload([1.0, float("nan")]), _RAW_1X2, "payload holds non-finite values"),
+    (lio.read_raw, _RAW_1X2.replace('"T": 1', '"T": 0'),
+     "header has T = 0, the time window is empty"),
+    (lio.read_raw, _RAW_1X2.replace('"T": 1', '"T": Infinity'), "malformed raw header"),
+    (lio.read_tree_json, _tree_doc(num_relations=float("inf")), "malformed tree document"),
 ], ids=["dense-value", "dense-time", "struct-index", "struct-value", "freq-value",
         "freq-index", "tree-json", "csv-fields", "csv-weight", "ndjson-record",
         "empty-window", "dense-fields", "dense-gap", "dense-space", "raw-labels", "struct-fields", "struct-scaling-range",
         "struct-wavelet-range", "struct-wavelet-level", "struct-kind", "freq-fields",
         "freq-range", "tree-space", "tree-labels", "tree-leaf-order", "tree-children",
-        "tree-label", "tree-leaf-type", "tree-cover", "tree-disagree"])
+        "tree-label", "tree-leaf-type", "tree-cover", "tree-disagree",
+        "csv-weight-nan", "csv-weight-inf", "ndjson-weight-nan", "ndjson-weight-inf",
+        "ndjson-time-inf", "dense-value-nan", "struct-value-inf", "freq-re-nan",
+        "freq-im-inf", "raw-payload-nan", "raw-empty-window", "raw-header-inf", "tree-inf"])
 def test_malformed_numbers_name_file_and_line(tmp_path, reader, text, where):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -331,7 +363,7 @@ def test_float_export_golden_bytes(tmp_path):
     coeffs = CoefficientMatrix(
         np.array([[complex(0.1 + 0.2, -0.0), complex(1e-300, 5e-324)],
                   [complex(-0.0, 1.0), complex(2**60, -0.5)]]),
-        GraphBasis(PartitionTree(np.arange(2)), 1), FourierBasis(2),
+        GraphBasis(PartitionTree(np.arange(2)), 1),
         RelationSpace(2, ((0, 1), (1, 0))))
     lio.write_coefficient_matrix(tmp_path, coeffs)
     assert (tmp_path / "C_rect.csv").read_text() == (

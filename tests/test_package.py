@@ -32,3 +32,8 @@ def test_readme_command_list_matches_parser():
 def test_command_help_exits_0(capsys, command):
     assert main([command, "--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: linkspectra " + command)
+
+
+def test_one_freeze_idiom_in_src():
+    src = Path(linkspectra.__file__).parent
+    assert sum(p.read_text().count("setflags(") for p in src.glob("*.py")) == 1

@@ -4,9 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkspectra import (
+    FrequencyFilter,
+    GraphBasis,
+    GraphCoefficients,
     GraphSlice,
+    JointFilter,
     LinkStreamMatrix,
+    PartitionTree,
+    VertexSplit,
     active_space,
+    decompose,
+    embed_coarse,
     full_space,
     graph_dist,
     graph_edit,
@@ -15,6 +23,7 @@ from linkspectra import (
     stream_from_slices,
 )
 from linkspectra import synth
+from linkspectra.timebasis import CirculantOperator
 
 from conftest import random_unweighted
 
@@ -154,3 +163,48 @@ def test_weight_norm_equals_edit(seed):
     g1 = random_unweighted(space, rng)
     g2 = random_unweighted(space, rng)
     assert np.sum((g1.weights - g2.weights) ** 2) == graph_edit(g1, g2)
+
+
+def _container_inputs():
+    """(input, build) per container; ``build`` returns the array it stores."""
+    space = full_space(2)
+    tree = PartitionTree(np.arange(4))
+    basis = GraphBasis(tree, 2)
+    return {
+        "LinkStreamMatrix": (np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 1.0, 0.0, 3.0]]),
+                             lambda a: LinkStreamMatrix(space, 0, a).values),
+        "GraphSlice": (np.array([1.0, 0.0, 2.0, 0.0]), lambda a: GraphSlice(space, a).weights),
+        "CoefficientMatrix": (np.array([[1 + 1j, 2.0, 3.0, 4j]]), lambda a: decompose(
+            LinkStreamMatrix(space, 0, np.zeros((1, 4))), basis).with_values(a).values),
+        "JointFilter": (np.array([1.0, 0.5, 0.0, 1.0]),
+                        lambda a: JointFilter(FrequencyFilter(np.ones(1)), a).struct),
+        "FrequencyFilter": (np.array([1.0, 0.5j, -0.5j]), lambda a: FrequencyFilter(a).response),
+        "CirculantOperator": (np.array([1.0, -1.0, 0.0]), lambda a: CirculantOperator(a).kernel),
+        "PartitionTree": (np.array([2, 0, 3, 1]), lambda a: PartitionTree(a).leaf_order),
+        "VertexSplit": (np.array([1, 0]), lambda a: VertexSplit(a).order),
+        "GraphCoefficients": (np.array([1.0, 2.0, 3.0, 4.0]),
+                              lambda a: GraphCoefficients(basis, a).values),
+        "StructuralClass": (np.array([3]),
+                            lambda a: synth.StructuralClass(space, tree, 2, a).profile),
+    }
+
+
+@pytest.mark.parametrize("name", list(_container_inputs()))
+def test_container_owns_read_only_c_ordered_copy(name):
+    values, build = _container_inputs()[name]
+    buf = np.zeros(values.shape + (2,), dtype=values.dtype)
+    buf[..., 0] = values
+    given = buf[..., 0]  # strided view of the caller's buffer, same dtype
+    stored = build(given)
+    assert not stored.flags.writeable
+    assert stored.flags.c_contiguous
+    assert not np.shares_memory(stored, given)
+    before = stored.copy()
+    given += 1
+    assert np.array_equal(stored, before)
+
+
+def test_accessors_return_read_only_views(fig_basis, osc_stream):
+    g = osc_stream.slice_at(0)
+    for view in (g.adjacency(), osc_stream.edge_series(0), embed_coarse(g, fig_basis)):
+        assert not view.flags.writeable
