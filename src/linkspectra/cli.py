@@ -52,7 +52,7 @@ def _load_stream(args, window):
     return result.stream, result.vertex_names
 
 
-def _prepare(args, stream):
+def _prepare(args, stream, names):
     """Resolve the basis; BFS mode restricts the stream to the active space.
 
     Triplet input already arrives over the relations that carry a nonzero
@@ -72,7 +72,7 @@ def _prepare(args, stream):
         stream = restrict_stream(stream, space)
         tree = partition_bfs(space, stream.aggregate_graph(), seed=args.seed)
     else:
-        tree = lio.read_tree_json(args.basis, stream.space)
+        tree = lio.read_tree_json(args.basis, stream.space, names)
     return stream, GraphBasis(tree, args.level)
 
 
@@ -286,7 +286,7 @@ def run_command(args) -> int:
     if args.reads_stream:
         stream, names = _load_stream(args, window)
     if args.needs_basis:
-        stream, basis = _prepare(args, stream)
+        stream, basis = _prepare(args, stream, names)
     status = args.run(args, out, stream, names, basis) or 0
     _write_config(out, args, window)
     return status

@@ -14,12 +14,11 @@ exact until the final multiply. Cost is O(M) per graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .partition import PartitionTree
-from .stream import GraphSlice, _frozen, _readonly
+from .stream import GraphSlice, _frozen
 
 __all__ = [
     "GraphBasis",
@@ -59,33 +58,18 @@ class GraphBasis:
         return self.num_relations >> self.level
 
     def wavelet_slice(self, level: int) -> slice:
-        """Columns holding the level-``level`` wavelet coefficients."""
+        """Columns holding the level-``level`` wavelet coefficients, [M/2^l, M/2^(l-1))."""
         if not (1 <= level <= self.level):
             raise ValueError(f"wavelet level {level} out of range 1..{self.level}")
-        start = self.num_scaling
-        for l in range(self.level, level, -1):
-            start += self.num_relations >> l
-        return slice(start, start + (self.num_relations >> level))
+        return slice(self.num_relations >> level, self.num_relations >> (level - 1))
 
-    @cached_property
-    def column_kinds(self) -> np.ndarray:
-        return _readonly(np.array(["s"] * self.num_scaling
-                                  + sum((["w"] * (self.num_relations >> l)
-                                         for l in range(self.level, 0, -1)), [])))
-
-    @cached_property
-    def column_levels(self) -> np.ndarray:
-        return _readonly(np.concatenate(
-            [np.full(self.num_scaling, self.level, dtype=np.int64)]
-            + [np.full(self.num_relations >> l, l, dtype=np.int64)
-               for l in range(self.level, 0, -1)]))
-
-    @cached_property
-    def column_indices(self) -> np.ndarray:
-        return _readonly(np.concatenate(
-            [np.arange(self.num_scaling, dtype=np.int64)]
-            + [np.arange(self.num_relations >> l, dtype=np.int64)
-               for l in range(self.level, 0, -1)]))
+    def columns(self):
+        """The coefficient layout as one ``(kind, level, index)`` per column."""
+        for i in range(self.num_scaling):
+            yield "s", self.level, i
+        for l in range(self.level, 0, -1):
+            for i in range(self.num_relations >> l):
+                yield "w", l, i
 
     def analyze_values(self, values: np.ndarray) -> np.ndarray:
         """Filter-bank transform of weight vectors laid along the last axis."""
@@ -108,14 +92,10 @@ class GraphBasis:
         coeffs = np.asarray(coeffs)
         if coeffs.shape[-1] != self.num_relations:
             raise ValueError("last axis must have length M")
-        m = self.num_relations
         s = coeffs[..., : self.num_scaling] * 2.0 ** (self.level / 2.0)
-        pos = self.num_scaling
         for l in range(self.level, 0, -1):
-            count = m >> l
-            w = coeffs[..., pos : pos + count] * 2.0 ** (l / 2.0)
-            pos += count
-            nxt = np.empty(s.shape[:-1] + (2 * count,), dtype=np.result_type(s, w))
+            w = coeffs[..., self.wavelet_slice(l)] * 2.0 ** (l / 2.0)
+            nxt = np.empty(s.shape[:-1] + (2 * w.shape[-1],), dtype=np.result_type(s, w))
             nxt[..., 0::2] = (s + w) * 0.5
             nxt[..., 1::2] = (s - w) * 0.5
             s = nxt

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphbasis import GraphBasis, GraphCoefficients
-from .partition import PartitionTree, tree_from_nested
+from .partition import PartitionTree
 from .stream import LinkStreamMatrix, RelationSpace, full_space, next_power_of_two
 from .timebasis import (
     FrequencyFilter,
@@ -266,13 +266,13 @@ def read_raw(path) -> IngestResult:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             raise IngestError(f"{path}: malformed raw header") from None
         data = fh.read()
-    expected = t * m * 8
-    if len(data) != expected:
-        raise IngestError(f"{path}: payload has {len(data)} bytes, expected {expected}")
     if len(labels) != m:
         raise IngestError(f"{path}: header has M = {m} but {len(labels)} labels")
     if t < 1:
         raise IngestError(f"{path}: header has T = {t}, the time window is empty")
+    expected = t * m * 8
+    if len(data) != expected:
+        raise IngestError(f"{path}: payload has {len(data)} bytes, expected {expected}")
     vals = np.frombuffer(data, dtype="<f8").reshape(t, m)
     if not np.all(np.isfinite(vals)):
         raise IngestError(f"{path}: payload holds non-finite values")
@@ -285,6 +285,8 @@ def read_stream(path, fmt: str, window=None, pad_vertices: bool = False,
     if fmt in ("csv", "ndjson"):
         return ingest_triplets(path, fmt, window=window, pad_vertices=pad_vertices,
                                active_only=active_only)
+    if fmt in ("dense", "raw") and window is not None:
+        raise IngestError(f"{path}: a time window applies to csv and ndjson input only")
     if fmt == "dense":
         return read_dense_csv(path)
     if fmt == "raw":
@@ -296,25 +298,30 @@ def read_stream(path, fmt: str, window=None, pad_vertices: bool = False,
 # partition trees
 
 def write_tree_json(path, tree: PartitionTree, space: RelationSpace, names=None):
+    """The labels, the leaf permutation and, as a check on reading, the
+    nested [left, right] label arrays: the balanced halving of the leaves."""
     labels = space.labels(names)
+    leaves = [labels[k] for k in tree.position_to_relation.tolist()]
 
-    def labelled(node):
-        if isinstance(node, list):
-            return [labelled(node[0]), labelled(node[1])]
-        return labels[node]
+    def nested(lo: int, hi: int):
+        if hi - lo == 1:
+            return leaves[lo]
+        mid = (lo + hi) // 2
+        return [nested(lo, mid), nested(mid, hi)]
 
     doc = {
         "num_relations": tree.num_relations,
         "labels": labels,
-        "leaf_order": [int(x) for x in tree.leaf_order],
-        "nested": labelled(tree.to_nested()),
+        "leaf_order": tree.leaf_order.tolist(),
+        "nested": nested(0, tree.num_relations),
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
-def read_tree_json(path, space: RelationSpace = None) -> PartitionTree:
+def read_tree_json(path, space: RelationSpace = None, names=None) -> PartitionTree:
     """Load and validate a tree; cross-checks the nested arrays against the
-    leaf order and, when a space is given, against its size."""
+    leaf order and, when a space is given, the size and the labels against
+    ``space.labels(names)``."""
     try:
         doc = json.loads(Path(path).read_text())
         m = int(doc["num_relations"])
@@ -325,13 +332,17 @@ def read_tree_json(path, space: RelationSpace = None) -> PartitionTree:
     except (KeyError, TypeError, ValueError, OverflowError):
         raise IngestError(f"{path}: malformed tree document") from None
 
-    def unlabelled(node):
+    leaves = []  # (relation index, depth) of each leaf, left to right
+
+    def walk(node, depth: int):
         if isinstance(node, list):
             if len(node) != 2:
                 raise ValueError("nested nodes must have two children")
-            return [unlabelled(node[0]), unlabelled(node[1])]
+            walk(node[0], depth + 1)
+            walk(node[1], depth + 1)
+            return
         try:
-            return index[node]
+            leaves.append((index[node], depth))
         except (KeyError, TypeError):
             raise ValueError(f"unknown relation label {node!r} in tree") from None
 
@@ -340,9 +351,25 @@ def read_tree_json(path, space: RelationSpace = None) -> PartitionTree:
             raise ValueError(f"tree has {m} relations, space has {space.num_relations}")
         if len(labels) != m:
             raise ValueError("label list length does not match num_relations")
+        if space is not None:
+            for k, (lab, want) in enumerate(zip(labels, space.labels(names))):
+                if lab != want:
+                    raise ValueError(f"tree column {k} is labelled {lab!r},"
+                                     f" the stream's is {want!r}")
         tree = PartitionTree(leaf_order)
-        rebuilt = tree_from_nested(unlabelled(nested), m)
-        if not np.array_equal(rebuilt.leaf_order, tree.leaf_order):
+        walk(nested, 0)
+        # the shape is checked after the walk, so a bad node or label anywhere is
+        # reported first; the balanced halving puts every leaf at depth floor(log2 m)
+        bottom = m.bit_length() - 1
+        for _, depth in leaves:
+            if depth > bottom:
+                raise ValueError("leaf node must be a single relation")
+            if depth < bottom:
+                raise ValueError("internal node must have exactly two children")
+        order = [k for k, _ in leaves]
+        if len(set(order)) != m:
+            raise ValueError("nested tree does not cover all relations")
+        if not np.array_equal(order, tree.position_to_relation):
             raise ValueError("nested arrays disagree with the stored leaf order")
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from None
@@ -353,15 +380,11 @@ def read_tree_json(path, space: RelationSpace = None) -> PartitionTree:
 # coefficients and filters
 
 def coefficient_labels(basis: GraphBasis) -> list:
-    return [f"{k}({l})[{i}]" for k, l, i in zip(basis.column_kinds,
-                                                basis.column_levels,
-                                                basis.column_indices)]
+    return [f"{k}({l})[{i}]" for k, l, i in basis.columns()]
 
 
 def write_coefficients_csv(path, coeffs: GraphCoefficients):
-    basis = coeffs.basis
-    keys = (f"{k},{l},{i}" for k, l, i in zip(basis.column_kinds, basis.column_levels,
-                                              basis.column_indices))
+    keys = (f"{k},{l},{i}" for k, l, i in coeffs.basis.columns())
     write_grid_csv(path, coeffs.values[:, None], "kind,level,index", keys, ["value"])
 
 

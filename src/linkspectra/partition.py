@@ -58,41 +58,6 @@ class PartitionTree:
         inv = self.position_to_relation
         return [np.sort(inv[i * width : (i + 1) * width]) for i in range(self.num_relations // width)]
 
-    def to_nested(self):
-        """Nested [left, right] lists down to relation-index leaves."""
-
-        def build(lo: int, hi: int):
-            if hi - lo == 1:
-                return int(self.position_to_relation[lo])
-            mid = (lo + hi) // 2
-            return [build(lo, mid), build(mid, hi)]
-
-        return build(0, self.num_relations)
-
-
-def tree_from_nested(nested, num_relations: int) -> PartitionTree:
-    """Rebuild a tree from nested [left, right] arrays, validating the shape."""
-    order = np.full(num_relations, -1, dtype=np.int64)
-    pos = 0
-
-    def walk(node, size):
-        nonlocal pos
-        if size == 1:
-            if isinstance(node, list):
-                raise ValueError("leaf node must be a single relation")
-            order[int(node)] = pos
-            pos += 1
-            return
-        if not (isinstance(node, list) and len(node) == 2):
-            raise ValueError("internal node must have exactly two children")
-        walk(node[0], size // 2)
-        walk(node[1], size // 2)
-
-    walk(nested, num_relations)
-    if np.any(order < 0):
-        raise ValueError("nested tree does not cover all relations")
-    return PartitionTree(order)
-
 
 def morton_index(x: int, y: int, num_vertices: int) -> int:
     """Leaf position of the relabelled relation (x, y), 1-based Z-order.

@@ -163,9 +163,8 @@ class KeepRule:
         if self.mode == "top":
             if self.top > t * m:
                 raise ValueError("top-k selection larger than the coefficient grid")
-            mag = coeffs.magnitude
-            u, k = np.unravel_index(np.arange(t * m), (t, m))
-            order = np.lexsort((k, u, -mag.ravel()))
+            # flat order is (u, k) order, so the stable sort breaks ties as documented
+            order = np.argsort(-coeffs.magnitude.ravel(), kind="stable")
             mask = np.zeros(t * m, dtype=bool)
             mask[order[: self.top]] = True
             mask = mask.reshape(t, m)

@@ -7,11 +7,14 @@ from linkspectra import (
     FrequencyFilter,
     JointFilter,
     KeepRule,
+    LinkStreamMatrix,
+    PartitionTree,
     apply_joint_filter,
     backbone,
     decompose,
     default_basis,
     freq_relational,
+    full_space,
     regularity,
     relaxed_time_regularity,
     synth,
@@ -392,3 +395,32 @@ def test_asymmetric_frequency_filter_raises_imaginary_residue(tmp_path, capsys):
     assert code == 1 and out == ""
     (line,) = err.strip().splitlines()
     assert "imaginary residue" in json.loads(line)["error"]["message"]
+
+
+def _one_error(err) -> str:
+    (line,) = err.strip().splitlines()
+    return json.loads(line)["error"]["message"]
+
+
+def test_tree_with_other_labels_is_refused(tmp_path, capsys):
+    space = full_space(2)
+    lio.write_tree_json(tmp_path / "tree.json", PartitionTree(np.arange(4)), space, ["a", "b"])
+    stream = LinkStreamMatrix(space, 0, np.arange(8.0).reshape(2, 4))
+    lio.write_raw(tmp_path / "stream.raw", stream, ["b", "a"])
+    code, out, err = run(capsys, "decompose", "--input", str(tmp_path / "stream.raw"),
+                         "--format", "raw", "--basis", str(tmp_path / "tree.json"),
+                         "--level", "1", "--out", str(tmp_path / "dec"))
+    assert code == 1 and out == ""
+    assert _one_error(err) == (f"{tmp_path / 'tree.json'}: tree column 0 is labelled"
+                               " 'a->a', the stream's is 'b->b'")
+
+
+@pytest.mark.parametrize("fmt", ["raw", "dense"])
+def test_window_refused_on_raw_and_dense_input(tmp_path, capsys, fmt):
+    path = tmp_path / f"stream.{fmt}"
+    (lio.write_raw if fmt == "raw" else lio.write_dense_csv)(path, synth.gen_oscillating(4))
+    code, out, err = run(capsys, "ingest", "--input", str(path), "--format", fmt,
+                         "--window", "1:2", "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert _one_error(err) == f"{path}: a time window applies to csv and ndjson input only"
+    assert not (tmp_path / "out" / "config.json").exists()

@@ -304,12 +304,29 @@ def test_padded_space_round_trip_and_filters(rng):
 
 
 def test_coefficient_layout_metadata(fig_basis):
-    assert list(fig_basis.column_kinds[:2]) == ["s", "s"]
-    assert fig_basis.column_levels[0] == 3
+    assert list(fig_basis.columns())[:3] == [("s", 3, 0), ("s", 3, 1), ("w", 3, 0)]
     assert fig_basis.wavelet_slice(3) == slice(2, 4)
     assert fig_basis.wavelet_slice(1) == slice(8, 16)
     with pytest.raises(ValueError):
         fig_basis.wavelet_slice(4)
+
+
+@pytest.mark.parametrize("m", [2 ** e for e in range(1, 9)])
+def test_column_table_and_wavelet_slices_match_dense_basis(m, rng):
+    tree = random_tree(m, rng)
+    sets = [tree.sets(l) for l in range(tree.num_levels + 1)]
+    for level in range(1, tree.num_levels + 1):
+        basis = GraphBasis(tree, level)
+        phi = basis.materialize()
+        table = list(basis.columns())
+        assert len(table) == m
+        for row, (kind, lvl, index) in enumerate(table):
+            assert kind == ("s" if row < basis.num_scaling else "w")
+            assert lvl == level if kind == "s" else 1 <= lvl <= level
+            assert np.array_equal(np.flatnonzero(phi[row]), sets[lvl][index])
+        for l in range(1, level + 1):
+            rows = [r for r, (kind, lvl, _) in enumerate(table) if kind == "w" and lvl == l]
+            assert rows == list(range(m))[basis.wavelet_slice(l)]
 
 
 def test_coefficients_accessors(fig_basis, osc_space, rng):

@@ -244,6 +244,13 @@ def _tree_doc(**changes):
     (_read_struct, "kind,level,index,value\ns,3,0,1\nw,3,one,0.5\n", "line 3"),
     (_read_struct, "s,3,0,half\n", "line 1"),
     (_read_freq, "freq_index,re,im\n0,1,x\n", "line 2"),
+    (lio.read_tree_json, _tree_doc(nested=[["x", "y"], "y"]),
+     "leaf node must be a single relation"),
+    (lio.read_tree_json, _tree_doc(nested="x"), "internal node must have exactly two children"),
+    (lambda p: lio.read_tree_json(p, RelationSpace(2, ((0, 1), (1, 0)))), _tree_doc(),
+     "tree column 0 is labelled 'x', the stream's is '0->1'"),
+    (lio.read_raw, _RAW_1X2.replace('"T": 1', '"T": -1'),
+     "header has T = -1, the time window is empty"),
     (_read_freq, "1.5,1,0\n", "line 1"),
     (lio.read_tree_json, "not json\n", "malformed tree document"),
     (lambda p: lio.ingest_triplets(p, "csv"), "0,a\n", "line 1: expected 't,u,v[,w]', got '0,a'"),
@@ -300,6 +307,7 @@ def _tree_doc(**changes):
     (lio.read_raw, _RAW_1X2.replace('"T": 1', '"T": Infinity'), "malformed raw header"),
     (lio.read_tree_json, _tree_doc(num_relations=float("inf")), "malformed tree document"),
 ], ids=["dense-value", "dense-time", "struct-index", "struct-value", "freq-value",
+        "tree-leaf-shape", "tree-internal-shape", "tree-stream-labels", "raw-negative-window",
         "freq-index", "tree-json", "csv-fields", "csv-weight", "ndjson-record",
         "empty-window", "dense-fields", "dense-gap", "dense-space", "raw-labels", "struct-fields", "struct-scaling-range",
         "struct-wavelet-range", "struct-wavelet-level", "struct-kind", "freq-fields",
@@ -382,6 +390,21 @@ def test_tree_json_round_trip(tmp_path, rng):
     lio.write_tree_json(path, tree, space)
     back = lio.read_tree_json(path, space)
     assert np.array_equal(back.leaf_order, tree.leaf_order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda e: st.permutations(range(2 ** e))))
+def test_tree_json_round_trip_any_size(tmp_path_factory, perm):
+    names = [f"v{i}" for i in range(8)]
+    space = RelationSpace(8, tuple((u, v) for u in range(8) for v in range(8))[: len(perm)])
+    tree = PartitionTree(perm)
+    path = tmp_path_factory.mktemp("tree") / "tree.json"
+    lio.write_tree_json(path, tree, space, names)
+    back = lio.read_tree_json(path, space, names)
+    assert np.array_equal(back.leaf_order, perm)
+    text = path.read_text()
+    lio.write_tree_json(path, back, space, names)
+    assert path.read_text() == text
 
 
 def test_tree_json_validates(tmp_path):

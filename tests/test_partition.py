@@ -15,7 +15,6 @@ from linkspectra.partition import (
     PartitionTree,
     VertexSplit,
     svd_vertex_split,
-    tree_from_nested,
     tree_from_vertex_order,
 )
 from linkspectra import synth
@@ -112,8 +111,6 @@ def test_leaf_order_round_trip_identity():
 def test_leaf_order_round_trip(perm):
     tree = PartitionTree(perm)
     assert np.array_equal(tree.leaf_order, perm)
-    rebuilt = tree_from_nested(tree.to_nested(), 16)
-    assert np.array_equal(rebuilt.leaf_order, tree.leaf_order)
 
 
 def test_morton_order_n2_table():
