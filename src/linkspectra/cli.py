@@ -45,14 +45,14 @@ def _emit_error(kind: str, message: str):
 def _load_stream(args, window):
     basis = args.basis if args.needs_basis else None
     result = lio.read_stream(args.input, args.format, window=window,
-                             pad_vertices=basis == "svd", active_only=basis == "bfs")
+                             pad_vertices=basis not in (None, "bfs"), active_only=basis == "bfs")
     if result.dropped:
         sys.stderr.write(json.dumps({"warning": "triplets outside the window were dropped",
                                      "dropped": result.dropped}) + "\n")
-    return result.stream, result.vertex_names
+    return result.stream
 
 
-def _prepare(args, stream, names):
+def _prepare(args, stream):
     """Resolve the basis; BFS mode restricts the stream to the active space.
 
     Triplet input already arrives over the relations that carry a nonzero
@@ -72,13 +72,13 @@ def _prepare(args, stream, names):
         stream = restrict_stream(stream, space)
         tree = partition_bfs(space, stream.aggregate_graph(), seed=args.seed)
     else:
-        tree = lio.read_tree_json(args.basis, stream.space, names)
+        tree = lio.read_tree_json(args.basis, stream.space)
     return stream, GraphBasis(tree, args.level)
 
 
-def _write_stream_outputs(outdir: Path, stream, names, stem: str = "stream"):
-    lio.write_raw(outdir / f"{stem}.raw", stream, names)
-    lio.write_dense_csv(outdir / f"{stem}.csv", stream, names)
+def _write_stream_outputs(outdir: Path, stream, stem: str = "stream"):
+    lio.write_raw(outdir / f"{stem}.raw", stream)
+    lio.write_dense_csv(outdir / f"{stem}.csv", stream)
 
 
 def _parse_keep(text: str) -> KeepRule:
@@ -99,49 +99,49 @@ def _parse_keep(text: str) -> KeepRule:
 # ---------------------------------------------------------------------------
 # commands: each writes its outputs into ``out`` and may return an exit status
 
-def _ingest(args, out, stream, names, basis):
-    _write_stream_outputs(out, stream, names)
+def _ingest(args, out, stream, basis):
+    _write_stream_outputs(out, stream)
 
 
-def _basis(args, out, stream, names, basis):
-    lio.write_tree_json(out / "tree.json", basis.tree, stream.space, names)
+def _basis(args, out, stream, basis):
+    lio.write_tree_json(out / "tree.json", basis.tree, stream.space)
 
 
-def _decompose(args, out, stream, names, basis):
+def _decompose(args, out, stream, basis):
     x = time_structure(stream, basis)
     fourier = FourierBasis(stream.num_times)
     coeffs = CoefficientMatrix(fourier.forward(x), basis, stream.space, stream.t0)
-    lio.write_plot_bundle(out, stream, x, fourier.forward(stream.values), coeffs, names)
+    lio.write_plot_bundle(out, stream, x, fourier.forward(stream.values), coeffs)
 
 
-def _filter(args, out, stream, names, basis):
+def _filter(args, out, stream, basis):
     jf = JointFilter(lio.frequency_filter(args.freq, stream.num_times),
                      lio.structural_response(args.struct, basis))
-    _write_stream_outputs(out, apply_joint_filter(stream, jf, basis), names, stem="filtered")
+    _write_stream_outputs(out, apply_joint_filter(stream, jf, basis), stem="filtered")
 
 
-def _backbone(args, out, stream, names, basis):
+def _backbone(args, out, stream, basis):
     kept_stream, mask = backbone(stream, basis, _parse_keep(args.keep))
-    _write_stream_outputs(out, kept_stream, names, stem="backbone")
+    _write_stream_outputs(out, kept_stream, stem="backbone")
     lio.write_grid_csv(out / "kept_mask.csv", mask.astype(float), "freq",
                        range(mask.shape[0]), lio.coefficient_labels(basis))
 
 
-def _aggregate(args, out, stream, names, basis):
-    _write_stream_outputs(out, aggregate(stream, args.agg_window), names, stem="aggregated")
+def _aggregate(args, out, stream, basis):
+    _write_stream_outputs(out, aggregate(stream, args.agg_window), stem="aggregated")
     chi = aggregation_filter(args.agg_window, stream.num_times)
     lio.write_grid_csv(out / "aggregation_response.csv",
                        chi.response.view(float).reshape(-1, 2), "freq_index",
                        range(chi.length), ["re", "im"])
 
 
-def _embed(args, out, stream, names, basis):
+def _embed(args, out, stream, basis):
     scaling, _ = structure_split(time_structure(stream, basis), basis)
     labels = lio.coefficient_labels(basis)[: basis.num_scaling]
     lio.write_grid_csv(out / "embedding.csv", scaling, "t", stream.times, labels)
 
 
-def _regularity(args, out, stream, names, basis):
+def _regularity(args, out, stream, basis):
     doc = regularity(stream, basis, boundary=args.boundary).as_dict()
     doc["relaxed_reg_t"] = relaxed_time_regularity(stream, basis, boundary=args.boundary)
     (out / "regularity.json").write_text(json.dumps(doc, indent=1) + "\n")
@@ -150,21 +150,21 @@ def _regularity(args, out, stream, names, basis):
 
 def _oscillating(args, out, *_):
     stream = synth.gen_oscillating(args.times)
-    _write_stream_outputs(out, stream, None)
+    _write_stream_outputs(out, stream)
     lio.write_tree_json(out / "tree.json", synth.fig_partition(), stream.space)
 
 
 def _sbm_pair(args, out, *_):
     g1, g2, tree = synth.gen_sbm_pair(args.blocks, args.per_block, args.p_in, args.p_out,
                                       args.seed)
-    _write_stream_outputs(out, stream_from_slices([g1, g2]), None, stem="pair")
+    _write_stream_outputs(out, stream_from_slices([g1, g2]), stem="pair")
     lio.write_tree_json(out / "tree.json", tree, g1.space)
 
 
 def _daynight(args, out, *_):
     stream = synth.gen_daynight(args.communities, args.per_comm, args.period, args.duty,
                                 args.p_active, args.times, args.seed)
-    _write_stream_outputs(out, stream, None)
+    _write_stream_outputs(out, stream)
 
 
 def _verify_lemmas(args, out, *_):
@@ -282,12 +282,12 @@ def run_command(args) -> int:
         raise ValueError("level must be >= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stream = names = basis = None
+    stream = basis = None
     if args.reads_stream:
-        stream, names = _load_stream(args, window)
+        stream = _load_stream(args, window)
     if args.needs_basis:
-        stream, basis = _prepare(args, stream, names)
-    status = args.run(args, out, stream, names, basis) or 0
+        stream, basis = _prepare(args, stream)
+    status = args.run(args, out, stream, basis) or 0
     _write_config(out, args, window)
     return status
 

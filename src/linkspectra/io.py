@@ -7,6 +7,7 @@ the same values and byte-identical reruns only depend on the seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -29,10 +30,13 @@ class IngestError(ValueError):
     pass
 
 
+# the largest T x M float64 grid that triplet ingest allocates (1 GiB)
+MAX_INGEST_CELLS = 1 << 27
+
+
 @dataclass(frozen=True)
 class IngestResult:
     stream: LinkStreamMatrix
-    vertex_names: tuple
     dropped: int = 0
 
 
@@ -100,7 +104,8 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
     before SVD partitioning). By default the columns are the full relation
     space; ``active_only`` keeps only the relations that carry a nonzero
     entry, in lexicographic order and padded to a power of two, so nothing of
-    size N^2 is allocated (BFS mode).
+    size N^2 is allocated (BFS mode). A grid of more than
+    ``MAX_INGEST_CELLS`` cells is refused before it is allocated.
     """
     text = Path(path).read_text()
     if not text.strip():
@@ -118,6 +123,7 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
             continue
         for name in (u, v):
             if name not in index:
+                _check_vertex_name(path, name, triplets=True)
                 index[name] = len(names)
                 names.append(name)
         times.append(t)
@@ -133,10 +139,12 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
     n = len(names)
     if pad_vertices:
         n = next_power_of_two(n)
+    names += [f"~v{i}" for i in range(len(names), n)]
     rows = np.array(times, dtype=np.int64) - t0
     cols = np.array(us, dtype=np.int64) * n + np.array(vs, dtype=np.int64)
     if active_only:
         cols, inverse = np.unique(cols, return_inverse=True)
+        _check_cells(path, count, next_power_of_two(len(cols)))
         sums = np.zeros((count, len(cols)))
         np.add.at(sums, (rows, inverse), ws)
         carried = sums.any(axis=0)
@@ -144,26 +152,53 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
         # padded here, not by active_space(), which refuses an empty set: a
         # window of zero weights still ingests, and BFS set-up reports it
         pads = next_power_of_two(len(rels)) - len(rels)
-        space = RelationSpace(n, tuple(rels) + (None,) * pads)
+        space = RelationSpace(n, tuple(rels) + (None,) * pads, names)
         vals = np.zeros((count, space.num_relations))
         vals[:, : len(rels)] = sums[:, carried]
     else:
-        space = full_space(n)
+        _check_cells(path, count, next_power_of_two(n * n))
+        space = full_space(n, names)
         vals = np.zeros((count, space.num_relations))
         np.add.at(vals, (rows, cols), ws)
-    names += [f"~v{i}" for i in range(len(names), n)]
-    return IngestResult(LinkStreamMatrix(space, t0, vals), tuple(names), dropped)
+    return IngestResult(LinkStreamMatrix(space, t0, vals), dropped)
+
+
+def _check_cells(path, num_times: int, num_relations: int):
+    cells = num_times * num_relations
+    if cells > MAX_INGEST_CELLS:
+        raise IngestError(f"{path}: a T = {num_times} by M = {num_relations} stream needs"
+                          f" {cells * 8} bytes, over the {MAX_INGEST_CELLS * 8}-byte"
+                          " ingest limit")
 
 
 # ---------------------------------------------------------------------------
-# dense CSV
+# relation labels and dense CSV
 
-def write_dense_csv(path, stream: LinkStreamMatrix, names=None):
-    write_grid_csv(path, stream.values, "t", stream.times, stream.space.labels(names))
+def _check_vertex_name(path, name: str, triplets: bool = False):
+    """Refuse a vertex name that ``u->v`` labels and UTF-8 CSV rows cannot carry.
+
+    In triplet input a leading ``~`` is refused too: it is reserved for the
+    ``~vK`` vertices that padding adds.
+    """
+    if ("->" in name or "," in name or "".join(name.splitlines()) != name
+            or any("\ud800" <= c <= "\udfff" for c in name)):
+        raise IngestError(f"{path}: vertex name {name!r} holds '->', ',', a line break"
+                          " or a lone surrogate")
+    if triplets and name.startswith("~"):
+        raise IngestError(f"{path}: vertex name {name!r} starts with '~',"
+                          " which is reserved for padding vertices")
 
 
-def _parse_labels(path, labels, vertices=None):
-    """Relation labels ``u->v`` (pads ``~padK``) to vertex names and their space.
+def relation_labels(space: RelationSpace) -> list:
+    """Column labels ``u->v`` by vertex name; inert pads are ``~padK``."""
+    names = space.vertices
+    pads = itertools.count()
+    return [f"~pad{next(pads)}" if rel is None else f"{names[rel[0]]}->{names[rel[1]]}"
+            for rel in space.relations]
+
+
+def _parse_labels(path, labels, vertices=None) -> RelationSpace:
+    """Relation labels ``u->v`` (pads ``~padK``) to their relation space.
 
     Vertex indices follow ``vertices`` when given (it keeps isolated
     vertices), otherwise the order in which names first appear. A repeated
@@ -175,9 +210,6 @@ def _parse_labels(path, labels, vertices=None):
         raise IngestError(f"{path}: bad relation label vertex {bad[0]!r}")
     names = list(names)
     index = {nm: i for i, nm in enumerate(names)}
-    if len(index) != len(names):
-        dup = next(nm for i, nm in enumerate(names) if index[nm] != i)
-        raise IngestError(f"{path}: duplicate vertex {dup!r}")
     rels = []
     seen = set()
     for lab in labels:
@@ -200,10 +232,16 @@ def _parse_labels(path, labels, vertices=None):
             raise IngestError(f"{path}: duplicate relation label {lab!r}")
         seen.add(lab)
         rels.append((index[u], index[v]))
+    for nm in names:
+        _check_vertex_name(path, nm)
     try:
-        return names, RelationSpace(len(names), tuple(rels))
+        return RelationSpace(len(names), tuple(rels), names)
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from None
+
+
+def write_dense_csv(path, stream: LinkStreamMatrix):
+    write_grid_csv(path, stream.values, "t", stream.times, relation_labels(stream.space))
 
 
 def read_dense_csv(path) -> IngestResult:
@@ -213,7 +251,7 @@ def read_dense_csv(path) -> IngestResult:
     header = lines[0].split(",")
     if header[0] != "t":
         raise IngestError(f"{path}: dense CSV must start with a 't' header column")
-    names, space = _parse_labels(path, header[1:])
+    space = _parse_labels(path, header[1:])
     times = []
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -232,22 +270,21 @@ def read_dense_csv(path) -> IngestResult:
     times = np.array(times)
     if not np.array_equal(times, np.arange(times[0], times[0] + len(times))):
         raise IngestError(f"{path}: dense CSV times must be contiguous")
-    return IngestResult(LinkStreamMatrix(space, int(times[0]), np.array(rows)), tuple(names))
+    return IngestResult(LinkStreamMatrix(space, int(times[0]), np.array(rows)))
 
 
 # ---------------------------------------------------------------------------
 # raw binary
 
-def write_raw(path, stream: LinkStreamMatrix, names=None):
-    """JSON header line with T, M, t0 and labels, then little-endian float64
-    values in row-major order."""
+def write_raw(path, stream: LinkStreamMatrix):
+    """JSON header line with T, M, t0, labels and vertex names, then
+    little-endian float64 values in row-major order."""
     header = {
         "T": stream.num_times,
         "M": stream.num_relations,
         "t0": stream.t0,
-        "labels": stream.space.labels(names),
-        "vertices": [str(x) for x in names] if names is not None
-        else [str(i) for i in range(stream.space.num_vertices)],
+        "labels": relation_labels(stream.space),
+        "vertices": list(stream.space.vertices),
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, separators=(",", ":")) + "\n").encode())
@@ -276,8 +313,8 @@ def read_raw(path) -> IngestResult:
     vals = np.frombuffer(data, dtype="<f8").reshape(t, m)
     if not np.all(np.isfinite(vals)):
         raise IngestError(f"{path}: payload holds non-finite values")
-    names, space = _parse_labels(path, labels, header.get("vertices"))
-    return IngestResult(LinkStreamMatrix(space, t0, vals), tuple(names))
+    space = _parse_labels(path, labels, header.get("vertices"))
+    return IngestResult(LinkStreamMatrix(space, t0, vals))
 
 
 def read_stream(path, fmt: str, window=None, pad_vertices: bool = False,
@@ -297,10 +334,10 @@ def read_stream(path, fmt: str, window=None, pad_vertices: bool = False,
 # ---------------------------------------------------------------------------
 # partition trees
 
-def write_tree_json(path, tree: PartitionTree, space: RelationSpace, names=None):
+def write_tree_json(path, tree: PartitionTree, space: RelationSpace):
     """The labels, the leaf permutation and, as a check on reading, the
     nested [left, right] label arrays: the balanced halving of the leaves."""
-    labels = space.labels(names)
+    labels = relation_labels(space)
     leaves = [labels[k] for k in tree.position_to_relation.tolist()]
 
     def nested(lo: int, hi: int):
@@ -318,10 +355,10 @@ def write_tree_json(path, tree: PartitionTree, space: RelationSpace, names=None)
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
-def read_tree_json(path, space: RelationSpace = None, names=None) -> PartitionTree:
+def read_tree_json(path, space: RelationSpace = None) -> PartitionTree:
     """Load and validate a tree; cross-checks the nested arrays against the
     leaf order and, when a space is given, the size and the labels against
-    ``space.labels(names)``."""
+    ``relation_labels(space)``."""
     try:
         doc = json.loads(Path(path).read_text())
         m = int(doc["num_relations"])
@@ -329,22 +366,8 @@ def read_tree_json(path, space: RelationSpace = None, names=None) -> PartitionTr
         index = {lab: k for k, lab in enumerate(labels)}
         leaf_order = np.array(doc["leaf_order"], dtype=np.int64)
         nested = doc["nested"]
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         raise IngestError(f"{path}: malformed tree document") from None
-
-    leaves = []  # (relation index, depth) of each leaf, left to right
-
-    def walk(node, depth: int):
-        if isinstance(node, list):
-            if len(node) != 2:
-                raise ValueError("nested nodes must have two children")
-            walk(node[0], depth + 1)
-            walk(node[1], depth + 1)
-            return
-        try:
-            leaves.append((index[node], depth))
-        except (KeyError, TypeError):
-            raise ValueError(f"unknown relation label {node!r} in tree") from None
 
     try:
         if space is not None and space.num_relations != m:
@@ -352,12 +375,26 @@ def read_tree_json(path, space: RelationSpace = None, names=None) -> PartitionTr
         if len(labels) != m:
             raise ValueError("label list length does not match num_relations")
         if space is not None:
-            for k, (lab, want) in enumerate(zip(labels, space.labels(names))):
+            for k, (lab, want) in enumerate(zip(labels, relation_labels(space))):
                 if lab != want:
                     raise ValueError(f"tree column {k} is labelled {lab!r},"
                                      f" the stream's is {want!r}")
         tree = PartitionTree(leaf_order)
-        walk(nested, 0)
+        # (relation index, depth) of each leaf, left to right; an explicit stack,
+        # so no nesting that json.loads accepts can exhaust the recursion limit
+        leaves = []
+        stack = [(nested, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if isinstance(node, list):
+                if len(node) != 2:
+                    raise ValueError("nested nodes must have two children")
+                stack += [(node[1], depth + 1), (node[0], depth + 1)]
+                continue
+            try:
+                leaves.append((index[node], depth))
+            except (KeyError, TypeError):
+                raise ValueError(f"unknown relation label {node!r} in tree") from None
         # the shape is checked after the walk, so a bad node or label anywhere is
         # reported first; the balanced halving puts every leaf at depth floor(log2 m)
         bottom = m.bit_length() - 1
@@ -502,11 +539,11 @@ def write_coefficient_matrix(outdir, coeffs):
                    ["re", "im"])
 
 
-def write_plot_bundle(outdir, stream, x, f, coeffs, names=None):
+def write_plot_bundle(outdir, stream, x, f, coeffs):
     """Grids for L, X, |F| and |C|: the decomposition's three panels."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    labels = stream.space.labels(names)
+    labels = relation_labels(stream.space)
     write_grid_csv(outdir / "L.csv", stream.values, "t", stream.times, labels)
     write_grid_csv(outdir / "X.csv", x, "t", stream.times, coefficient_labels(coeffs.basis))
     write_grid_csv(outdir / "F_abs.csv", np.abs(f), "freq", range(stream.num_times), labels)

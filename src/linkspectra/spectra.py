@@ -48,10 +48,6 @@ class CoefficientMatrix:
     def num_relations(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def fourier(self) -> FourierBasis:
-        return FourierBasis(self.num_times)
-
     @cached_property
     def magnitude(self) -> np.ndarray:
         return _readonly(np.abs(self.values))

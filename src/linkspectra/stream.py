@@ -10,7 +10,7 @@ relations that carry exact zeros everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,13 +43,24 @@ class RelationSpace:
     """Ordered space of directed relations (u, v); ``None`` entries are inert pads.
 
     Invariants: relation indices form a bijection onto 0..M-1, the number of
-    columns M is a power of two, and inert pads sit at the tail of the order.
+    columns M is a power of two, inert pads sit at the tail of the order, and
+    ``vertices`` holds one distinct string per vertex (default "0".."N-1").
     """
 
     num_vertices: int
     relations: tuple
+    vertices: tuple = None
 
     def __post_init__(self):
+        names = tuple(map(str, range(self.num_vertices) if self.vertices is None
+                          else self.vertices))
+        if len(names) != self.num_vertices:
+            raise ValueError(f"{len(names)} vertex names for {self.num_vertices} vertices")
+        index = {nm: i for i, nm in enumerate(names)}
+        if len(index) != len(names):
+            dup = next(nm for i, nm in enumerate(names) if index[nm] != i)
+            raise ValueError(f"duplicate vertex {dup!r}")
+        object.__setattr__(self, "vertices", names)
         if not is_power_of_two(len(self.relations)):
             raise ValueError(f"relation count {len(self.relations)} is not a power of two")
         seen = set()
@@ -95,23 +106,8 @@ class RelationSpace:
         expected = [(u, v) for u in range(n) for v in range(n)]
         return list(self.relations) == expected
 
-    def labels(self, names=None) -> list:
-        """Relation labels ``u->v`` (pads labelled ``~padK``)."""
-        out = []
-        pad = 0
-        for rel in self.relations:
-            if rel is None:
-                out.append(f"~pad{pad}")
-                pad += 1
-            else:
-                u, v = rel
-                su = names[u] if names is not None else str(u)
-                sv = names[v] if names is not None else str(v)
-                out.append(f"{su}->{sv}")
-        return out
 
-
-def full_space(num_vertices: int) -> RelationSpace:
+def full_space(num_vertices: int, vertices=None) -> RelationSpace:
     """All directed pairs over ``num_vertices`` vertices, lexicographic order.
 
     Pads with inert relations when num_vertices is not a power of two.
@@ -119,7 +115,7 @@ def full_space(num_vertices: int) -> RelationSpace:
     rels = [(u, v) for u in range(num_vertices) for v in range(num_vertices)]
     target = next_power_of_two(len(rels))
     rels.extend([None] * (target - len(rels)))
-    return RelationSpace(num_vertices, tuple(rels))
+    return RelationSpace(num_vertices, tuple(rels), vertices)
 
 
 def active_space(num_vertices: int, pairs) -> RelationSpace:
@@ -281,7 +277,7 @@ def stream_from_slices(slices, t0: int = 0) -> LinkStreamMatrix:
 def restrict_stream(stream: LinkStreamMatrix, space: RelationSpace) -> LinkStreamMatrix:
     """Project a stream onto a restricted relation space (BFS mode).
 
-    Every relation with activity must be present in the target space.
+    Every active relation must be in the target space; vertex names are kept.
     """
     src = [stream.space.index_of(*rel) for rel in space.relations if rel is not None]
     vals = np.zeros((stream.num_times, space.num_relations))
@@ -293,4 +289,4 @@ def restrict_stream(stream: LinkStreamMatrix, space: RelationSpace) -> LinkStrea
     if outside.size:
         rel = stream.space.relations[outside[0]]
         raise ValueError(f"active relation {rel} is outside the restricted space")
-    return LinkStreamMatrix(space, stream.t0, vals)
+    return LinkStreamMatrix(replace(space, vertices=stream.space.vertices), stream.t0, vals)

@@ -218,7 +218,7 @@ def test_bfs_commands_from_csv_equal_restricted_raw(tmp_path, capsys):
     agg = full.stream.aggregate_graph()
     space = active_space(8, [full.stream.space.relations[k] for k in sorted(agg.edge_set)])
     raw = tmp_path / "ring.raw"
-    lio.write_raw(raw, restrict_stream(full.stream, space), full.vertex_names)
+    lio.write_raw(raw, restrict_stream(full.stream, space))
     for command, extra in (("regularity", []), ("decompose", []),
                            ("backbone", ["--keep", "box:0:1,0:3"])):
         outputs = []
@@ -403,10 +403,9 @@ def _one_error(err) -> str:
 
 
 def test_tree_with_other_labels_is_refused(tmp_path, capsys):
-    space = full_space(2)
-    lio.write_tree_json(tmp_path / "tree.json", PartitionTree(np.arange(4)), space, ["a", "b"])
-    stream = LinkStreamMatrix(space, 0, np.arange(8.0).reshape(2, 4))
-    lio.write_raw(tmp_path / "stream.raw", stream, ["b", "a"])
+    lio.write_tree_json(tmp_path / "tree.json", PartitionTree(np.arange(4)), full_space(2, ["a", "b"]))
+    stream = LinkStreamMatrix(full_space(2, ["b", "a"]), 0, np.arange(8.0).reshape(2, 4))
+    lio.write_raw(tmp_path / "stream.raw", stream)
     code, out, err = run(capsys, "decompose", "--input", str(tmp_path / "stream.raw"),
                          "--format", "raw", "--basis", str(tmp_path / "tree.json"),
                          "--level", "1", "--out", str(tmp_path / "dec"))
@@ -424,3 +423,21 @@ def test_window_refused_on_raw_and_dense_input(tmp_path, capsys, fmt):
     assert code == 1 and out == ""
     assert _one_error(err) == f"{path}: a time window applies to csv and ndjson input only"
     assert not (tmp_path / "out" / "config.json").exists()
+
+
+def test_svd_tree_reused_on_padded_triplet_input(tmp_path, capsys):
+    src = tmp_path / "three.csv"
+    src.write_text("0,a,b\n1,b,c\n2,c,a,2.5\n3,a,a\n")   # 3 vertices, padded to 4 for SVD
+    code, _, err = run(capsys, "basis", "--input", str(src), "--out", str(tmp_path / "basis"))
+    assert code == 0, err
+    assert "a->~v3" in json.loads((tmp_path / "basis" / "tree.json").read_text())["labels"]
+    outputs = []
+    for basis in ("svd", str(tmp_path / "basis" / "tree.json")):
+        outdir = tmp_path / f"dec{len(outputs)}"
+        code, _, err = run(capsys, "decompose", "--input", str(src), "--basis", basis,
+                           "--level", "1", "--out", str(outdir))
+        assert code == 0, err
+        outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()
+                        if p.name != "config.json"})
+    assert sorted(outputs[0]) == ["C_abs.csv", "C_rect.csv", "F_abs.csv", "L.csv", "X.csv"]
+    assert outputs[0] == outputs[1]

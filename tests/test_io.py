@@ -37,7 +37,7 @@ def test_ingest_csv(tmp_path):
     path.write_text(TRIPLETS)
     result = lio.ingest_triplets(path, "csv")
     stream = result.stream
-    assert result.vertex_names == ("alice", "bob", "carol")
+    assert stream.space.vertices == ("alice", "bob", "carol")
     assert stream.t0 == 0 and stream.num_times == 3
     assert stream.space.num_vertices == 3
     assert stream.values[0, stream.space.index_of(0, 1)] == 1.0
@@ -76,7 +76,7 @@ def test_ingest_csv_and_ndjson_agree(tmp_path):
     a = lio.ingest_triplets(csv_path, "csv")
     b = lio.ingest_triplets(nd_path, "ndjson")
     assert np.array_equal(a.stream.values, b.stream.values)
-    assert a.vertex_names == b.vertex_names
+    assert a.stream.space.vertices == b.stream.space.vertices
 
 
 def test_ingest_malformed_line_number(tmp_path):
@@ -101,7 +101,106 @@ def test_ingest_pad_vertices(tmp_path):
     path.write_text("0,a,b\n0,b,c\n")
     result = lio.ingest_triplets(path, "csv", pad_vertices=True)
     assert result.stream.space.num_vertices == 4
-    assert result.vertex_names == ("a", "b", "c", "~v3")
+    assert result.stream.space.vertices == ("a", "b", "c", "~v3")
+
+
+_BAD_NAME = "holds '->', ',', a line break or a lone surrogate"
+_PAD_NAME = "starts with '~', which is reserved for padding vertices"
+
+
+@pytest.mark.parametrize("fmt, name, message", [
+    ("csv", "a->b", _BAD_NAME),
+    ("ndjson", "a->b", _BAD_NAME),
+    ("ndjson", "a,b", _BAD_NAME),
+    ("ndjson", "a\nb", _BAD_NAME),
+    ("ndjson", "a\u2028b", _BAD_NAME),
+    ("ndjson", "a\ud800", _BAD_NAME),
+    ("csv", "~pad0", _PAD_NAME),
+    ("ndjson", "~pad0", _PAD_NAME),
+    ("csv", "~v3", _PAD_NAME),
+], ids=["csv-arrow", "ndjson-arrow", "ndjson-comma", "ndjson-newline", "ndjson-separator",
+        "ndjson-surrogate", "csv-pad", "ndjson-pad", "csv-pad-vertex"])
+def test_vertex_names_the_labels_cannot_carry_are_refused(tmp_path, capsys, fmt, name, message):
+    path = tmp_path / f"in.{fmt}"
+    write_triplets(path, [(0, "a", "c", None), (1, "c", name, None)], fmt)
+    with pytest.raises(IngestError, match=re.escape(f"{path}: vertex name {name!r} {message}")):
+        lio.ingest_triplets(path, fmt)
+    code = main(["ingest", "--input", str(path), "--format", fmt,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err == {"type": "IngestError", "message": f"{path}: vertex name {name!r} {message}"}
+
+
+# names that the label format can carry: no '->', ',', line break or lone
+# surrogate, no leading '~'; CSV fields are stripped, so no surrounding white
+# space either
+SAFE_NAMES = st.text(max_size=4).filter(
+    lambda s: "->" not in s and "," not in s and "".join(s.splitlines()) == s
+    and not any("\ud800" <= c <= "\udfff" for c in s)
+    and not s.startswith("~") and s == s.strip())
+
+
+@settings(max_examples=60, deadline=None)
+@given(names=st.lists(SAFE_NAMES, min_size=1, max_size=5, unique=True),
+       records=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4),
+                                  st.integers(-3, 3)), min_size=1, max_size=20),
+       fmt=st.sampled_from(["csv", "ndjson"]), pad=st.booleans())
+def test_vertex_names_round_trip_triplets_raw_dense(tmp_path_factory, names, records, fmt, pad):
+    d = tmp_path_factory.mktemp("names")
+    lines = [(t, names[u % len(names)], names[v % len(names)], float(w))
+             for t, u, v, w in records]
+    write_triplets(d / f"in.{fmt}", lines, fmt)
+    stream = lio.ingest_triplets(d / f"in.{fmt}", fmt, pad_vertices=pad).stream
+    lio.write_raw(d / "s.raw", stream)
+    raw = lio.read_raw(d / "s.raw").stream
+    lio.write_dense_csv(d / "s.csv", raw)
+    dense = lio.read_dense_csv(d / "s.csv").stream
+    first_seen = list(dict.fromkeys(nm for _, u, v, _ in lines for nm in (u, v)))
+    assert stream.space.vertices[: len(first_seen)] == tuple(first_seen)
+    assert raw.space == dense.space == stream.space
+    assert lio.relation_labels(dense.space) == lio.relation_labels(stream.space)
+    assert np.array_equal(raw.values, stream.values)
+    assert np.array_equal(dense.values, stream.values)
+
+
+def test_ingest_refuses_a_grid_over_the_cell_limit(tmp_path, monkeypatch):
+    path = tmp_path / "in.csv"
+    path.write_text("0,a,b\n3,b,c\n")     # T = 4, M = 16 (3 vertices, padded)
+    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 64)
+    assert lio.ingest_triplets(path, "csv").stream.values.shape == (4, 16)
+    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 63)
+    with pytest.raises(IngestError, match=re.escape(
+            f"{path}: a T = 4 by M = 16 stream needs 512 bytes, over the 504-byte"
+            " ingest limit")):
+        lio.ingest_triplets(path, "csv")
+
+
+def test_active_ingest_refuses_a_grid_over_the_cell_limit(tmp_path, monkeypatch):
+    path = tmp_path / "in.ndjson"
+    write_triplets(path, [(0, "a", "b", None), (1, "b", "c", None), (5, "c", "a", None)],
+                   "ndjson")                # T = 6, three active relations padded to M = 4
+    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 24)
+    assert lio.ingest_triplets(path, "ndjson", active_only=True).stream.values.shape == (6, 4)
+    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 23)
+    with pytest.raises(IngestError, match=re.escape(
+            f"{path}: a T = 6 by M = 4 stream needs 192 bytes, over the 184-byte"
+            " ingest limit")):
+        lio.ingest_triplets(path, "ndjson", active_only=True)
+
+
+@pytest.mark.parametrize("basis", ["svd", "bfs"])
+def test_huge_window_is_refused_before_allocation(tmp_path, capsys, basis):
+    path = tmp_path / "in.csv"
+    path.write_text("0,a,b\n1,b,a\n")
+    code = main(["regularity", "--input", str(path), "--window", "0:1000000000",
+                 "--basis", basis, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    m = 4 if basis == "svd" else 2
+    assert err == {"type": "IngestError", "message": (
+        f"{path}: a T = 1000000000 by M = {m} stream needs {8 * m * 10 ** 9} bytes,"
+        f" over the {8 * lio.MAX_INGEST_CELLS}-byte ingest limit")}
 
 
 def write_triplets(path, records, fmt):
@@ -147,14 +246,14 @@ def test_active_ingest_equals_restricted_full_ingest(tmp_path_factory, records, 
             lio.ingest_triplets(path, fmt, window=window, active_only=True)
         return
     active = lio.ingest_triplets(path, fmt, window=window, active_only=True)
-    assert active.vertex_names == full.vertex_names
+    assert active.stream.space.vertices == full.stream.space.vertices
     assert active.dropped == full.dropped
     pairs = aggregate_pairs(full.stream)
     if not pairs:   # every weight in the window is zero
         assert active.stream.space.num_active == 0
         assert not active.stream.values.any()
         return
-    expected = restrict_stream(full.stream, active_space(len(full.vertex_names), pairs))
+    expected = restrict_stream(full.stream, active_space(full.stream.space.num_vertices, pairs))
     assert active.stream.space == expected.space
     assert active.stream.t0 == expected.t0
     assert np.array_equal(active.stream.values, expected.values)
@@ -231,6 +330,7 @@ def _raw_with_payload(values):
 
 
 _RAW_1X2 = '{"T": 1, "M": 2, "t0": 0, "labels": ["a->b", "b->a"]}\n'
+_RAW_1X1 = '{"T": 1, "M": 1, "t0": 0, "labels": ["c->c"], "vertices": ["c"]}\n'
 
 
 def _tree_doc(**changes):
@@ -306,6 +406,14 @@ def _tree_doc(**changes):
      "header has T = 0, the time window is empty"),
     (lio.read_raw, _RAW_1X2.replace('"T": 1', '"T": Infinity'), "malformed raw header"),
     (lio.read_tree_json, _tree_doc(num_relations=float("inf")), "malformed tree document"),
+    (lio.read_tree_json, _tree_doc(nested=None).replace("null", "[" * 3000 + '"x"' + "]" * 3000),
+     "malformed tree document"),
+    (_raw_with_payload([1.0]), _RAW_1X1.replace('["c"]', '["c", "a->b"]'),
+     f"vertex name 'a->b' {_BAD_NAME}"),
+    (_raw_with_payload([1.0]), _RAW_1X1.replace('["c"]', '["c", "a,b"]'),
+     f"vertex name 'a,b' {_BAD_NAME}"),
+    (_raw_with_payload([1.0]), _RAW_1X1.replace('["c"]', '["c", "a\\nb"]'),
+     f"vertex name 'a\\nb' {_BAD_NAME}"),
 ], ids=["dense-value", "dense-time", "struct-index", "struct-value", "freq-value",
         "tree-leaf-shape", "tree-internal-shape", "tree-stream-labels", "raw-negative-window",
         "freq-index", "tree-json", "csv-fields", "csv-weight", "ndjson-record",
@@ -315,7 +423,8 @@ def _tree_doc(**changes):
         "tree-label", "tree-leaf-type", "tree-cover", "tree-disagree",
         "csv-weight-nan", "csv-weight-inf", "ndjson-weight-nan", "ndjson-weight-inf",
         "ndjson-time-inf", "dense-value-nan", "struct-value-inf", "freq-re-nan",
-        "freq-im-inf", "raw-payload-nan", "raw-empty-window", "raw-header-inf", "tree-inf"])
+        "freq-im-inf", "raw-payload-nan", "raw-empty-window", "raw-header-inf", "tree-inf",
+        "tree-deep", "raw-vertex-arrow", "raw-vertex-comma", "raw-vertex-newline"])
 def test_malformed_numbers_name_file_and_line(tmp_path, reader, text, where):
     path = tmp_path / "bad.txt"
     path.write_text(text)
@@ -327,11 +436,11 @@ def test_dense_csv_round_trip(tmp_path, rng):
     stream = LinkStreamMatrix(full_space(3), 7, np.round(rng.standard_normal((4, 16)), 3)
                               * (~full_space(3).inert))
     path = tmp_path / "dense.csv"
-    lio.write_dense_csv(path, stream, names=["x", "y", "z"])
+    lio.write_dense_csv(path, LinkStreamMatrix(full_space(3, ["x", "y", "z"]), 7, stream.values))
     back = lio.read_dense_csv(path)
     assert np.abs(back.stream.values - stream.values).max() < 1e-12
     assert back.stream.t0 == 7
-    assert back.vertex_names == ("x", "y", "z")
+    assert back.stream.space.vertices == ("x", "y", "z")
 
 
 def test_raw_round_trip_bit_exact(tmp_path, rng):
@@ -396,14 +505,14 @@ def test_tree_json_round_trip(tmp_path, rng):
 @given(st.integers(1, 6).flatmap(lambda e: st.permutations(range(2 ** e))))
 def test_tree_json_round_trip_any_size(tmp_path_factory, perm):
     names = [f"v{i}" for i in range(8)]
-    space = RelationSpace(8, tuple((u, v) for u in range(8) for v in range(8))[: len(perm)])
+    space = RelationSpace(8, tuple((u, v) for u in range(8) for v in range(8))[: len(perm)], names)
     tree = PartitionTree(perm)
     path = tmp_path_factory.mktemp("tree") / "tree.json"
-    lio.write_tree_json(path, tree, space, names)
-    back = lio.read_tree_json(path, space, names)
+    lio.write_tree_json(path, tree, space)
+    back = lio.read_tree_json(path, space)
     assert np.array_equal(back.leaf_order, perm)
     text = path.read_text()
-    lio.write_tree_json(path, back, space, names)
+    lio.write_tree_json(path, back, space)
     assert path.read_text() == text
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from linkspectra import (
     JointFilter,
     LinkStreamMatrix,
     PartitionTree,
+    RelationSpace,
     VertexSplit,
     active_space,
     decompose,
@@ -56,6 +59,26 @@ def test_active_space_sorted_and_padded():
 def test_duplicate_relation_rejected():
     with pytest.raises(ValueError):
         type(full_space(2))(2, ((0, 0), (0, 0), (0, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("vertices, message", [
+    (("a",), "1 vertex names for 2 vertices"),
+    (("a", "b", "c"), "3 vertex names for 2 vertices"),
+    (("a", "a"), "duplicate vertex 'a'"),
+    ((0, "0"), "duplicate vertex '0'"),
+], ids=["too-few", "too-many", "duplicate", "duplicate-after-str"])
+def test_vertex_names_validated(vertices, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RelationSpace(2, ((0, 0), (0, 1)), vertices)
+
+
+def test_vertex_names_default_and_take_part_in_equality():
+    rels = ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert full_space(2).vertices == ("0", "1")
+    assert full_space(2) == RelationSpace(2, rels, ("0", "1")) == RelationSpace(2, rels, [0, 1])
+    assert full_space(2, ["a", "b"]) == RelationSpace(2, rels, ("a", "b"))
+    assert full_space(2, ["a", "b"]) != full_space(2, ["b", "a"])
+    assert full_space(2, ["a", "b"]) != full_space(2)
 
 
 def test_graph_dist_examples(space16):
