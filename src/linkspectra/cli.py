@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from . import io as lio
-from . import synth
 from .graphbasis import GraphBasis
 from .partition import partition_bfs
 from .spectra import (
@@ -148,13 +147,20 @@ def _regularity(args, out, stream, basis):
     sys.stdout.write(json.dumps(doc) + "\n")
 
 
+# the four synth commands import synth (and its thread pool) themselves, so
+# the other commands start without it
+
 def _oscillating(args, out, *_):
+    from . import synth
+
     stream = synth.gen_oscillating(args.times)
     _write_stream_outputs(out, stream)
     lio.write_tree_json(out / "tree.json", synth.fig_partition(), stream.space)
 
 
 def _sbm_pair(args, out, *_):
+    from . import synth
+
     g1, g2, tree = synth.gen_sbm_pair(args.blocks, args.per_block, args.p_in, args.p_out,
                                       args.seed)
     _write_stream_outputs(out, stream_from_slices([g1, g2]), stem="pair")
@@ -162,12 +168,16 @@ def _sbm_pair(args, out, *_):
 
 
 def _daynight(args, out, *_):
+    from . import synth
+
     stream = synth.gen_daynight(args.communities, args.per_comm, args.period, args.duty,
                                 args.p_active, args.times, args.seed)
     _write_stream_outputs(out, stream)
 
 
 def _verify_lemmas(args, out, *_):
+    from . import synth
+
     if args.lemma:
         checks = synth.verify_lemma(args.lemma, trials=args.trials, seed=args.seed)
     else:

@@ -78,13 +78,21 @@ def _iter_triplets_csv(path, lines):
         yield t, parts[1], parts[2], w
 
 
+# raw_decode skips the whitespace scans and the BOM check of json.loads: a
+# stripped line has no surrounding JSON whitespace and a leading BOM does not
+# decode, so a value that must end at len(line) accepts what loads accepts
+_JSON = json.JSONDecoder()
+
+
 def _iter_triplets_ndjson(path, lines):
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            rec = json.loads(line)
+            rec, end = _JSON.raw_decode(line)
+            if end != len(line):
+                raise ValueError("extra data")
             t = int(rec["t"])
             u = str(rec["u"])
             v = str(rec["v"])
@@ -270,7 +278,16 @@ def read_dense_csv(path) -> IngestResult:
     times = np.array(times)
     if not np.array_equal(times, np.arange(times[0], times[0] + len(times))):
         raise IngestError(f"{path}: dense CSV times must be contiguous")
-    return IngestResult(LinkStreamMatrix(space, int(times[0]), np.array(rows)))
+    return _read_result(path, space, int(times[0]), np.array(rows))
+
+
+def _read_result(path, space: RelationSpace, t0: int, values) -> IngestResult:
+    """The stream a dense or raw file holds; a value the stream refuses, such
+    as a nonzero entry in a ``~pad`` column, is an error in that file."""
+    try:
+        return IngestResult(LinkStreamMatrix(space, t0, values))
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +331,7 @@ def read_raw(path) -> IngestResult:
     if not np.all(np.isfinite(vals)):
         raise IngestError(f"{path}: payload holds non-finite values")
     space = _parse_labels(path, labels, header.get("vertices"))
-    return IngestResult(LinkStreamMatrix(space, t0, vals))
+    return _read_result(path, space, t0, vals)
 
 
 def read_stream(path, fmt: str, window=None, pad_vertices: bool = False,
@@ -513,18 +530,43 @@ def frequency_filter(spec: str, length: int) -> FrequencyFilter:
 # ---------------------------------------------------------------------------
 # coefficient matrices and the plot bundle
 
+# cells per write_grid_csv block: the grids repeat values heavily within a
+# block, and a block's tokens stay small (whole-grid dedup doubles peak RSS)
+_BLOCK_CELLS = 4096
+
+
 def write_grid_csv(path, values: np.ndarray, row_name: str, row_labels, col_labels):
     """The one float-to-text writer: a header, then one row per label.
 
-    ``row_name`` and each row label may hold several comma-separated cells.
-    Floats are written as ``%.17g``, which round-trips exactly. Rows stream
-    to the file one at a time, so no whole-file string is built.
+    ``row_name`` and each row label (written as ``str(label)``) may hold
+    several comma-separated cells. Floats are written as ``%.17g``, which
+    round-trips exactly. The grid streams to the file in blocks of whole rows
+    (about ``_BLOCK_CELLS`` cells, at least one row); each block formats every
+    distinct float bit pattern once, so ``-0.0`` stays apart from ``0.0``, and
+    its text is assembled by indexing those tokens, with no per-row
+    formatting and no whole-file string.
     """
-    fmt = "%s" + ",%.17g" * values.shape[1] + "\n"
+    values = np.asarray(values, dtype=np.float64)
+    num_rows, width = values.shape
+    rows_per_block = max(1, _BLOCK_CELLS // max(width, 1))
+    labels = iter(row_labels)
     with open(path, "w") as fh:
         fh.write(row_name + "," + ",".join(col_labels) + "\n")
-        for lab, row in zip(row_labels, values):
-            fh.write(fmt % (lab, *row.tolist()))
+        for lo in range(0, num_rows, rows_per_block):
+            block = np.ascontiguousarray(values[lo : lo + rows_per_block])
+            rows = len(block)
+            bits, cell_token = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+            floats = bits.view(np.float64).tolist()
+            # tokens: the row labels, then ",<cell>" per distinct value, then "\n"
+            tokens = np.empty(rows + len(floats) + 1, dtype=object)
+            tokens[:rows] = [str(lab) for lab in itertools.islice(labels, rows)]
+            tokens[rows:-1] = (("\n,%.17g" * len(floats)) % tuple(floats)).split("\n")[1:]
+            tokens[-1] = "\n"
+            layout = np.empty((rows, width + 2), dtype=np.intp)
+            layout[:, 0] = np.arange(rows)
+            layout[:, 1:-1] = cell_token.reshape(rows, width) + rows
+            layout[:, -1] = len(tokens) - 1
+            fh.write("".join(tokens[layout.ravel()].tolist()))
 
 
 def write_coefficient_matrix(outdir, coeffs):
@@ -534,9 +576,10 @@ def write_coefficient_matrix(outdir, coeffs):
     t, m = coeffs.values.shape
     write_grid_csv(outdir / "C_abs.csv", np.abs(coeffs.values), "freq", range(t),
                    coefficient_labels(coeffs.basis))
+    freqs = [f"{u}," for u in range(t)]
+    cols = [str(k) for k in range(m)]
     write_grid_csv(outdir / "C_rect.csv", coeffs.values.view(np.float64).reshape(-1, 2),
-                   "freq,column", (f"{u},{k}" for u in range(t) for k in range(m)),
-                   ["re", "im"])
+                   "freq,column", (u + k for u in freqs for k in cols), ["re", "im"])
 
 
 def write_plot_bundle(outdir, stream, x, f, coeffs):

@@ -159,10 +159,12 @@ class KeepRule:
         if self.mode == "top":
             if self.top > t * m:
                 raise ValueError("top-k selection larger than the coefficient grid")
-            # flat order is (u, k) order, so the stable sort breaks ties as documented
-            order = np.argsort(-coeffs.magnitude.ravel(), kind="stable")
-            mask = np.zeros(t * m, dtype=bool)
-            mask[order[: self.top]] = True
+            # everything above the k-th magnitude, then its ties in flat order,
+            # which is (u, k) order, as documented
+            mag = coeffs.magnitude.ravel()
+            thr = np.partition(mag, mag.size - self.top)[mag.size - self.top]
+            mask = mag > thr
+            mask[np.flatnonzero(mag == thr)[: self.top - np.count_nonzero(mask)]] = True
             mask = mask.reshape(t, m)
             return mask | mask[(-np.arange(t)) % t]
         if self.mode == "box":

@@ -89,6 +89,81 @@ def test_ingest_malformed_line_number(tmp_path):
         lio.ingest_triplets(path, "csv")
 
 
+def _ndjson_records_loads(path, lines):
+    """The NDJSON triplet parser as it was with ``json.loads`` per line: the
+    oracle for the records it accepts and the line it refuses."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+            t = int(rec["t"])
+            u = str(rec["u"])
+            v = str(rec["v"])
+            w = lio._float(rec.get("w", 1.0))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+            raise IngestError(f"{path}: line {lineno}: malformed NDJSON record") from None
+        yield t, u, v, w
+
+
+def _outcome(records):
+    try:
+        return list(records)
+    except IngestError as exc:
+        return str(exc)
+
+
+_NDJSON_VALID = (
+    '{"t": 0, "u": "a", "v": "b"}\n'
+    '{"t": 1, "u": "b", "v": "a", "w": 2.5}\n'
+    '  {"u": "c", "t": 3, "v": "a", "w": -1e-3}\t\n'
+    '\n'
+    '{"t": 4, "u": 7, "v": "c", "w": 1}\n'
+)
+_NDJSON_PIECES = ["{", "}", "[", "]", '"', ",", ":", " ", "\t", "\n", "\r", "\ufeff",
+                  "\x0b", "\x1c", "\xa0", "\u2028", "0", "1", "-", ".", "e", "x", "null",
+                  "NaN", "Infinity", "1e999", '"t"', '"w"', '{"t": 9, "u": "a", "v": "a"}']
+
+
+@pytest.mark.parametrize("text, where", [
+    ('{"t": 0, "u": "a", "v": "b"} {"t": 1, "u": "a", "v": "b"}\n', "line 1"),
+    ('{"t": 0, "u": "a", "v": "b"}\n{"t": 1, "u": "a",\n "v": "b"}\n', "line 2"),
+    ('{"t": 0, "u": "a", "v": "b"}\n\ufeff{"t": 1, "u": "a", "v": "b"}\n', "line 2"),
+    ('{"t": 0, "u": "a", "v": "b"}x\n', "line 1"),
+], ids=["two-records-one-line", "record-split-over-lines", "bom", "trailing-data"])
+def test_ndjson_refuses_what_json_loads_refuses(tmp_path, text, where):
+    path = tmp_path / "in.ndjson"
+    path.write_text(text)
+    want = _outcome(_ndjson_records_loads(path, text.splitlines()))
+    assert want == f"{path}: {where}: malformed NDJSON record"
+    assert _outcome(lio._iter_triplets_ndjson(path, text.splitlines())) == want
+    with pytest.raises(IngestError, match=re.escape(want)):
+        lio.ingest_triplets(path, "ndjson")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["insert", "delete", "join", "split"]),
+                          st.floats(0, 1, exclude_max=True), st.sampled_from(_NDJSON_PIECES)),
+                max_size=4))
+def test_ndjson_parse_matches_json_loads_on_mutated_files(mutations):
+    text = _NDJSON_VALID
+    for op, at, piece in mutations:
+        i = int(at * len(text))
+        if op == "insert":
+            text = text[:i] + piece + text[i:]
+        elif op == "delete":
+            text = text[:i] + text[i + len(piece):]
+        elif op == "join" and "\n" in text[i:]:  # two records on one line
+            j = text.index("\n", i)
+            text = text[:j] + " " + text[j + 1:]
+        elif op == "split":  # one record over two lines
+            text = text[:i] + "\n" + text[i:]
+    lines = text.splitlines()
+    want = _outcome(_ndjson_records_loads("in.ndjson", lines))
+    assert _outcome(lio._iter_triplets_ndjson("in.ndjson", lines)) == want
+
+
 def test_ingest_empty_input(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -313,6 +388,27 @@ def test_dense_csv_duplicate_relation_label(tmp_path):
         lio.read_dense_csv(path)
 
 
+@pytest.mark.parametrize("fmt", ["raw", "dense"])
+def test_nonzero_pad_column_names_the_file(tmp_path, capsys, fmt):
+    # a label that starts with ~pad is an inert column, which must hold zeros
+    if fmt == "raw":
+        path = tmp_path / "pad.raw"
+        header = {"T": 1, "M": 2, "t0": 0, "labels": ["~pad0->a", "a->a"]}
+        path.write_bytes((json.dumps(header) + "\n").encode()
+                         + np.array([1.0, 0.0], "<f8").tobytes())
+    else:
+        path = tmp_path / "pad.csv"
+        path.write_text("t,~pad0->a,a->a\n0,1,0\n")
+    message = f"{path}: inert (padding) columns must be zero"
+    with pytest.raises(IngestError, match=re.escape(message)):
+        lio.read_stream(path, fmt)
+    code = main(["ingest", "--input", str(path), "--format", fmt,
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert err == {"type": "IngestError", "message": message}
+
+
 def _read_struct(path):
     return lio.read_structural_response_csv(path, GraphBasis(synth.fig_partition(), 3))
 
@@ -490,6 +586,42 @@ def test_float_export_golden_bytes(tmp_path):
         "1,0,-0,1\n"
         "1,1,1.152921504606847e+18,-0.5\n"
     )
+
+
+def _write_grid_rows(path, values, row_name, row_labels, col_labels):
+    """The per-row ``%.17g`` writer that write_grid_csv must match byte for byte."""
+    fmt = "%s" + ",%.17g" * values.shape[1] + "\n"
+    with open(path, "w") as fh:
+        fh.write(row_name + "," + ",".join(col_labels) + "\n")
+        for lab, row in zip(row_labels, values):
+            fh.write(fmt % (lab, *row.tolist()))
+
+
+# repeated values, signed zeros, subnormals and a large integer
+_GRID_POOL = [0.0, -0.0, 1.0, -1.0, 0.1 + 0.2, 5e-324, -5e-324, 1e-310,
+              2.2250738585072014e-308, 2.0**60, -(2.0**60), 1 / 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.sampled_from([1, 2, 3, 4095, 4096, 4097]), data=st.data())
+def test_grid_writer_matches_per_row_writer(tmp_path_factory, width, data):
+    rows_per_block = max(1, 4096 // width)
+    # whole blocks, and row counts that leave the last block part full
+    num_rows = data.draw(st.sampled_from(
+        [1, rows_per_block, rows_per_block + 1, 2 * rows_per_block + 3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = np.array(_GRID_POOL)[rng.integers(0, len(_GRID_POOL), (num_rows, width))]
+    fresh = rng.random((num_rows, width)) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    values[fresh] = rng.standard_normal(fresh.sum()) * 10.0 ** rng.integers(-320, 300, fresh.sum())
+    if data.draw(st.booleans()):
+        row_name, labels = "t", np.arange(num_rows) - data.draw(st.integers(0, 5))
+    else:
+        row_name, labels = "freq,column", [f"{i // 3},{i % 3}" for i in range(num_rows)]
+    cols = [f"c{k}" for k in range(width)]
+    d = tmp_path_factory.mktemp("grid")
+    lio.write_grid_csv(d / "blocks.csv", values, row_name, iter(labels), cols)
+    _write_grid_rows(d / "rows.csv", values, row_name, labels, cols)
+    assert (d / "blocks.csv").read_bytes() == (d / "rows.csv").read_bytes()
 
 
 def test_tree_json_round_trip(tmp_path, rng):

@@ -1,6 +1,9 @@
 import argparse
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,12 @@ def test_command_help_exits_0(capsys, command):
 def test_one_freeze_idiom_in_src():
     src = Path(linkspectra.__file__).parent
     assert sum(p.read_text().count("setflags(") for p in src.glob("*.py")) == 1
+
+
+def test_cli_import_leaves_synth_unloaded():
+    # only the synth and verify-lemmas commands need synth and its thread pool
+    env = {**os.environ, "PYTHONPATH": str(Path(linkspectra.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", "import sys, linkspectra.cli;"
+                           " print('linkspectra.synth' in sys.modules)"],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkspectra import (
+    CoefficientMatrix,
     FourierBasis,
     FrequencyFilter,
     GraphBasis,
@@ -25,6 +26,7 @@ from linkspectra import (
     time_structure,
 )
 from linkspectra.graphbasis import coarse_pass_response
+from linkspectra.partition import PartitionTree
 from linkspectra.spectra import apply_joint_filter_sequential, freq_relational, structure_split
 from linkspectra import synth
 
@@ -268,6 +270,30 @@ def test_backbone_mask_closed_under_mirror(seed, t, n, data):
                             c0, data.draw(st.integers(c0, m - 1)))
     _, mask = backbone(LinkStreamMatrix(space, 0, vals), basis, rule)
     assert np.array_equal(mask, mask[(-np.arange(t)) % t])
+
+
+def _top_k_mask_by_sort(coeffs, k):
+    """The top-k mask by a stable sort of -|C|, the reference for KeepRule.mask."""
+    t = coeffs.values.shape[0]
+    order = np.argsort(-coeffs.magnitude.ravel(), kind="stable")
+    mask = np.zeros(coeffs.values.size, dtype=bool)
+    mask[order[:k]] = True
+    mask = mask.reshape(coeffs.values.shape)
+    return mask | mask[(-np.arange(t)) % t]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([2, 4]), st.integers(1, 3), st.data())
+def test_top_k_mask_matches_stable_sort_under_ties(t, n, spread, data):
+    # small integer parts make many magnitudes equal
+    space = full_space(n)
+    m = space.num_relations
+    parts = data.draw(st.lists(st.integers(-spread, spread), min_size=2 * t * m,
+                               max_size=2 * t * m))
+    values = np.array(parts, dtype=float).view(complex).reshape(t, m)
+    coeffs = CoefficientMatrix(values, GraphBasis(PartitionTree(np.arange(m)), 1), space)
+    k = data.draw(st.integers(1, t * m))
+    assert np.array_equal(KeepRule.top_k(k).mask(coeffs), _top_k_mask_by_sort(coeffs, k))
 
 
 # ---------------------------------------------------------------------------
