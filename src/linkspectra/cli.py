@@ -82,7 +82,11 @@ def _write_stream_outputs(outdir: Path, stream, stem: str = "stream"):
 
 def _parse_keep(text: str) -> KeepRule:
     if text.startswith("top:"):
-        return KeepRule.top_k(int(text.split(":", 1)[1]))
+        try:
+            k = int(text.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"keep top must look like 'top:<k>', got {text!r}") from None
+        return KeepRule.top_k(k)
     if text.startswith("box:"):
         body = text.split(":", 1)[1]
         try:

@@ -3,6 +3,11 @@ coefficient and filter CSVs.
 
 Floats are written with 17 significant digits so every export re-ingests to
 the same values and byte-identical reruns only depend on the seed.
+
+Every reader maps its errors with ``_refusing`` and the CSV readers split
+rows with ``_rows``, so malformed input, a byte that is not UTF-8 and
+over-nested JSON alike raise an ``IngestError`` that starts with the path,
+then the line where there is one.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,22 +67,62 @@ def _float(text) -> float:
     return x
 
 
-def _iter_triplets_csv(path, lines):
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
+class _Cursor:
+    """Where a reader is: its file and, while rows are read, the line."""
+
+    def __init__(self, path):
+        self.path, self.lineno, self.line = path, None, None
+
+    def __str__(self):
+        return f"{self.path}" if self.lineno is None else f"{self.path}: line {self.lineno}"
+
+
+@contextmanager
+def _refusing(path, what=None):
+    """The one error rule: a ValueError (UnicodeDecodeError included),
+    TypeError, KeyError, OverflowError or RecursionError raised in the block
+    becomes ``IngestError("<cursor>: <what>")``, ``what`` formatted with the
+    cursor's line; without ``what`` the exception keeps its message, and a
+    byte that is not UTF-8 is located at its line. IngestError passes through.
+    """
+    at = _Cursor(path)
+    try:
+        yield at
+    except IngestError:
+        raise
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
+        if what is None and isinstance(exc, UnicodeDecodeError):
+            at.lineno = len((exc.object[: exc.start].decode() + "x").splitlines())
+            exc = "not UTF-8 text"
+        raise IngestError(f"{at}: {exc if what is None else what.format(at.line)}") from None
+
+
+def _text(path) -> str:
+    """A file's text: every text format is UTF-8."""
+    return Path(path).read_bytes().decode()
+
+
+def _rows(at, lines, header: str, widths, shape: str):
+    """The row splitter: the stripped comma-separated fields of each non-blank
+    line, with the cursor ``at`` on it. Line 1 is skipped if its lowercased
+    first field matches ``header``; a field count not in ``widths`` is refused
+    as ``expected <shape>``, ``shape`` formatted with the line."""
+    for at.lineno, line in enumerate(lines, start=1):
+        at.line = line = line.strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split(",")]
-        if lineno == 1 and parts[0].lower() in ("t", "time"):
+        fields = [f.strip() for f in line.split(",")]
+        if at.lineno == 1 and re.fullmatch(header, fields[0].lower()):
             continue
-        if len(parts) not in (3, 4):
-            raise IngestError(f"{path}: line {lineno}: expected 't,u,v[,w]', got {line!r}")
-        try:
-            t = int(parts[0])
-            w = _float(parts[3]) if len(parts) == 4 else 1.0
-        except ValueError:
-            raise IngestError(f"{path}: line {lineno}: malformed numeric field in {line!r}") from None
-        yield t, parts[1], parts[2], w
+        if len(fields) not in widths:
+            raise IngestError(f"{at}: expected {shape.format(line)}")
+        yield fields
+
+
+def _iter_triplets_csv(path, lines):
+    with _refusing(path, "malformed numeric field in {!r}") as at:
+        for f in _rows(at, lines, "t|time", (3, 4), "'t,u,v[,w]', got {!r}"):
+            yield int(f[0]), f[1], f[2], _float(f[3]) if len(f) == 4 else 1.0
 
 
 # raw_decode skips the whitespace scans and the BOM check of json.loads: a
@@ -85,21 +132,16 @@ _JSON = json.JSONDecoder()
 
 
 def _iter_triplets_ndjson(path, lines):
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
+    # the error rule wraps the loop: a with block per line doubles the parse time
+    with _refusing(path, "malformed NDJSON record") as at:
+        for at.lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
             rec, end = _JSON.raw_decode(line)
             if end != len(line):
                 raise ValueError("extra data")
-            t = int(rec["t"])
-            u = str(rec["u"])
-            v = str(rec["v"])
-            w = _float(rec.get("w", 1.0))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
-            raise IngestError(f"{path}: line {lineno}: malformed NDJSON record") from None
-        yield t, u, v, w
+            yield int(rec["t"]), str(rec["u"]), str(rec["v"]), _float(rec.get("w", 1.0))
 
 
 def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = False,
@@ -115,60 +157,61 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
     size N^2 is allocated (BFS mode). A grid of more than
     ``MAX_INGEST_CELLS`` cells is refused before it is allocated.
     """
-    text = Path(path).read_text()
-    if not text.strip():
-        raise IngestError(f"{path}: empty input")
-    it = {"csv": _iter_triplets_csv, "ndjson": _iter_triplets_ndjson}.get(fmt)
-    if it is None:
+    parse = {"csv": _iter_triplets_csv, "ndjson": _iter_triplets_ndjson}.get(fmt)
+    if parse is None:
         raise IngestError(f"unknown triplet format {fmt!r}")
-    names: list = []
-    index: dict = {}
-    times, us, vs, ws = [], [], [], []
-    dropped = 0
-    for t, u, v, w in it(path, text.splitlines()):
-        if window is not None and not (window[0] <= t < window[0] + window[1]):
-            dropped += 1
-            continue
-        for name in (u, v):
-            if name not in index:
-                _check_vertex_name(path, name, triplets=True)
-                index[name] = len(names)
-                names.append(name)
-        times.append(t)
-        us.append(index[u])
-        vs.append(index[v])
-        ws.append(w)
-    if not times:
-        raise IngestError(f"{path}: no triplets inside the window")
-    if window is not None:
-        t0, count = window
-    else:
-        t0, count = min(times), max(times) - min(times) + 1
-    n = len(names)
-    if pad_vertices:
-        n = next_power_of_two(n)
-    names += [f"~v{i}" for i in range(len(names), n)]
-    rows = np.array(times, dtype=np.int64) - t0
-    cols = np.array(us, dtype=np.int64) * n + np.array(vs, dtype=np.int64)
-    if active_only:
-        cols, inverse = np.unique(cols, return_inverse=True)
-        _check_cells(path, count, next_power_of_two(len(cols)))
-        sums = np.zeros((count, len(cols)))
-        np.add.at(sums, (rows, inverse), ws)
-        carried = sums.any(axis=0)
-        rels = [(int(c) // n, int(c) % n) for c in cols[carried]]
-        # padded here, not by active_space(), which refuses an empty set: a
-        # window of zero weights still ingests, and BFS set-up reports it
-        pads = next_power_of_two(len(rels)) - len(rels)
-        space = RelationSpace(n, tuple(rels) + (None,) * pads, names)
-        vals = np.zeros((count, space.num_relations))
-        vals[:, : len(rels)] = sums[:, carried]
-    else:
-        _check_cells(path, count, next_power_of_two(n * n))
-        space = full_space(n, names)
-        vals = np.zeros((count, space.num_relations))
-        np.add.at(vals, (rows, cols), ws)
-    return IngestResult(LinkStreamMatrix(space, t0, vals), dropped)
+    with _refusing(path):
+        text = _text(path)
+        if not text.strip():
+            raise IngestError(f"{path}: empty input")
+        names: list = []
+        index: dict = {}
+        times, us, vs, ws = [], [], [], []
+        dropped = 0
+        for t, u, v, w in parse(path, text.splitlines()):
+            if window is not None and not (window[0] <= t < window[0] + window[1]):
+                dropped += 1
+                continue
+            for name in (u, v):
+                if name not in index:
+                    _check_vertex_name(path, name, triplets=True)
+                    index[name] = len(names)
+                    names.append(name)
+            times.append(t)
+            us.append(index[u])
+            vs.append(index[v])
+            ws.append(w)
+        if not times:
+            raise IngestError(f"{path}: no triplets inside the window")
+        if window is not None:
+            t0, count = window
+        else:
+            t0, count = min(times), max(times) - min(times) + 1
+        n = len(names)
+        if pad_vertices:
+            n = next_power_of_two(n)
+        names += [f"~v{i}" for i in range(len(names), n)]
+        rows = np.array(times, dtype=np.int64) - t0
+        cols = np.array(us, dtype=np.int64) * n + np.array(vs, dtype=np.int64)
+        if active_only:
+            cols, inverse = np.unique(cols, return_inverse=True)
+            _check_cells(path, count, next_power_of_two(len(cols)))
+            sums = np.zeros((count, len(cols)))
+            np.add.at(sums, (rows, inverse), ws)
+            carried = sums.any(axis=0)
+            rels = [(int(c) // n, int(c) % n) for c in cols[carried]]
+            # padded here, not by active_space(), which refuses an empty set: a
+            # window of zero weights still ingests, and BFS set-up reports it
+            pads = next_power_of_two(len(rels)) - len(rels)
+            space = RelationSpace(n, tuple(rels) + (None,) * pads, names)
+            vals = np.zeros((count, space.num_relations))
+            vals[:, : len(rels)] = sums[:, carried]
+        else:
+            _check_cells(path, count, next_power_of_two(n * n))
+            space = full_space(n, names)
+            vals = np.zeros((count, space.num_relations))
+            np.add.at(vals, (rows, cols), ws)
+        return IngestResult(LinkStreamMatrix(space, t0, vals), dropped)
 
 
 def _check_cells(path, num_times: int, num_relations: int):
@@ -221,31 +264,23 @@ def _parse_labels(path, labels, vertices=None) -> RelationSpace:
     rels = []
     seen = set()
     for lab in labels:
-        if not isinstance(lab, str):
-            raise IngestError(f"{path}: bad relation label {lab!r}")
-        if lab.startswith("~pad"):
+        if isinstance(lab, str) and lab.startswith("~pad"):
             rels.append(None)
             continue
-        try:
-            u, v = lab.split("->")
-        except ValueError:
-            raise IngestError(f"{path}: bad relation label {lab!r}") from None
-        for nm in (u, v):
+        pair = lab.split("->") if isinstance(lab, str) else ()
+        if len(pair) != 2 or vertices is not None and not (pair[0] in index and pair[1] in index):
+            raise IngestError(f"{path}: bad relation label {lab!r}")
+        for nm in pair:
             if nm not in index:
-                if vertices is not None:
-                    raise IngestError(f"{path}: bad relation label {lab!r}")
                 index[nm] = len(names)
                 names.append(nm)
         if lab in seen:
             raise IngestError(f"{path}: duplicate relation label {lab!r}")
         seen.add(lab)
-        rels.append((index[u], index[v]))
+        rels.append((index[pair[0]], index[pair[1]]))
     for nm in names:
         _check_vertex_name(path, nm)
-    try:
-        return RelationSpace(len(names), tuple(rels), names)
-    except ValueError as exc:
-        raise IngestError(f"{path}: {exc}") from None
+    return RelationSpace(len(names), tuple(rels), names)
 
 
 def write_dense_csv(path, stream: LinkStreamMatrix):
@@ -253,41 +288,25 @@ def write_dense_csv(path, stream: LinkStreamMatrix):
 
 
 def read_dense_csv(path) -> IngestResult:
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise IngestError(f"{path}: empty input")
-    header = lines[0].split(",")
-    if header[0] != "t":
-        raise IngestError(f"{path}: dense CSV must start with a 't' header column")
-    space = _parse_labels(path, header[1:])
-    times = []
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise IngestError(f"{path}: line {lineno}: expected {len(header)} fields")
-        try:
-            times.append(int(parts[0]))
-            rows.append([_float(x) for x in parts[1:]])
-        except ValueError:
-            raise IngestError(f"{path}: line {lineno}: malformed numeric field") from None
-    if not rows:
-        raise IngestError(f"{path}: no data rows")
-    times = np.array(times)
-    if not np.array_equal(times, np.arange(times[0], times[0] + len(times))):
-        raise IngestError(f"{path}: dense CSV times must be contiguous")
-    return _read_result(path, space, int(times[0]), np.array(rows))
-
-
-def _read_result(path, space: RelationSpace, t0: int, values) -> IngestResult:
-    """The stream a dense or raw file holds; a value the stream refuses, such
-    as a nonzero entry in a ``~pad`` column, is an error in that file."""
-    try:
-        return IngestResult(LinkStreamMatrix(space, t0, values))
-    except ValueError as exc:
-        raise IngestError(f"{path}: {exc}") from None
+    with _refusing(path):
+        lines = _text(path).splitlines()
+        if not lines:
+            raise IngestError(f"{path}: empty input")
+        header = lines[0].split(",")
+        if header[0] != "t":
+            raise IngestError(f"{path}: dense CSV must start with a 't' header column")
+        space = _parse_labels(path, header[1:])
+        times, rows = [], []
+        with _refusing(path, "malformed numeric field") as at:
+            for f in _rows(at, lines, "t", (len(header),), f"{len(header)} fields"):
+                times.append(int(f[0]))
+                rows.append([_float(x) for x in f[1:]])
+        if not rows:
+            raise IngestError(f"{path}: no data rows")
+        times = np.array(times)
+        if not np.array_equal(times, np.arange(times[0], times[0] + len(times))):
+            raise IngestError(f"{path}: dense CSV times must be contiguous")
+        return IngestResult(LinkStreamMatrix(space, int(times[0]), np.array(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,43 +328,35 @@ def write_raw(path, stream: LinkStreamMatrix):
 
 
 def read_raw(path) -> IngestResult:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-            t = int(header["T"])
-            m = int(header["M"])
-            t0 = int(header["t0"])
+    with _refusing(path), open(path, "rb") as fh:
+        with _refusing(path, "malformed raw header"):
+            header = json.loads(fh.readline())
+            t, m, t0 = int(header["T"]), int(header["M"]), int(header["t0"])
             labels = list(header["labels"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
-            raise IngestError(f"{path}: malformed raw header") from None
         data = fh.read()
-    if len(labels) != m:
-        raise IngestError(f"{path}: header has M = {m} but {len(labels)} labels")
-    if t < 1:
-        raise IngestError(f"{path}: header has T = {t}, the time window is empty")
-    expected = t * m * 8
-    if len(data) != expected:
-        raise IngestError(f"{path}: payload has {len(data)} bytes, expected {expected}")
-    vals = np.frombuffer(data, dtype="<f8").reshape(t, m)
-    if not np.all(np.isfinite(vals)):
-        raise IngestError(f"{path}: payload holds non-finite values")
-    space = _parse_labels(path, labels, header.get("vertices"))
-    return _read_result(path, space, t0, vals)
+        if len(labels) != m:
+            raise IngestError(f"{path}: header has M = {m} but {len(labels)} labels")
+        if t < 1:
+            raise IngestError(f"{path}: header has T = {t}, the time window is empty")
+        expected = t * m * 8
+        if len(data) != expected:
+            raise IngestError(f"{path}: payload has {len(data)} bytes, expected {expected}")
+        vals = np.frombuffer(data, dtype="<f8").reshape(t, m)
+        if not np.all(np.isfinite(vals)):
+            raise IngestError(f"{path}: payload holds non-finite values")
+        space = _parse_labels(path, labels, header.get("vertices"))
+        return IngestResult(LinkStreamMatrix(space, t0, vals))
 
 
 def read_stream(path, fmt: str, window=None, pad_vertices: bool = False,
                 active_only: bool = False) -> IngestResult:
-    if fmt in ("csv", "ndjson"):
+    """Any input format: dense and raw streams, otherwise triplets."""
+    if fmt not in ("dense", "raw"):
         return ingest_triplets(path, fmt, window=window, pad_vertices=pad_vertices,
                                active_only=active_only)
-    if fmt in ("dense", "raw") and window is not None:
+    if window is not None:
         raise IngestError(f"{path}: a time window applies to csv and ndjson input only")
-    if fmt == "dense":
-        return read_dense_csv(path)
-    if fmt == "raw":
-        return read_raw(path)
-    raise IngestError(f"unknown format {fmt!r}")
+    return read_dense_csv(path) if fmt == "dense" else read_raw(path)
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +387,15 @@ def read_tree_json(path, space: RelationSpace = None) -> PartitionTree:
     """Load and validate a tree; cross-checks the nested arrays against the
     leaf order and, when a space is given, the size and the labels against
     ``relation_labels(space)``."""
-    try:
-        doc = json.loads(Path(path).read_text())
+    with _refusing(path, "malformed tree document"):
+        doc = json.loads(_text(path))
         m = int(doc["num_relations"])
         labels = list(doc["labels"])
         index = {lab: k for k, lab in enumerate(labels)}
         leaf_order = np.array(doc["leaf_order"], dtype=np.int64)
         nested = doc["nested"]
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
-        raise IngestError(f"{path}: malformed tree document") from None
 
-    try:
+    with _refusing(path):
         if space is not None and space.num_relations != m:
             raise ValueError(f"tree has {m} relations, space has {space.num_relations}")
         if len(labels) != m:
@@ -408,10 +417,9 @@ def read_tree_json(path, space: RelationSpace = None) -> PartitionTree:
                     raise ValueError("nested nodes must have two children")
                 stack += [(node[1], depth + 1), (node[0], depth + 1)]
                 continue
-            try:
-                leaves.append((index[node], depth))
-            except (KeyError, TypeError):
-                raise ValueError(f"unknown relation label {node!r} in tree") from None
+            if isinstance(node, dict) or node not in index:
+                raise ValueError(f"unknown relation label {node!r} in tree")
+            leaves.append((index[node], depth))
         # the shape is checked after the walk, so a bad node or label anywhere is
         # reported first; the balanced halving puts every leaf at depth floor(log2 m)
         bottom = m.bit_length() - 1
@@ -425,8 +433,6 @@ def read_tree_json(path, space: RelationSpace = None) -> PartitionTree:
             raise ValueError("nested tree does not cover all relations")
         if not np.array_equal(order, tree.position_to_relation):
             raise ValueError("nested arrays disagree with the stored leaf order")
-    except ValueError as exc:
-        raise IngestError(f"{path}: {exc}") from None
     return tree
 
 
@@ -447,33 +453,26 @@ def read_structural_response_csv(path, basis: GraphBasis) -> np.ndarray:
 
     Unlisted coefficients default to zero.
     """
-    lines = Path(path).read_text().splitlines()
     response = np.zeros(basis.num_relations)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or (lineno == 1 and line.lower().startswith("kind")):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        where = f"{path}: line {lineno}"
-        if len(parts) != 4:
-            raise IngestError(f"{where}: expected 'kind,level,index,value'")
-        try:
-            kind, level, idx, value = parts[0], int(parts[1]), int(parts[2]), _float(parts[3])
-        except ValueError:
-            raise IngestError(f"{where}: malformed numeric field") from None
-        if kind == "s":
-            if level != basis.level or not (0 <= idx < basis.num_scaling):
-                raise IngestError(f"{where}: scaling index out of range")
-            response[idx] = value
-        elif kind == "w":
-            if not (1 <= level <= basis.level):
-                raise IngestError(f"{where}: wavelet level {level} out of range 1..{basis.level}")
-            sl = basis.wavelet_slice(level)
-            if not (0 <= idx < sl.stop - sl.start):
-                raise IngestError(f"{where}: wavelet index out of range")
-            response[sl.start + idx] = value
-        else:
-            raise IngestError(f"{where}: kind must be 's' or 'w'")
+    with _refusing(path):
+        lines = _text(path).splitlines()
+    with _refusing(path, "malformed numeric field") as at:
+        for kind, level, idx, value in _rows(at, lines, "kind.*", (4,),
+                                             "'kind,level,index,value'"):
+            level, idx, value = int(level), int(idx), _float(value)
+            if kind == "s":
+                if level != basis.level or not (0 <= idx < basis.num_scaling):
+                    raise IngestError(f"{at}: scaling index out of range")
+                response[idx] = value
+            elif kind == "w":
+                if not (1 <= level <= basis.level):
+                    raise IngestError(f"{at}: wavelet level {level} out of range 1..{basis.level}")
+                sl = basis.wavelet_slice(level)
+                if not (0 <= idx < sl.stop - sl.start):
+                    raise IngestError(f"{at}: wavelet index out of range")
+                response[sl.start + idx] = value
+            else:
+                raise IngestError(f"{at}: kind must be 's' or 'w'")
     return response
 
 
@@ -490,25 +489,17 @@ def structural_response(spec: str, basis: GraphBasis) -> np.ndarray:
 
 
 def read_frequency_filter_csv(path, length: int) -> FrequencyFilter:
-    lines = Path(path).read_text().splitlines()
     response = np.zeros(length, dtype=np.complex128)
     seen = np.zeros(length, dtype=bool)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or (lineno == 1 and line.lower().startswith("freq")):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        where = f"{path}: line {lineno}"
-        if len(parts) != 3:
-            raise IngestError(f"{where}: expected 'freq_index,re,im'")
-        try:
-            u, real, imag = int(parts[0]), _float(parts[1]), _float(parts[2])
-        except ValueError:
-            raise IngestError(f"{where}: malformed numeric field") from None
-        if not (0 <= u < length):
-            raise IngestError(f"{where}: frequency index {u} out of range")
-        response[u] = real + 1j * imag
-        seen[u] = True
+    with _refusing(path):
+        lines = _text(path).splitlines()
+    with _refusing(path, "malformed numeric field") as at:
+        for u, real, imag in _rows(at, lines, "freq.*", (3,), "'freq_index,re,im'"):
+            u, real, imag = int(u), _float(real), _float(imag)
+            if not (0 <= u < length):
+                raise IngestError(f"{at}: frequency index {u} out of range")
+            response[u] = real + 1j * imag
+            seen[u] = True
     if not seen.any():
         raise IngestError(f"{path}: empty frequency filter")
     return FrequencyFilter(response)
@@ -520,10 +511,15 @@ def frequency_filter(spec: str, length: int) -> FrequencyFilter:
         return diff_filter(length)
     if spec == "all":
         return FrequencyFilter(np.ones(length))
-    if spec.startswith("agg:"):
-        return aggregation_filter(int(spec.split(":", 1)[1]), length)
-    if spec.startswith("lowpass:"):
-        return lowpass_filter(float(spec.split(":", 1)[1]), length)
+    if spec.startswith(("agg:", "lowpass:")):
+        name, arg = spec.split(":", 1)
+        number, shape, make = ((int, "agg:<k>", aggregation_filter) if name == "agg"
+                               else (float, "lowpass:<cutoff>", lowpass_filter))
+        try:
+            arg = number(arg)
+        except ValueError:
+            raise ValueError(f"freq {name} must look like {shape!r}, got {spec!r}") from None
+        return make(arg, length)
     return read_frequency_filter_csv(spec, length)
 
 

@@ -10,12 +10,12 @@ of worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._threads import max_threads
 from .graphbasis import GraphBasis, analyze, graph_regularity, motif_counts
 from .partition import PartitionTree, VertexSplit, tree_from_vertex_order
 from .spectra import regularity, relaxed_time_regularity
@@ -214,6 +214,20 @@ class LemmaCheck:
                 "stderr": self.stderr, "trials": self.trials, "pass": self.passed}
 
 
+def _max_threads() -> int:
+    """The Monte-Carlo worker cap: LINKSPECTRA_THREADS, else min(4, CPUs)."""
+    raw = os.environ.get("LINKSPECTRA_THREADS", "")
+    if raw.strip():
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"LINKSPECTRA_THREADS={raw!r} is not an integer") from None
+        if value < 1:
+            raise ValueError("LINKSPECTRA_THREADS must be >= 1")
+        return value
+    return min(4, os.cpu_count() or 1)
+
+
 def _mc_samples(sample_chunk, trials: int, seed: int) -> np.ndarray:
     """Run ``sample_chunk(rng, n)`` over spawned seed streams, in parallel.
 
@@ -224,7 +238,7 @@ def _mc_samples(sample_chunk, trials: int, seed: int) -> np.ndarray:
     if trials % _MC_CHUNK:
         chunks.append(trials % _MC_CHUNK)
     seeds = np.random.SeedSequence(seed).spawn(len(chunks))
-    workers = min(max_threads(), len(chunks))
+    workers = min(_max_threads(), len(chunks))
     if workers <= 1:
         parts = [sample_chunk(np.random.default_rng(s), n) for s, n in zip(seeds, chunks)]
     else:

@@ -252,6 +252,20 @@ def test_bfs_refuses_unusable_active_set(tmp_path, capsys, records, message):
         "type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["filter", "--freq", "agg:x"], "freq agg must look like 'agg:<k>', got 'agg:x'"),
+    (["filter", "--freq", "lowpass:abc"],
+     "freq lowpass must look like 'lowpass:<cutoff>', got 'lowpass:abc'"),
+    (["backbone", "--keep", "top:x"], "keep top must look like 'top:<k>', got 'top:x'"),
+], ids=["freq-agg", "freq-lowpass", "keep-top"])
+def test_flag_value_errors_name_the_expected_shape(tmp_path, capsys, argv, message):
+    code, _, err = run(capsys, *argv, "--input", str(ring_csv(tmp_path)), "--basis", "bfs",
+                       "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert json.loads(err.strip().splitlines()[-1])["error"] == {
+        "type": "ValueError", "message": message}
+
+
 def test_cli_outputs_equal_library_results(tmp_path, capsys):
     stream = synth.gen_daynight(2, 4, 8, 0.5, 0.5, 24, seed=3)
     src = tmp_path / "daynight.raw"
@@ -400,6 +414,17 @@ def test_asymmetric_frequency_filter_raises_imaginary_residue(tmp_path, capsys):
 def _one_error(err) -> str:
     (line,) = err.strip().splitlines()
     return json.loads(line)["error"]["message"]
+
+
+def test_over_nested_ndjson_is_one_ingest_error(tmp_path, capsys):
+    src = tmp_path / "deep.ndjson"
+    src.write_text('{"t": 0, "u": "a", "v": "b"}\n' + "[" * 100_000 + "]" * 100_000 + "\n")
+    code, out, err = run(capsys, "ingest", "--input", str(src), "--format", "ndjson",
+                         "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    (line,) = err.strip().splitlines()
+    assert json.loads(line) == {"error": {"type": "IngestError",
+                                          "message": f"{src}: line 2: malformed NDJSON record"}}
 
 
 def test_tree_with_other_labels_is_refused(tmp_path, capsys):

@@ -429,6 +429,10 @@ _RAW_1X2 = '{"T": 1, "M": 2, "t0": 0, "labels": ["a->b", "b->a"]}\n'
 _RAW_1X1 = '{"T": 1, "M": 1, "t0": 0, "labels": ["c->c"], "vertices": ["c"]}\n'
 
 
+# one JSON value nested far past the recursion limit
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def _tree_doc(**changes):
     doc = {"num_relations": 2, "labels": ["x", "y"], "leaf_order": [0, 1], "nested": ["x", "y"]}
     return json.dumps({**doc, **changes})
@@ -510,6 +514,16 @@ def _tree_doc(**changes):
      f"vertex name 'a,b' {_BAD_NAME}"),
     (_raw_with_payload([1.0]), _RAW_1X1.replace('["c"]', '["c", "a\\nb"]'),
      f"vertex name 'a\\nb' {_BAD_NAME}"),
+    (lambda p: lio.ingest_triplets(p, "ndjson"), _DEEP + "\n", "line 1: malformed NDJSON record"),
+    (lio.read_raw, _DEEP + "\n", "malformed raw header"),
+    (lambda p: lio.ingest_triplets(p, "csv"), b"t,u,v\n0,a,b\n1,a,\xffb\n",
+     "line 3: not UTF-8 text"),
+    (lambda p: lio.ingest_triplets(p, "ndjson"),
+     b'{"t": 0, "u": "a", "v": "b"}\n{"t": 1, "u": "\xff", "v": "b"}\n',
+     "line 2: not UTF-8 text"),
+    (lio.read_dense_csv, b"t,a->b\n0,1\n1,\xff\n", "line 3: not UTF-8 text"),
+    (_read_struct, b"kind,level,index,value\ns,3,0,1\xff\n", "line 2: not UTF-8 text"),
+    (_read_freq, b"freq_index,re,im\r\n0,1,0\r\n\xff,0,0\r\n", "line 3: not UTF-8 text"),
 ], ids=["dense-value", "dense-time", "struct-index", "struct-value", "freq-value",
         "tree-leaf-shape", "tree-internal-shape", "tree-stream-labels", "raw-negative-window",
         "freq-index", "tree-json", "csv-fields", "csv-weight", "ndjson-record",
@@ -520,10 +534,15 @@ def _tree_doc(**changes):
         "csv-weight-nan", "csv-weight-inf", "ndjson-weight-nan", "ndjson-weight-inf",
         "ndjson-time-inf", "dense-value-nan", "struct-value-inf", "freq-re-nan",
         "freq-im-inf", "raw-payload-nan", "raw-empty-window", "raw-header-inf", "tree-inf",
-        "tree-deep", "raw-vertex-arrow", "raw-vertex-comma", "raw-vertex-newline"])
+        "tree-deep", "raw-vertex-arrow", "raw-vertex-comma", "raw-vertex-newline",
+        "ndjson-deep", "raw-header-deep", "csv-not-utf8", "ndjson-not-utf8",
+        "dense-not-utf8", "struct-not-utf8", "freq-not-utf8"])
 def test_malformed_numbers_name_file_and_line(tmp_path, reader, text, where):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     with pytest.raises(IngestError, match=re.escape(f"{path}: {where}")):
         reader(path)
 
