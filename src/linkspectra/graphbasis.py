@@ -8,7 +8,10 @@ out as [s_0 .. s_{M/2^j - 1}, w^{(j)}, w^{(j-1)}, .., w^{(1)}], coarse first.
 Transforms run as a matrix-free Haar filter bank on the leaf-reordered
 weight vector: sums and differences are accumulated unnormalized and the
 2^{-l/2} scale is applied once per output block, so integer inputs stay
-exact until the final multiply. Cost is O(M) per graph.
+exact until the final multiply. The bank writes each level's differences
+straight into that level's slice of one output array (``np.subtract(...,
+out=)``, then an in-place scale), and synthesis builds each finer level in
+one buffer. Cost is O(M) per graph.
 """
 
 from __future__ import annotations
@@ -76,16 +79,19 @@ class GraphBasis:
         values = np.asarray(values)
         if values.shape[-1] != self.num_relations:
             raise ValueError("last axis must have length M")
-        permuted = values[..., self.tree.position_to_relation]
-        s = permuted
-        details = []
+        s = values[..., self.tree.position_to_relation]
+        # keep the gather's memory layout (column-major for a T x M grid), so
+        # the block writes here and a time-axis FFT after them stay contiguous
+        out = np.empty_like(s, dtype=np.result_type(s, 1.0))
         for l in range(1, self.level + 1):
             even = s[..., 0::2]
             odd = s[..., 1::2]
-            details.append((even - odd) * 2.0 ** (-l / 2.0))
+            block = out[..., self.wavelet_slice(l)]
+            np.subtract(even, odd, out=block)
+            block *= 2.0 ** (-l / 2.0)
             s = even + odd
-        blocks = [s * 2.0 ** (-self.level / 2.0)] + details[::-1]
-        return np.concatenate(blocks, axis=-1)
+        np.multiply(s, 2.0 ** (-self.level / 2.0), out=out[..., : self.num_scaling])
+        return out
 
     def synthesize_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform back to weight vectors in relation order."""
@@ -94,10 +100,13 @@ class GraphBasis:
             raise ValueError("last axis must have length M")
         s = coeffs[..., : self.num_scaling] * 2.0 ** (self.level / 2.0)
         for l in range(self.level, 0, -1):
-            w = coeffs[..., self.wavelet_slice(l)] * 2.0 ** (l / 2.0)
-            nxt = np.empty(s.shape[:-1] + (2 * w.shape[-1],), dtype=np.result_type(s, w))
-            nxt[..., 0::2] = (s + w) * 0.5
-            nxt[..., 1::2] = (s - w) * 0.5
+            nxt = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=s.dtype)
+            even = nxt[..., 0::2]
+            w = nxt[..., 1::2]
+            np.multiply(coeffs[..., self.wavelet_slice(l)], 2.0 ** (l / 2.0), out=w)
+            np.add(s, w, out=even)
+            np.subtract(s, w, out=w)
+            nxt *= 0.5
             s = nxt
         return s[..., self.tree.leaf_order]
 

@@ -67,6 +67,14 @@ def _float(text) -> float:
     return x
 
 
+def _time(value) -> int:
+    """``int(value)``, refusing a time outside int64 with a ValueError."""
+    t = int(value)
+    if not -(1 << 63) <= t < 1 << 63:
+        raise ValueError(f"time {value!r} outside the int64 range")
+    return t
+
+
 class _Cursor:
     """Where a reader is: its file and, while rows are read, the line."""
 
@@ -122,7 +130,7 @@ def _rows(at, lines, header: str, widths, shape: str):
 def _iter_triplets_csv(path, lines):
     with _refusing(path, "malformed numeric field in {!r}") as at:
         for f in _rows(at, lines, "t|time", (3, 4), "'t,u,v[,w]', got {!r}"):
-            yield int(f[0]), f[1], f[2], _float(f[3]) if len(f) == 4 else 1.0
+            yield _time(f[0]), f[1], f[2], _float(f[3]) if len(f) == 4 else 1.0
 
 
 # raw_decode skips the whitespace scans and the BOM check of json.loads: a
@@ -141,7 +149,7 @@ def _iter_triplets_ndjson(path, lines):
             rec, end = _JSON.raw_decode(line)
             if end != len(line):
                 raise ValueError("extra data")
-            yield int(rec["t"]), str(rec["u"]), str(rec["v"]), _float(rec.get("w", 1.0))
+            yield _time(rec["t"]), str(rec["u"]), str(rec["v"]), _float(rec.get("w", 1.0))
 
 
 def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = False,

@@ -100,21 +100,26 @@ def decompose(stream: LinkStreamMatrix, basis: GraphBasis) -> CoefficientMatrix:
 
 
 def _synthesize_stream(grid: np.ndarray, basis: GraphBasis, space, t0: int) -> LinkStreamMatrix:
-    """L = Psi grid Phi for a grid laid out like C, realified before Phi (see _realify)."""
-    x = _realify(FourierBasis(grid.shape[0]).inverse(grid))
+    """L = Psi grid Phi for a grid laid out like C, realified before Phi (see _realify).
+
+    Consumes ``grid``: a writable complex128 array the caller owns, which the
+    inverse FFT overwrites."""
+    x = _realify(FourierBasis(grid.shape[0])._inverse_in_place(grid))
     return LinkStreamMatrix(space, t0, _clear_inert(space, basis.synthesize_values(x)))
 
 
 def reconstruct(coeffs: CoefficientMatrix) -> LinkStreamMatrix:
     """L = Psi C Phi, realified (imaginary residue above tolerance is an error)."""
-    return _synthesize_stream(coeffs.values, coeffs.basis, coeffs.space, coeffs.t0)
+    return _synthesize_stream(coeffs.values.copy(), coeffs.basis, coeffs.space, coeffs.t0)
 
 
 def apply_joint_filter(stream: LinkStreamMatrix, jf: JointFilter,
                        basis: GraphBasis) -> LinkStreamMatrix:
     """L_hat = Psi Lambda_H C Lambda_Q Phi in one pass through C."""
     c = decompose(stream, basis)
-    filtered = jf.freq.response[:, None] * c.values * jf.struct[None, :]
+    filtered = jf.freq.response[:, None] * c.values
+    del c
+    filtered *= jf.struct[None, :]
     return _synthesize_stream(filtered, basis, stream.space, stream.t0)
 
 
@@ -191,6 +196,7 @@ def backbone(stream: LinkStreamMatrix, basis: GraphBasis, keep: KeepRule):
     if not mask.any():
         raise ValueError("backbone selection is empty")
     kept = np.where(mask, coeffs.values, 0.0)
+    del coeffs  # and its cached magnitude, before the synthesis
     return _synthesize_stream(kept, basis, stream.space, stream.t0), mask
 
 
@@ -211,10 +217,20 @@ class RegularityReport:
 
 def _time_derivative(values: np.ndarray, boundary: str) -> np.ndarray:
     if boundary == "circular":
-        return values - np.roll(values, 1, axis=0)
+        # d[t] = values[t] - values[t - 1], wrapping at t = 0
+        d = np.empty_like(values)
+        np.subtract(values[1:], values[:-1], out=d[1:])
+        np.subtract(values[0], values[-1], out=d[0])
+        return d
     if boundary == "linear":
         return values[1:] - values[:-1]
     raise ValueError("boundary must be 'circular' or 'linear'")
+
+
+def _sum_of_squares(a: np.ndarray) -> float:
+    """sum(a * a), squaring the array it is given in place."""
+    a *= a
+    return float(np.sum(a))
 
 
 def regularity(stream: LinkStreamMatrix, basis: GraphBasis,
@@ -225,11 +241,12 @@ def regularity(stream: LinkStreamMatrix, basis: GraphBasis,
     changes between consecutive graphs; reg_e = ||L Q^(diff)||_F^2 is the
     summed graph regularity of the slices.
     """
-    dt = _time_derivative(stream.values, boundary)
-    reg_t = float(np.sum(dt * dt))
-    x = basis.analyze_values(stream.values) * detail_pass_response(basis)[None, :]
+    reg_t = _sum_of_squares(_time_derivative(stream.values, boundary))
+    x = basis.analyze_values(stream.values)
+    x *= detail_pass_response(basis)[None, :]
     de = _clear_inert(stream.space, basis.synthesize_values(x))
-    reg_e = float(np.sum(de * de))
+    del x
+    reg_e = _sum_of_squares(de)
     return RegularityReport(reg_t, reg_e, boundary)
 
 
@@ -238,5 +255,4 @@ def relaxed_time_regularity(stream: LinkStreamMatrix, basis: GraphBasis,
     """||H^(diff) S||_F^2 on the scaling block; zero iff the slices are
     structurally equal at the basis level."""
     s = time_structure(stream, basis)[:, : basis.num_scaling]
-    ds = _time_derivative(s, boundary)
-    return float(np.sum(ds * ds))
+    return _sum_of_squares(_time_derivative(s, boundary))

@@ -39,12 +39,24 @@ class FourierBasis:
         return np.exp(2j * np.pi * np.outer(t, t) / self.length) / np.sqrt(self.length)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
-        """Analysis transform along axis 0: F = conj(Psi).T @ values."""
-        return np.fft.fft(np.asarray(values), axis=0) / np.sqrt(self.length)
+        """Analysis transform along axis 0: F = conj(Psi).T @ values, as a new
+        complex128 array (one copy, transformed in place)."""
+        c = np.asarray(values).astype(np.complex128)
+        np.fft.fft(c, axis=0, out=c)
+        c /= np.sqrt(self.length)
+        return c
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Synthesis transform along axis 0: values = Psi @ coeffs."""
-        return np.fft.ifft(np.asarray(coeffs), axis=0) * np.sqrt(self.length)
+        """Synthesis transform along axis 0: values = Psi @ coeffs, as a new
+        complex128 array; ``coeffs`` is left as it is."""
+        return self._inverse_in_place(np.array(coeffs, dtype=np.complex128))
+
+    def _inverse_in_place(self, grid: np.ndarray) -> np.ndarray:
+        """``inverse`` on a writable complex128 grid the caller owns and gives
+        up: the grid is overwritten with the result and returned."""
+        np.fft.ifft(grid, axis=0, out=grid)
+        grid *= np.sqrt(self.length)
+        return grid
 
     def frequencies(self) -> np.ndarray:
         """Cyclic frequency u/T per index."""
@@ -103,9 +115,17 @@ class CirculantOperator:
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         """Exact time-domain application by shifted sums (axis 0)."""
         values = np.asarray(values)
+        t = values.shape[0]
+        if t != self.length:
+            raise ValueError(f"{t} time rows for a circulant operator of length {self.length}")
         out = np.zeros_like(values, dtype=np.result_type(values, self.kernel))
+        term = np.empty_like(out)
         for d in np.nonzero(self.kernel)[0]:
-            out += self.kernel[d] * np.roll(values, d, axis=0)
+            # term[t] = values[t - d], wrapping: np.roll into one reused buffer
+            term[d:] = values[: t - d]
+            term[:d] = values[t - d :]
+            term *= self.kernel[d]
+            out += term
         return out
 
 
@@ -154,7 +174,8 @@ def _realify(values: np.ndarray) -> np.ndarray:
     """Real part (a view) of a time-synthesized grid; imaginary residue above
     IMAG_TOL is an error. Exact before the graph synthesis too: Phi multiplies
     by real scalars only, so it never mixes real and imaginary parts."""
-    residue = float(np.max(np.abs(values.imag)))
+    imag = values.imag
+    residue = float(max(imag.max(), -imag.min()))  # max |imag| without an |imag| array
     if residue > IMAG_TOL:
         raise ValueError(
             f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.0e};"
@@ -167,7 +188,7 @@ def apply_frequency_filter(stream: LinkStreamMatrix, filt: FrequencyFilter) -> L
     if filt.length != stream.num_times:
         raise ValueError("filter length does not match the stream window")
     basis = FourierBasis(stream.num_times)
-    out = basis.inverse(filt.response[:, None] * basis.forward(stream.values))
+    out = basis._inverse_in_place(filt.response[:, None] * basis.forward(stream.values))
     return stream.with_values(_realify(out))
 
 

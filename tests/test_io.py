@@ -524,6 +524,11 @@ def _tree_doc(**changes):
     (lio.read_dense_csv, b"t,a->b\n0,1\n1,\xff\n", "line 3: not UTF-8 text"),
     (_read_struct, b"kind,level,index,value\ns,3,0,1\xff\n", "line 2: not UTF-8 text"),
     (_read_freq, b"freq_index,re,im\r\n0,1,0\r\n\xff,0,0\r\n", "line 3: not UTF-8 text"),
+    (lambda p: lio.ingest_triplets(p, "csv"), "0,a,b\n100000000000000000000,a,b\n",
+     "line 2: malformed numeric field in '100000000000000000000,a,b'"),
+    (lambda p: lio.ingest_triplets(p, "ndjson"),
+     '{"t": 0, "u": "a", "v": "b"}\n{"t": 100000000000000000000, "u": "a", "v": "b"}\n',
+     "line 2: malformed NDJSON record"),
 ], ids=["dense-value", "dense-time", "struct-index", "struct-value", "freq-value",
         "tree-leaf-shape", "tree-internal-shape", "tree-stream-labels", "raw-negative-window",
         "freq-index", "tree-json", "csv-fields", "csv-weight", "ndjson-record",
@@ -536,7 +541,8 @@ def _tree_doc(**changes):
         "freq-im-inf", "raw-payload-nan", "raw-empty-window", "raw-header-inf", "tree-inf",
         "tree-deep", "raw-vertex-arrow", "raw-vertex-comma", "raw-vertex-newline",
         "ndjson-deep", "raw-header-deep", "csv-not-utf8", "ndjson-not-utf8",
-        "dense-not-utf8", "struct-not-utf8", "freq-not-utf8"])
+        "dense-not-utf8", "struct-not-utf8", "freq-not-utf8",
+        "csv-time-int64", "ndjson-time-int64"])
 def test_malformed_numbers_name_file_and_line(tmp_path, reader, text, where):
     path = tmp_path / "bad.txt"
     if isinstance(text, bytes):

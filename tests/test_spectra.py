@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +13,14 @@ from linkspectra import (
     JointFilter,
     KeepRule,
     LinkStreamMatrix,
+    aggregate,
     analyze,
+    apply_frequency_filter,
     apply_joint_filter,
     backbone,
     decompose,
     default_basis,
+    dft_inverse,
     full_space,
     graph_edit,
     motif_counts,
@@ -23,11 +28,13 @@ from linkspectra import (
     regularity,
     relaxed_time_regularity,
     stream_from_slices,
+    time_diff,
     time_structure,
 )
-from linkspectra.graphbasis import coarse_pass_response
+from linkspectra.graphbasis import coarse_pass_response, detail_pass_response
 from linkspectra.partition import PartitionTree
 from linkspectra.spectra import apply_joint_filter_sequential, freq_relational, structure_split
+from linkspectra.timebasis import lowpass_filter
 from linkspectra import synth
 
 from conftest import random_tree
@@ -352,3 +359,172 @@ def test_relaxed_regularity_alternating_value(fig_basis, osc_space):
     assert relaxed_time_regularity(stream, fig_basis) == pytest.approx(expected, rel=1e-12)
     const = LinkStreamMatrix(osc_space, 0, np.ones((6, 16)))
     assert relaxed_time_regularity(const, fig_basis) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels: bitwise oracle, memory bound, caller arrays untouched
+#
+# The reference functions are the plain, allocating numpy expressions of each
+# transform; the kernels, which write into buffers they own, must give the
+# same bytes (-0.0 included), not merely close values.
+
+def _ref_analyze(basis, values):
+    s = values[..., basis.tree.position_to_relation]
+    details = []
+    for l in range(1, basis.level + 1):
+        even, odd = s[..., 0::2], s[..., 1::2]
+        details.append((even - odd) * 2.0 ** (-l / 2.0))
+        s = even + odd
+    return np.concatenate([s * 2.0 ** (-basis.level / 2.0)] + details[::-1], axis=-1)
+
+
+def _ref_synthesize(basis, coeffs):
+    s = coeffs[..., : basis.num_scaling] * 2.0 ** (basis.level / 2.0)
+    for l in range(basis.level, 0, -1):
+        w = coeffs[..., basis.wavelet_slice(l)] * 2.0 ** (l / 2.0)
+        nxt = np.empty(s.shape[:-1] + (2 * w.shape[-1],), dtype=np.result_type(s, w))
+        nxt[..., 0::2] = (s + w) * 0.5
+        nxt[..., 1::2] = (s - w) * 0.5
+        s = nxt
+    return s[..., basis.tree.leaf_order]
+
+
+def _ref_forward(values):
+    return np.fft.fft(values, axis=0) / np.sqrt(values.shape[0])
+
+
+def _ref_inverse(coeffs):
+    return np.fft.ifft(coeffs, axis=0) * np.sqrt(coeffs.shape[0])
+
+
+def _ref_derivative(values):
+    return values - np.roll(values, 1, axis=0)
+
+
+def _ref_circulant(kernel, values):
+    out = np.zeros_like(values)
+    for d in np.nonzero(kernel)[0]:
+        out += kernel[d] * np.roll(values, d, axis=0)
+    return out
+
+
+def _ref_round_trip(grid, basis, space):
+    vals = _ref_synthesize(basis, _ref_inverse(grid).real)
+    vals[..., space.inert] = 0.0
+    return vals
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def _weighted_stream(rng, t, n):
+    space = full_space(n)
+    vals = rng.standard_normal((t, space.num_relations))
+    vals[rng.random(vals.shape) < 0.3] = 0.0
+    vals[:, space.inert] = 0.0
+    return LinkStreamMatrix(space, 0, vals)
+
+
+@pytest.mark.parametrize("t,n,level", [(12, 3, 1), (12, 3, 4), (10, 16, 2), (10, 16, 8)],
+                         ids=["padded-level1", "padded-full", "n16-level2", "n16-full"])
+def test_in_place_kernels_match_allocating_references_bitwise(t, n, level):
+    rng = np.random.default_rng([t, n, level])
+    stream = _weighted_stream(rng, t, n)
+    space, vals = stream.space, stream.values
+    basis = GraphBasis(random_tree(space.num_relations, rng), level)
+
+    x = _ref_analyze(basis, vals)
+    _same_bits(basis.analyze_values(vals), x)
+    _same_bits(basis.synthesize_values(x), _ref_synthesize(basis, x))
+    c = _ref_forward(x)
+    _same_bits(FourierBasis(t).forward(x), c)
+    _same_bits(FourierBasis(t).inverse(c), _ref_inverse(c))
+
+    coeffs = decompose(stream, basis)
+    _same_bits(coeffs.values, c)
+    _same_bits(reconstruct(coeffs).values, _ref_round_trip(c, basis, space))
+    for rule in (KeepRule.box(0, t // 4, 0, basis.num_scaling - 1), KeepRule.top_k(3)):
+        kept, mask = backbone(stream, basis, rule)
+        _same_bits(kept.values, _ref_round_trip(np.where(mask, c, 0.0), basis, space))
+    jf = JointFilter(lowpass_filter(0.2, t), rng.standard_normal(space.num_relations))
+    _same_bits(apply_joint_filter(stream, jf, basis).values,
+               _ref_round_trip(jf.freq.response[:, None] * c * jf.struct[None, :], basis, space))
+    _same_bits(apply_frequency_filter(stream, jf.freq).values,
+               _ref_inverse(jf.freq.response[:, None] * _ref_forward(vals)).real)
+
+    dt = _ref_derivative(vals)
+    de = _ref_synthesize(basis, x * detail_pass_response(basis)[None, :])
+    de[..., space.inert] = 0.0
+    rep = regularity(stream, basis)
+    _same_bits(rep.reg_t, float(np.sum(dt * dt)))
+    _same_bits(rep.reg_e, float(np.sum(de * de)))
+    ds = _ref_derivative(x[:, : basis.num_scaling])
+    _same_bits(relaxed_time_regularity(stream, basis), float(np.sum(ds * ds)))
+
+    kernel = np.zeros(t)
+    kernel[:3] = 1.0
+    _same_bits(aggregate(stream, 3).values, _ref_circulant(kernel, vals))
+    kernel = np.zeros(t)
+    kernel[[0, 1]] = 1.0, -1.0
+    _same_bits(time_diff(stream).values, _ref_circulant(kernel, vals))
+
+
+def _traced_peak(call) -> int:
+    """tracemalloc peak of ``call()`` after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectral_kernels_stay_within_a_few_stream_sizes():
+    rng = np.random.default_rng(4096)
+    stream = _weighted_stream(rng, 64, 64)  # T = 64, M = 2^12
+    basis = GraphBasis(random_tree(stream.num_relations, rng), 6)
+    coeffs = decompose(stream, basis)
+    box = KeepRule.box(0, 3, 0, basis.num_scaling - 1)
+    jf = JointFilter(lowpass_filter(0.05, 64), coarse_pass_response(basis))
+    bounds = {
+        "backbone top-k": (lambda: backbone(stream, basis, KeepRule.top_k(4)), 5.5),
+        "decompose": (lambda: decompose(stream, basis), 4.5),
+        "reconstruct": (lambda: reconstruct(coeffs), 4.5),
+        "backbone box": (lambda: backbone(stream, basis, box), 4.5),
+        "apply_joint_filter": (lambda: apply_joint_filter(stream, jf, basis), 4.5),
+        "regularity": (lambda: regularity(stream, basis), 3.5),
+        "aggregate": (lambda: aggregate(stream, 8), 3.5),
+    }
+    multiples = {name: _traced_peak(call) / stream.values.nbytes
+                 for name, (call, _) in bounds.items()}
+    over = {name: round(multiples[name], 2) for name, (_, bound) in bounds.items()
+            if multiples[name] > bound}
+    assert not over, f"peak over the bound, in stream sizes: {over}"
+
+
+def test_transforms_leave_caller_arrays_unchanged(rng):
+    t = 8
+    fourier = FourierBasis(t)
+    stream = _weighted_stream(rng, t, 4)
+    real = rng.standard_normal((t, 16))
+    grid = real + 1j * rng.standard_normal((t, 16))
+    spectrum = fourier.forward(stream.values)
+    coeffs = decompose(stream, GraphBasis(random_tree(16, rng)))
+    calls = [
+        (lambda: fourier.forward(real), real),
+        (lambda: fourier.forward(grid), grid),
+        (lambda: fourier.inverse(grid), grid),
+        (lambda: dft_inverse(spectrum, stream), spectrum),
+        (lambda: apply_frequency_filter(stream, lowpass_filter(0.25, t)), stream.values),
+        (lambda: reconstruct(coeffs), coeffs.values),
+    ]
+    for call, arg in calls:
+        before = arg.copy()
+        first = call()
+        _same_bits(arg, before)
+        again = call()  # a consumed input would change the second result
+        _same_bits(getattr(again, "values", again), getattr(first, "values", first))

@@ -112,6 +112,15 @@ def test_circulant_diagonalization(t):
         assert np.abs(psi.conj().T @ h @ psi - np.diag(chi)).max() < 1e-10
 
 
+def test_circulant_matches_its_matrix_and_refuses_other_lengths(rng):
+    op = aggregation_operator(3, 6)
+    values = rng.standard_normal((6, 4))
+    assert np.abs(op.apply_values(values) - op.matrix() @ values).max() < 1e-12
+    for rows in (2, 7):
+        with pytest.raises(ValueError, match=f"{rows} time rows for a circulant operator of length 6"):
+            op.apply_values(np.zeros((rows, 4)))
+
+
 # ---------------------------------------------------------------------------
 # frequency filtering
 
