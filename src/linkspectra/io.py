@@ -48,7 +48,7 @@ class IngestResult:
 
 
 def parse_window(text: str):
-    """'t0:T' -> (t0, T)."""
+    """'t0:T' -> (t0, T); every step t0 .. t0 + T - 1 must be an int64 time."""
     try:
         t0, count = text.split(":")
         t0, count = int(t0), int(count)
@@ -56,6 +56,8 @@ def parse_window(text: str):
         raise IngestError(f"window must look like 't0:T', got {text!r}") from None
     if count < 1:
         raise IngestError("window length must be positive")
+    if not (-(1 << 63) <= t0 and t0 + count - 1 < 1 << 63):
+        raise IngestError(f"window {text!r} reaches outside the int64 time range")
     return t0, count
 
 

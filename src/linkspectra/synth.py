@@ -168,21 +168,30 @@ def _membership_draws(profile: np.ndarray, level: int, trials: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Uniform class members as (trials, motifs, width) booleans.
 
-    Per motif the m active positions are the argpartition top-m of iid
-    uniform keys, a uniform m-subset.
+    Per motif (in profile order, one ``rng.random((trials, width))`` block
+    each, none for m = 0 or m = width) the m active positions are the m
+    smallest of iid uniform keys, a uniform m-subset: each row of keys is
+    sorted and every key at most the row's m-th smallest is written into the
+    mask. A row whose m-th and (m+1)-th smallest keys are equal takes its
+    first m keys in stable argsort order instead, so every row holds exactly
+    m positions.
     """
     width = 1 << level
-    out = np.zeros((trials, profile.size, width), dtype=bool)
+    out = np.empty((trials, profile.size, width), dtype=bool)
+    keys = np.empty((trials, width))
+    ranked = np.empty_like(keys)
     for k, m in enumerate(profile):
         m = int(m)
-        if m == 0:
+        if m in (0, width):
+            out[:, k, :] = m == width
             continue
-        if m == width:
-            out[:, k, :] = True
-            continue
-        keys = rng.random((trials, width))
-        sel = np.argpartition(keys, m - 1, axis=1)[:, :m]
-        out[np.repeat(np.arange(trials), m), k, sel.ravel()] = True
+        rng.random(out=keys)
+        np.copyto(ranked, keys)
+        ranked.view(np.int64).sort(axis=1)   # floats >= 0 order like their bits
+        np.less_equal(keys, ranked[:, m - 1:m], out=out[:, k, :])
+        for row in np.flatnonzero(ranked[:, m - 1] == ranked[:, m]):
+            out[row, k, :] = False
+            out[row, k, np.argsort(keys[row], kind="stable")[:m]] = True
     return out
 
 
@@ -215,7 +224,8 @@ class LemmaCheck:
 
 
 def _max_threads() -> int:
-    """The Monte-Carlo worker cap: LINKSPECTRA_THREADS, else min(4, CPUs)."""
+    """The Monte-Carlo worker cap: LINKSPECTRA_THREADS, else min(4, the CPUs
+    this process may run on)."""
     raw = os.environ.get("LINKSPECTRA_THREADS", "")
     if raw.strip():
         try:
@@ -225,7 +235,9 @@ def _max_threads() -> int:
         if value < 1:
             raise ValueError("LINKSPECTRA_THREADS must be >= 1")
         return value
-    return min(4, os.cpu_count() or 1)
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count())
+    return min(4, usable or 1)
 
 
 def _mc_samples(sample_chunk, trials: int, seed: int) -> np.ndarray:

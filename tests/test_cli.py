@@ -450,6 +450,16 @@ def test_window_refused_on_raw_and_dense_input(tmp_path, capsys, fmt):
     assert not (tmp_path / "out" / "config.json").exists()
 
 
+def test_window_outside_int64_is_one_ingest_error(tmp_path, capsys):
+    src = tmp_path / "w.csv"
+    src.write_text("-9223372036854775808,a,b\n")
+    code, out, err = run(capsys, "ingest", "--input", str(src),
+                         "--window=-9223372036854775809:10", "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert _one_error(err) == ("window '-9223372036854775809:10' reaches outside"
+                               " the int64 time range")
+
+
 def test_svd_tree_reused_on_padded_triplet_input(tmp_path, capsys):
     src = tmp_path / "three.csv"
     src.write_text("0,a,b\n1,b,c\n2,c,a,2.5\n3,a,a\n")   # 3 vertices, padded to 4 for SVD

@@ -61,6 +61,19 @@ def test_ingest_window_drops_and_counts(tmp_path):
     assert result.stream.num_times == 2
 
 
+@pytest.mark.parametrize("text", ["-9223372036854775809:10", "9223372036854775807:2",
+                                  "0:9223372036854775809"])
+def test_window_outside_int64_is_refused(text):
+    with pytest.raises(IngestError, match=re.escape(
+            f"window {text!r} reaches outside the int64 time range")):
+        lio.parse_window(text)
+
+
+def test_window_at_int64_edges_is_accepted():
+    assert lio.parse_window("-9223372036854775808:1") == (-(1 << 63), 1)
+    assert lio.parse_window("9223372036854775806:2") == ((1 << 63) - 2, 2)
+
+
 def test_ingest_csv_and_ndjson_agree(tmp_path):
     csv_path = tmp_path / "in.csv"
     csv_path.write_text(TRIPLETS)

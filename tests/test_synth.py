@@ -1,7 +1,10 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from linkspectra import (
@@ -161,6 +164,59 @@ def test_sample_uniform_chi_square():
     assert p > 1e-4
 
 
+def _argpartition_draws(profile, level, trials, rng):
+    """Reference sampler: per motif the argpartition top-m of the same keys."""
+    width = 1 << level
+    out = np.zeros((trials, profile.size, width), dtype=bool)
+    for k, m in enumerate(profile):
+        m = int(m)
+        if m == 0:
+            continue
+        if m == width:
+            out[:, k, :] = True
+            continue
+        keys = rng.random((trials, width))
+        sel = np.argpartition(keys, m - 1, axis=1)[:, :m]
+        out[np.repeat(np.arange(trials), m), k, sel.ravel()] = True
+    return out
+
+
+@st.composite
+def _draw_cases(draw):
+    level = draw(st.integers(1, 6))
+    profile = draw(st.lists(st.integers(0, 1 << level), min_size=1, max_size=4))
+    return level, np.array(profile), draw(st.integers(1, 300)), draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_draw_cases())
+def test_membership_draws_match_argpartition_oracle(case):
+    level, profile, trials, seed = case
+    got = synth._membership_draws(profile, level, trials, np.random.default_rng(seed))
+    want = _argpartition_draws(profile, level, trials, np.random.default_rng(seed))
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert (got.sum(axis=2) == profile).all()
+
+
+class _QuantisedKeys:
+    """Generator stub whose keys take only ``steps`` values, so rows tie."""
+
+    def __init__(self, seed, steps):
+        self.rng, self.steps = np.random.default_rng(seed), steps
+
+    def random(self, size=None, out=None):
+        keys = self.rng.random(size, out=out)
+        keys *= self.steps
+        return np.floor(keys, out=keys)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_membership_draws_keep_m_under_ties(steps):
+    profile = np.array([1, 3, 8, 15, 0, 16, 7, 9])
+    draws = synth._membership_draws(profile, 4, 500, _QuantisedKeys(steps, steps))
+    assert (draws.sum(axis=2) == profile).all()
+
+
 def test_profile_bounds_validated():
     tree = synth.fig_partition()
     with pytest.raises(ValueError):
@@ -204,12 +260,50 @@ def test_verify_all_deterministic():
     assert [c.observed for c in a] == [c.observed for c in b]
 
 
+# verify_all(trials=4000, seed=13) as the argpartition sampler reported it
+_GOLDEN_4000_13 = [
+    (1, "norm_sq_equals_edge_count", "0x0.0p+0", "0x0.0p+0"),
+    (1, "inner_product_equals_overlap", "0x1.0000000000000p-50", "0x0.0p+0"),
+    (1, "distance_sq_equals_edit", "0x1.0000000000000p-47", "0x0.0p+0"),
+    (2, "norm_sq_closed_form", "0x0.0p+0", "0x0.0p+0"),
+    (2, "inner_product_closed_form", "0x0.0p+0", "0x0.0p+0"),
+    (2, "inner_product_mc_overlap", "0x1.955a1cac08312p+3", "0x1.b6781bb570e6cp-7"),
+    (2, "norm_sq_mc_overlap", "0x1.cf3b645a1cac1p+4", "0x1.c27384ff4b8dcp-7"),
+    (2, "distance_sq_mc_identity", "0x1.0cab851eb851fp+5", "0x1.2b772f73128d8p-5"),
+    (3, "regularity_closed_form", "0x1.0000000000000p-49", "0x0.0p+0"),
+    (3, "regularity_mc_expected_dist", "0x1.8466666666666p+2", "0x1.b025477ac67c1p-7"),
+    (4, "time_regularity_equals_edit_sum", "0x0.0p+0", "0x0.0p+0"),
+    (4, "edge_regularity_equals_slice_sum", "0x1.0000000000000p-43", "0x0.0p+0"),
+    (4, "relaxed_regularity_zero_on_class", "0x0.0p+0", "0x0.0p+0"),
+]
+
+
+def test_verify_all_golden():
+    got = [(c.lemma, c.statistic, c.observed.hex(), c.stderr.hex())
+           for c in synth.verify_all(trials=4000, seed=13)]
+    assert got == _GOLDEN_4000_13
+
+
 def test_mc_respects_thread_cap(monkeypatch):
-    monkeypatch.setenv("LINKSPECTRA_THREADS", "1")
-    seq = synth.verify_lemma(3, trials=2000, seed=5, sizes=LemmaSizes())
-    monkeypatch.setenv("LINKSPECTRA_THREADS", "3")
-    par = synth.verify_lemma(3, trials=2000, seed=5, sizes=LemmaSizes())
-    assert [c.observed for c in seq] == [c.observed for c in par]
+    for lemma, trials in ((3, 2000), (2, 9000)):   # 9000: two full chunks and a partial one
+        monkeypatch.setenv("LINKSPECTRA_THREADS", "1")
+        seq = synth.verify_lemma(lemma, trials=trials, seed=5, sizes=LemmaSizes())
+        monkeypatch.setenv("LINKSPECTRA_THREADS", "3")
+        par = synth.verify_lemma(lemma, trials=trials, seed=5, sizes=LemmaSizes())
+        assert [c.as_dict() for c in seq] == [c.as_dict() for c in par]
     monkeypatch.setenv("LINKSPECTRA_THREADS", "0")
     with pytest.raises(ValueError):
         synth.verify_lemma(3, trials=500, seed=0)
+
+
+def test_default_thread_cap_counts_usable_cpus(monkeypatch):
+    monkeypatch.delenv("LINKSPECTRA_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+    assert synth._max_threads() == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+    assert synth._max_threads() == 4
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert synth._max_threads() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert synth._max_threads() == 1
