@@ -93,6 +93,9 @@ def gen_sbm_pair(blocks: int, n_per_block: int, p_in: float, p_out: float, seed:
     """
     if not (is_power_of_two(blocks) and is_power_of_two(n_per_block)):
         raise ValueError("blocks and block size must be powers of two")
+    if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
+        raise ValueError(f"invalid SBM parameters: p_in and p_out must lie in [0, 1],"
+                         f" got p_in={p_in}, p_out={p_out}")
     n = blocks * n_per_block
     space = full_space(n)
     membership = np.repeat(np.arange(blocks), n_per_block)
@@ -107,35 +110,46 @@ def gen_sbm_pair(blocks: int, n_per_block: int, p_in: float, p_out: float, seed:
     return slices[0], slices[1], tree
 
 
-def _daynight_values(n_communities, per_community, period, duty, num_times):
-    n = n_communities * per_community
+def _daynight_layout(n_communities, per_community, period, duty, num_times):
+    """The full relation space, the within-community relations (a mask over
+    its first N^2 columns) and the day steps; the pad columns of a vertex
+    count that is not a power of two stay zero."""
+    if n_communities < 1 or per_community < 1:
+        raise ValueError(f"invalid day/night parameters: communities and per_community"
+                         f" must be >= 1, got {n_communities} and {per_community}")
+    if not (0 < duty <= 1 and period >= 1):
+        raise ValueError(f"invalid day/night parameters: need 0 < duty <= 1 and"
+                         f" period >= 1, got duty={duty}, period={period}")
     membership = np.repeat(np.arange(n_communities), per_community)
     within = (membership[:, None] == membership[None, :]).reshape(-1)
     day = (np.arange(num_times) % period) < int(round(duty * period))
-    return n, within, day
+    return full_space(membership.size), within, day
 
 
 def gen_daynight(n_communities: int = 2, per_community: int = 16, period: int = 20,
                  duty: float = 0.5, p_active: float = 0.5, num_times: int = 200,
                  seed: int = 0) -> LinkStreamMatrix:
     """Communities that sporadically interact during day phases, silent at night."""
-    if not (0 < duty <= 1 and 0 <= p_active <= 1 and period >= 1):
-        raise ValueError("invalid day/night parameters")
-    n, within, day = _daynight_values(n_communities, per_community, period, duty, num_times)
+    if not 0 <= p_active <= 1:
+        raise ValueError(f"invalid day/night parameters: p_active must lie in [0, 1],"
+                         f" got {p_active}")
+    space, within, day = _daynight_layout(n_communities, per_community, period, duty,
+                                          num_times)
     rng = np.random.default_rng(seed)
-    vals = np.zeros((num_times, n * n))
+    vals = np.zeros((num_times, space.num_relations))
     active = rng.random((int(day.sum()), int(within.sum()))) < p_active
     vals[np.ix_(day, within)] = active
-    return LinkStreamMatrix(full_space(n), 0, vals)
+    return LinkStreamMatrix(space, 0, vals)
 
 
 def daynight_template(n_communities: int = 2, per_community: int = 16, period: int = 20,
                       duty: float = 0.5, num_times: int = 200) -> LinkStreamMatrix:
     """Noiseless day/night pattern: full blocks by day, empty graphs by night."""
-    n, within, day = _daynight_values(n_communities, per_community, period, duty, num_times)
-    vals = np.zeros((num_times, n * n))
+    space, within, day = _daynight_layout(n_communities, per_community, period, duty,
+                                          num_times)
+    vals = np.zeros((num_times, space.num_relations))
     vals[np.ix_(day, within)] = 1.0
-    return LinkStreamMatrix(full_space(n), 0, vals)
+    return LinkStreamMatrix(space, 0, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
 from linkspectra import GraphBasis, GraphSlice, full_space
+from linkspectra.cli import main
 from linkspectra.partition import PartitionTree
 from linkspectra import synth
 
@@ -19,6 +23,21 @@ def fig_basis():
 @pytest.fixture
 def osc_stream():
     return synth.gen_oscillating(32)
+
+
+def run_cli(*argv):
+    """``cli.main`` in process, for hypothesis tests (no capsys):
+    (exit status, stdout text, stderr text)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def read_grid(path):
+    """Values of a CSV grid, header row and label column dropped."""
+    rows = path.read_text().splitlines()[1:]
+    return np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
 
 
 def random_tree(m, rng):

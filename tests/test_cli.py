@@ -26,17 +26,13 @@ from linkspectra.stream import active_space, restrict_stream
 from linkspectra.graphbasis import coarse_pass_response
 from linkspectra.timebasis import lowpass_filter
 
+from conftest import read_grid
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def read_grid(path):
-    """Values of a CSV grid, header row and label column dropped."""
-    rows = path.read_text().splitlines()[1:]
-    return np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
 
 
 def test_synth_then_aggregate_constant_clique(tmp_path, capsys):
@@ -110,6 +106,32 @@ def test_seed_determinism_byte_for_byte(tmp_path, capsys):
     run(capsys, "synth", "daynight", "--times", "40", "--seed", "10",
         "--out", str(outdir))
     assert (outdir / "stream.raw").read_bytes() != outs[0]
+
+
+def test_synth_daynight_vertex_count_not_a_power_of_two(tmp_path, capsys):
+    code, _, err = run(capsys, "synth", "daynight", "--communities", "3", "--per-comm", "3",
+                       "--times", "8", "--seed", "4", "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    back = lio.read_raw(tmp_path / "o" / "stream.raw").stream
+    expected = synth.gen_daynight(3, 3, 20, 0.5, 0.5, 8, seed=4)
+    assert back.space.num_relations == 128
+    assert np.array_equal(back.values, expected.values)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["daynight", "--per-comm", "0"], "invalid day/night parameters: communities and"
+     " per_community must be >= 1, got 2 and 0"),
+    (["daynight", "--communities", "0"], "invalid day/night parameters: communities and"
+     " per_community must be >= 1, got 0 and 16"),
+    (["sbm-pair", "--p-in", "2"], "invalid SBM parameters: p_in and p_out must lie in"
+     " [0, 1], got p_in=2.0, p_out=0.01"),
+], ids=["per-comm-0", "communities-0", "p-in-2"])
+def test_synth_refuses_bad_parameters(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, "synth", *argv, "--out", str(tmp_path / "o"))
+    assert code == 1 and out == ""
+    (line,) = err.strip().splitlines()
+    assert json.loads(line) == {"error": {"type": "ValueError", "message": message}}
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_backbone_and_filter_cli(tmp_path, capsys):

@@ -1,16 +1,22 @@
 """Reader fuzzing: every reader, fed mutated valid files or arbitrary bytes,
-returns a result or raises IngestError, never another exception type."""
+returns a result or raises IngestError, never another exception type; and
+through ``cli ingest``, such a file either ingests or gives exactly one JSON
+error line and exit status 1."""
 
+import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkspectra import GraphBasis, LinkStreamMatrix, full_space, synth
 from linkspectra import io as lio
 from linkspectra.io import IngestError
+
+from conftest import run_cli
 
 
 def _written(write, *args) -> bytes:
@@ -60,16 +66,63 @@ def _reads_or_refuses(tmp_path_factory, read, data: bytes):
 _FUZZ = settings(max_examples=30, deadline=None)
 
 
+_CSV = b"t,u,v\n0,alice,bob\n1,bob,alice,2.5\n\n3,carol,carol,-1e-3\n"
+_NDJSON = b'{"t": 0, "u": "a", "v": "b"}\n{"t": 2, "u": "b", "v": "a", "w": 2.5}\n'
+
+
 @_FUZZ
-@given(_inputs(b"t,u,v\n0,alice,bob\n1,bob,alice,2.5\n\n3,carol,carol,-1e-3\n"))
+@given(_inputs(_CSV))
 def test_fuzz_triplet_csv(tmp_path_factory, data):
     _reads_or_refuses(tmp_path_factory, lambda p: lio.ingest_triplets(p, "csv"), data)
 
 
 @_FUZZ
-@given(_inputs(b'{"t": 0, "u": "a", "v": "b"}\n{"t": 2, "u": "b", "v": "a", "w": 2.5}\n'))
+@given(_inputs(_NDJSON))
 def test_fuzz_triplet_ndjson(tmp_path_factory, data):
     _reads_or_refuses(tmp_path_factory, lambda p: lio.ingest_triplets(p, "ndjson"), data)
+
+
+def _cli_ingest(tmp_path_factory, fmt: str, data: bytes):
+    """Exit status and stderr lines of ``cli ingest`` on ``data``; the path."""
+    d = tmp_path_factory.mktemp("cli-fuzz")
+    path = d / f"input.{fmt}"
+    path.write_bytes(data)
+    code, _, err = run_cli("ingest", "--input", path, "--format", fmt, "--out", d / "out")
+    return code, err.splitlines(), path
+
+
+def _one_ingest_error(lines, path):
+    (line,) = lines
+    error = json.loads(line)["error"]
+    assert error["type"] == "IngestError" and error["message"].startswith(f"{path}:")
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["csv", "ndjson"]), st.data())
+def test_fuzz_cli_ingest_ingests_or_gives_one_error_line(tmp_path_factory, fmt, data):
+    code, lines, path = _cli_ingest(tmp_path_factory, fmt, data.draw(
+        _inputs(_CSV if fmt == "csv" else _NDJSON)))
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1
+        _one_ingest_error(lines, path)
+
+
+@pytest.mark.parametrize("fmt, data", [
+    ("csv", b"0,a\n"),
+    ("csv", b"0,a,b,nan\n"),
+    ("csv", b"0,a,b\n99999999999999999999999999,a,b\n"),
+    ("csv", b"0,a,\xff\n"),
+    ("ndjson", b'{"t": 0, "u": "a"}\n'),
+    ("ndjson", b'{"t": 0, "u": "a", "v": "b"}\n' + b"[" * 3000 + b"\n"),
+    ("ndjson", b'{"t": 0, "u": "a", "v": "b", "w": NaN}\n'),
+], ids=["csv-short-row", "csv-nan", "csv-time-past-int64", "csv-not-utf8",
+        "ndjson-missing-field", "ndjson-over-nested", "ndjson-nan"])
+def test_cli_ingest_malformed_is_one_error_line(tmp_path_factory, fmt, data):
+    code, lines, path = _cli_ingest(tmp_path_factory, fmt, data)
+    assert code == 1
+    _one_ingest_error(lines, path)
 
 
 @_FUZZ

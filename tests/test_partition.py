@@ -11,13 +11,15 @@ from linkspectra import (
     partition_bfs,
     partition_svd,
 )
+from linkspectra import partition, synth
 from linkspectra.partition import (
+    _POWER_TOL,
     PartitionTree,
     VertexSplit,
+    _power_leading,
     svd_vertex_split,
     tree_from_vertex_order,
 )
-from linkspectra import synth
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,121 @@ def test_svd_first_split_override(osc_stream):
 def test_svd_requires_power_of_two_vertices():
     with pytest.raises(ValueError):
         partition_svd(GraphSlice(full_space(3), np.zeros(16)), seed=0)
+
+
+# ---------------------------------------------------------------------------
+# power iteration: the buffered loop against the plain one
+
+def reference_power_leading(mat, rng, max_iter, orth=None):
+    """The plain power iteration: new arrays each step, np.linalg.norm."""
+    n = mat.shape[0]
+    v = rng.standard_normal(n)
+    if orth is not None:
+        v -= orth * (orth @ v)
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        v = np.zeros(n)
+        v[0] = 1.0
+        if orth is not None:
+            v -= orth * (orth @ v)
+        norm = np.linalg.norm(v)
+        if norm == 0.0:
+            return None, 0.0
+    v /= norm
+    for _ in range(max_iter):
+        w = mat @ v
+        if orth is not None:
+            w -= orth * (orth @ w)
+        norm = np.linalg.norm(w)
+        if norm < 1e-300:
+            return None, 0.0
+        w /= norm
+        done = min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < _POWER_TOL
+        v = w
+        if done:
+            break
+    lam = float(v @ (mat @ v))
+    return v, lam
+
+
+def psd_matrix(n, kind, seed):
+    """A symmetric n x n matrix of the given kind, PSD except "flipping"."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "identity":
+        return np.eye(n) * rng.integers(1, 5)
+    if kind == "rank1":
+        x = rng.standard_normal((n, 1))
+        return x @ x.T
+    if kind == "repeated":   # eigenvalues 3, 3, 1, 1, ... on a random basis
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (q * np.where(np.arange(n) < 2, 3.0, 1.0)) @ q.T
+    if kind == "flipping":   # dominant eigenvalue -3: the iterates flip sign each step
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (q * np.where(np.arange(n) < 1, -3.0, 1.0)) @ q.T
+    if kind == "adjacency":   # the Gram matrix of 0/1 rows, as partition_svd builds it
+        sub = (rng.random((n, 2 * n)) < 0.3).astype(float)
+        return sub @ sub.T
+    b = rng.standard_normal((n, rng.integers(1, n + 1) if kind == "deficient" else n + 2))
+    return b @ b.T
+
+
+def assert_same_power_iteration(mat, seed, max_iter, orth):
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    v, lam = _power_leading(mat, rng_new, max_iter, orth=orth)
+    v_ref, lam_ref = reference_power_leading(mat, rng_ref, max_iter, orth=orth)
+    assert (v is None) == (v_ref is None)
+    if v is not None:
+        assert v.tobytes() == v_ref.tobytes()
+    assert type(lam) is float and lam.hex() == lam_ref.hex()
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24),
+       st.sampled_from(["zero", "identity", "rank1", "repeated", "flipping", "adjacency",
+                        "deficient", "full"]),
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, None]), st.booleans())
+def test_power_leading_bitwise_equals_plain_loop(n, kind, seed, max_iter, deflate):
+    mat = psd_matrix(n, kind, seed)
+    max_iter = 10 * n if max_iter is None else max_iter
+    orth = None
+    if deflate:   # the second call of second_left_singular_vector
+        orth, _ = reference_power_leading(mat, np.random.default_rng(seed + 1), 10 * n)
+        if orth is None:
+            orth = np.eye(n)[0]
+    assert_same_power_iteration(mat, seed, max_iter, orth)
+
+
+def test_power_leading_degenerate_exits():
+    # n = 1 deflated by its own basis vector: the start and e_0 both vanish
+    assert_same_power_iteration(np.ones((1, 1)), 0, 10, np.ones(1))
+    # the matrix maps the deflated start onto the deflated direction: w = 0
+    assert_same_power_iteration(np.diag([2.0, 0.0]), 3, 20, np.array([1.0, 0.0]))
+
+
+_SVD_INPUTS = {
+    "daynight-64": lambda: synth.gen_daynight(2, 32, 16, 0.5, 0.5, 64).aggregate_graph(),
+    "sbm-g1": lambda: synth.gen_sbm_pair(2, 16, 0.5, 0.05, seed=4)[0],
+    "sbm-g2": lambda: synth.gen_sbm_pair(2, 16, 0.5, 0.05, seed=4)[1],
+}
+
+
+@pytest.mark.parametrize("name", list(_SVD_INPUTS))
+def test_partition_svd_leaf_order_equals_plain_loop(monkeypatch, name):
+    adj = _SVD_INPUTS[name]()
+    tree = partition_svd(adj, seed=11)
+    monkeypatch.setattr(partition, "_power_leading", reference_power_leading)
+    assert np.array_equal(partition_svd(adj, seed=11).leaf_order, tree.leaf_order)
+
+
+def test_partition_svd_calls_no_linalg_norm(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.norm called")
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    g1, _, _ = synth.gen_sbm_pair(2, 8, 0.5, 0.05, seed=4)
+    check_tree_invariants(partition_svd(g1, seed=0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from linkspectra import (
     GraphBasis,
     aggregate,
     analyze,
+    full_space,
     graph_edit,
     motif_counts,
 )
@@ -115,6 +116,50 @@ def test_daynight_deterministic():
     c = synth.gen_daynight(seed=6, num_times=40)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("communities, per_comm", [(3, 3), (1, 5), (3, 1)])
+def test_daynight_vertex_count_not_a_power_of_two(communities, per_comm):
+    n = communities * per_comm
+    stream = synth.gen_daynight(communities, per_comm, 4, 0.5, 0.7, 12, seed=2)
+    tmpl = synth.daynight_template(communities, per_comm, 4, 0.5, 12)
+    assert stream.space == tmpl.space == full_space(n)
+    assert stream.space.num_relations > n * n
+    assert not np.any(stream.values[:, n * n:]) and not np.any(tmpl.values[:, n * n:])
+    # the first N^2 columns are the unpadded generator's: the same draws in
+    # the same cells, full blocks in the template
+    membership = np.repeat(np.arange(communities), per_comm)
+    within = (membership[:, None] == membership[None, :]).reshape(-1)
+    day = np.arange(12) % 4 < 2
+    rng = np.random.default_rng(2)
+    expected = np.zeros((12, n * n))
+    expected[np.ix_(day, within)] = rng.random((day.sum(), within.sum())) < 0.7
+    assert np.array_equal(stream.values[:, : n * n], expected)
+    assert np.array_equal(tmpl.values[:, : n * n] != 0, day[:, None] & within)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n_communities=0), "communities and per_community must be >= 1, got 0 and 16"),
+    (dict(per_community=0), "communities and per_community must be >= 1, got 2 and 0"),
+    (dict(per_community=-2), "communities and per_community must be >= 1, got 2 and -2"),
+    (dict(p_active=1.5), "p_active must lie in [0, 1], got 1.5"),
+    (dict(duty=0.0), "need 0 < duty <= 1 and period >= 1, got duty=0.0, period=20"),
+])
+def test_daynight_refuses_bad_parameters(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        synth.gen_daynight(num_times=8, **kwargs)
+    assert str(info.value) == f"invalid day/night parameters: {message}"
+    if "p_active" not in kwargs:
+        with pytest.raises(ValueError, match="invalid day/night parameters"):
+            synth.daynight_template(num_times=8, **kwargs)
+
+
+@pytest.mark.parametrize("p_in, p_out", [(2.0, 0.1), (0.5, -0.1), (float("nan"), 0.0)])
+def test_sbm_pair_refuses_probabilities_outside_unit_interval(p_in, p_out):
+    with pytest.raises(ValueError) as info:
+        synth.gen_sbm_pair(2, 4, p_in, p_out, seed=0)
+    assert str(info.value) == ("invalid SBM parameters: p_in and p_out must lie in [0, 1],"
+                               f" got p_in={p_in}, p_out={p_out}")
 
 
 def test_daynight_phase_structure():
