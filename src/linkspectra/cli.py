@@ -69,7 +69,7 @@ def _prepare(args, stream):
             raise ValueError(f"BFS partitioning needs a power-of-two active relation count,"
                              f" got {space.num_active}")
         stream = restrict_stream(stream, space)
-        tree = partition_bfs(space, stream.aggregate_graph(), seed=args.seed)
+        tree = partition_bfs(space, seed=args.seed)
     else:
         tree = lio.read_tree_json(args.basis, stream.space)
     return stream, GraphBasis(tree, args.level)

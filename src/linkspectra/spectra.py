@@ -113,9 +113,18 @@ def reconstruct(coeffs: CoefficientMatrix) -> LinkStreamMatrix:
     return _synthesize_stream(coeffs.values.copy(), coeffs.basis, coeffs.space, coeffs.t0)
 
 
+def _check_fits(stream: LinkStreamMatrix, jf: JointFilter):
+    """Refuse responses whose lengths are not the stream's T and M: numpy
+    would broadcast a length-1 response into a wrong stream."""
+    if (jf.freq.length, jf.struct.size) != (stream.num_times, stream.num_relations):
+        raise ValueError(f"joint filter of {jf.freq.length} frequencies by {jf.struct.size} columns"
+                         f" for a T = {stream.num_times} by M = {stream.num_relations} stream")
+
+
 def apply_joint_filter(stream: LinkStreamMatrix, jf: JointFilter,
                        basis: GraphBasis) -> LinkStreamMatrix:
     """L_hat = Psi Lambda_H C Lambda_Q Phi in one pass through C."""
+    _check_fits(stream, jf)
     c = decompose(stream, basis)
     filtered = jf.freq.response[:, None] * c.values
     del c
@@ -126,6 +135,7 @@ def apply_joint_filter(stream: LinkStreamMatrix, jf: JointFilter,
 def apply_joint_filter_sequential(stream: LinkStreamMatrix, jf: JointFilter,
                                   basis: GraphBasis) -> LinkStreamMatrix:
     """Equivalent two-step path: H^(filt) L followed by L Q^(filt)."""
+    _check_fits(stream, jf)
     intermediate = apply_frequency_filter(stream, jf.freq)
     x = basis.analyze_values(intermediate.values) * jf.struct[None, :]
     return stream.with_values(_clear_inert(stream.space, basis.synthesize_values(x)))

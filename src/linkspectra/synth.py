@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,13 @@ from .stream import (
 MIN_TRIALS = 100
 _Z_THRESHOLD = 4.0
 _MC_CHUNK = 4096
+# the oracles' fixed sizes: 8 vertices (M = 64 relations), level 4 (motifs
+# of 16 relations), streams of 32 steps, and the edge density of random graphs
+_VERTICES = 8
+_LEVEL = 4
+_WIDTH = 1 << _LEVEL
+_TIMES = 32
+_DENSITY = 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +219,7 @@ def _membership_draws(profile: np.ndarray, level: int, trials: int,
 
 def sample_structurally_equal(cls: StructuralClass, seed) -> GraphSlice:
     """One uniform draw from the class (seed or Generator accepted)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     member = _membership_draws(cls.profile, cls.level, 1, rng)[0]
     weights = np.zeros(cls.tree.num_relations)
     weights[cls.tree.position_to_relation] = member.reshape(-1)
@@ -260,17 +268,11 @@ def _mc_samples(sample_chunk, trials: int, seed: int) -> np.ndarray:
     Aggregation order is fixed by chunk index, so results do not depend on
     the worker count (capped by LINKSPECTRA_THREADS).
     """
-    chunks = [_MC_CHUNK] * (trials // _MC_CHUNK)
-    if trials % _MC_CHUNK:
-        chunks.append(trials % _MC_CHUNK)
+    chunks = [min(_MC_CHUNK, trials - start) for start in range(0, trials, _MC_CHUNK)]
     seeds = np.random.SeedSequence(seed).spawn(len(chunks))
-    workers = min(_max_threads(), len(chunks))
-    if workers <= 1:
-        parts = [sample_chunk(np.random.default_rng(s), n) for s, n in zip(seeds, chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda a: sample_chunk(np.random.default_rng(a[0]), a[1]),
-                                  zip(seeds, chunks)))
+    with ThreadPoolExecutor(max_workers=min(_max_threads(), len(chunks))) as pool:
+        parts = list(pool.map(lambda s, n: sample_chunk(np.random.default_rng(s), n),
+                              seeds, chunks))
     return np.concatenate(parts)
 
 
@@ -288,32 +290,22 @@ def _exact_check(lemma: int, statistic: str, deviation: float, trials: int,
                       bool(deviation < tol))
 
 
-@dataclass(frozen=True)
-class LemmaSizes:
-    num_relations: int = 64
-    level: int = 4
-    num_times: int = 32
+def _random_profile(num_relations: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.integers(0, _WIDTH + 1, size=num_relations >> _LEVEL)
 
 
-def _random_tree(m: int, rng: np.random.Generator) -> PartitionTree:
-    return PartitionTree(rng.permutation(m))
+def _random_unweighted(space, rng) -> GraphSlice:
+    return GraphSlice(space, (rng.random(space.num_relations) < _DENSITY).astype(float))
 
 
-def _random_profile(sizes: LemmaSizes, rng: np.random.Generator) -> np.ndarray:
-    width = 1 << sizes.level
-    return rng.integers(0, width + 1, size=sizes.num_relations >> sizes.level)
+def _overlaps(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """|A & B| for n independent pairs: A drawn from class p1, then B from p2."""
+    a = _membership_draws(p1, _LEVEL, n, rng)
+    b = _membership_draws(p2, _LEVEL, n, rng)
+    return (a & b).sum(axis=(1, 2)).astype(float)
 
 
-def _random_unweighted(space, rng, density=0.4) -> GraphSlice:
-    return GraphSlice(space, (rng.random(space.num_relations) < density).astype(float))
-
-
-def _scaling_closed_form(p1: np.ndarray, p2: np.ndarray, level: int) -> float:
-    return float(np.sum(p1 * p2) / (1 << level))
-
-
-def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0,
-                 sizes: LemmaSizes = LemmaSizes()) -> list:
+def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0) -> list:
     """Check one of the four identities against brute force and Monte Carlo.
 
     Lemma 1: exact embedding identities on random unweighted pairs.
@@ -326,10 +318,9 @@ def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0,
     if lemma not in (1, 2, 3, 4):
         raise ValueError("lemma must be 1, 2, 3, or 4")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    space = full_space(int(np.sqrt(sizes.num_relations)))
-    if space.num_relations != sizes.num_relations:
-        raise ValueError("num_relations must be an even power of two")
-    basis = GraphBasis(_random_tree(sizes.num_relations, rng), sizes.level)
+    space = full_space(_VERTICES)
+    m = space.num_relations
+    basis = GraphBasis(PartitionTree(rng.permutation(m)), _LEVEL)
     checks = []
 
     if lemma == 1:
@@ -350,40 +341,26 @@ def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0,
         return checks
 
     if lemma == 2:
-        p1 = _random_profile(sizes, rng)
-        p2 = _random_profile(sizes, rng)
-        cls1 = StructuralClass(space, basis.tree, sizes.level, p1)
-        cls2 = StructuralClass(space, basis.tree, sizes.level, p2)
-        g1 = sample_structurally_equal(cls1, rng)
-        g2 = sample_structurally_equal(cls2, rng)
+        p1 = _random_profile(m, rng)
+        p2 = _random_profile(m, rng)
+        g1 = sample_structurally_equal(StructuralClass(space, basis.tree, _LEVEL, p1), rng)
+        g2 = sample_structurally_equal(StructuralClass(space, basis.tree, _LEVEL, p2), rng)
         s1 = analyze(g1, basis).scaling
         s2 = analyze(g2, basis).scaling
-        r11 = _scaling_closed_form(p1, p1, sizes.level)
-        r12 = _scaling_closed_form(p1, p2, sizes.level)
+        r11 = float(np.sum(p1 * p1) / _WIDTH)
+        r12 = float(np.sum(p1 * p2) / _WIDTH)
         checks.append(_exact_check(2, "norm_sq_closed_form", abs(s1 @ s1 - r11), 1))
         checks.append(_exact_check(2, "inner_product_closed_form", abs(s1 @ s2 - r12), 1))
-
-        def overlap_chunk(crng, n):
-            a = _membership_draws(p1, sizes.level, n, crng)
-            b = _membership_draws(p2, sizes.level, n, crng)
-            return (a & b).sum(axis=(1, 2)).astype(float)
-
         checks.append(_mc_check(2, "inner_product_mc_overlap", r12,
-                                _mc_samples(overlap_chunk, trials, seed)))
-
-        def self_overlap_chunk(crng, n):
-            a = _membership_draws(p1, sizes.level, n, crng)
-            b = _membership_draws(p1, sizes.level, n, crng)
-            return (a & b).sum(axis=(1, 2)).astype(float)
-
+                                _mc_samples(partial(_overlaps, p1, p2), trials, seed)))
         checks.append(_mc_check(2, "norm_sq_mc_overlap", r11,
-                                _mc_samples(self_overlap_chunk, trials, seed + 1)))
+                                _mc_samples(partial(_overlaps, p1, p1), trials, seed + 1)))
 
         def edit_gap_chunk(crng, n):
-            a = _membership_draws(p1, sizes.level, n, crng)
-            b = _membership_draws(p2, sizes.level, n, crng)
-            a2 = _membership_draws(p1, sizes.level, n, crng)
-            b2 = _membership_draws(p2, sizes.level, n, crng)
+            a = _membership_draws(p1, _LEVEL, n, crng)
+            b = _membership_draws(p2, _LEVEL, n, crng)
+            a2 = _membership_draws(p1, _LEVEL, n, crng)
+            b2 = _membership_draws(p2, _LEVEL, n, crng)
             edit = (a ^ b).sum(axis=(1, 2)).astype(float)
             d1 = (a & ~a2).sum(axis=(1, 2)).astype(float)
             d2 = (b & ~b2).sum(axis=(1, 2)).astype(float)
@@ -395,18 +372,17 @@ def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0,
         return checks
 
     if lemma == 3:
-        profile = _random_profile(sizes, rng)
-        cls = StructuralClass(space, basis.tree, sizes.level, profile)
+        profile = _random_profile(m, rng)
+        cls = StructuralClass(space, basis.tree, _LEVEL, profile)
         g = sample_structurally_equal(cls, rng)
-        width = 1 << sizes.level
-        closed = float(np.sum(profile - profile.astype(float) ** 2 / width))
+        closed = float(np.sum(profile - profile.astype(float) ** 2 / _WIDTH))
         checks.append(_exact_check(3, "regularity_closed_form",
                                    abs(graph_regularity(g, basis) - closed), 1))
         active = (g.weights != 0.0)[basis.tree.position_to_relation]
-        member = active.reshape(profile.size, width)
+        member = active.reshape(profile.size, _WIDTH)
 
         def dist_chunk(crng, n):
-            draws = _membership_draws(profile, sizes.level, n, crng)
+            draws = _membership_draws(profile, _LEVEL, n, crng)
             return (member[None] & ~draws).sum(axis=(1, 2)).astype(float)
 
         checks.append(_mc_check(3, "regularity_mc_expected_dist", closed,
@@ -414,35 +390,33 @@ def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0,
         return checks
 
     # lemma 4
-    times = sizes.num_times
-    vals = (rng.random((times, sizes.num_relations)) < 0.4).astype(float)
+    vals = (rng.random((_TIMES, m)) < _DENSITY).astype(float)
     stream = LinkStreamMatrix(space, 0, vals)
     rep = regularity(stream, basis)
     edits = sum(graph_edit(stream.slice_at(t), stream.slice_at(int(stream.times[t - 1])))
-                for t in range(times))
+                for t in range(_TIMES))
     checks.append(_exact_check(4, "time_regularity_equals_edit_sum",
-                               abs(rep.reg_t - edits), times))
-    width = 1 << sizes.level
+                               abs(rep.reg_t - edits), _TIMES))
     per_slice = 0.0
     for sl in stream.slices():
-        m = motif_counts(sl, basis).astype(float)
-        per_slice += float(np.sum(m - m ** 2 / width))
+        counts = motif_counts(sl, basis).astype(float)
+        per_slice += float(np.sum(counts - counts ** 2 / _WIDTH))
     checks.append(_exact_check(4, "edge_regularity_equals_slice_sum",
-                               abs(rep.reg_e - per_slice), times))
-    profile = _random_profile(sizes, rng)
-    cls = StructuralClass(space, basis.tree, sizes.level, profile)
+                               abs(rep.reg_e - per_slice), _TIMES))
+    profile = _random_profile(m, rng)
+    cls = StructuralClass(space, basis.tree, _LEVEL, profile)
     equal_stream = LinkStreamMatrix(
         space, 0,
-        np.stack([sample_structurally_equal(cls, rng).weights for _ in range(times)]))
+        np.stack([sample_structurally_equal(cls, rng).weights for _ in range(_TIMES)]))
     relaxed = relaxed_time_regularity(equal_stream, basis)
     checks.append(_exact_check(4, "relaxed_regularity_zero_on_class",
-                               relaxed, times, tol=1e-10))
+                               relaxed, _TIMES, tol=1e-10))
     return checks
 
 
-def verify_all(trials: int = 20000, seed: int = 0, sizes: LemmaSizes = LemmaSizes()) -> list:
+def verify_all(trials: int = 20000, seed: int = 0) -> list:
     """Checks of all four lemmas, in order, each run with the same ``seed``."""
     out = []
     for lemma in (1, 2, 3, 4):
-        out.extend(verify_lemma(lemma, trials=trials, seed=seed, sizes=sizes))
+        out.extend(verify_lemma(lemma, trials=trials, seed=seed))
     return out

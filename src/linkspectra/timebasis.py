@@ -58,10 +58,6 @@ class FourierBasis:
         grid *= np.sqrt(self.length)
         return grid
 
-    def frequencies(self) -> np.ndarray:
-        """Cyclic frequency u/T per index."""
-        return np.arange(self.length) / self.length
-
 
 @dataclass(frozen=True)
 class FrequencyFilter:

@@ -120,9 +120,7 @@ def test_criterion_07_lemma3():
 
 
 def test_criterion_08_lemma4():
-    checks = synth.verify_lemma(4, trials=200, seed=108,
-                                sizes=synth.LemmaSizes(num_relations=64, level=4,
-                                                       num_times=32))
+    checks = synth.verify_lemma(4, trials=200, seed=108)
     by_name = {c.statistic: c for c in checks}
     ok = (by_name["time_regularity_equals_edit_sum"].observed == 0.0
           and by_name["edge_regularity_equals_slice_sum"].observed < 1e-9

@@ -288,6 +288,20 @@ def test_flag_value_errors_name_the_expected_shape(tmp_path, capsys, argv, messa
         "type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "--level", "0"], "level must be >= 1"),
+    (["backbone", "--keep", "box:1:2"],
+     "keep box must look like 'box:u0:u1,k0:k1', got 'box:1:2'"),
+    (["backbone", "--keep", "foo"], "unknown keep rule 'foo'"),
+], ids=["level-0", "keep-box-malformed", "keep-unknown"])
+def test_refused_flag_value_is_one_error_line(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--input", str(ring_csv(tmp_path)), "--basis", "bfs",
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": {"type": "ValueError", "message": message}}]
+
+
 def test_cli_outputs_equal_library_results(tmp_path, capsys):
     stream = synth.gen_daynight(2, 4, 8, 0.5, 0.5, 24, seed=3)
     src = tmp_path / "daynight.raw"

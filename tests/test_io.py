@@ -111,6 +111,8 @@ def _ndjson_records_loads(path, lines):
             continue
         try:
             rec = json.loads(line)
+            if isinstance(rec["t"], (bool, float)):
+                raise ValueError("time is not an integer")
             t = int(rec["t"])
             u = str(rec["u"])
             v = str(rec["v"])
@@ -153,6 +155,20 @@ def test_ndjson_refuses_what_json_loads_refuses(tmp_path, text, where):
     assert _outcome(lio._iter_triplets_ndjson(path, text.splitlines())) == want
     with pytest.raises(IngestError, match=re.escape(want)):
         lio.ingest_triplets(path, "ndjson")
+
+
+@pytest.mark.parametrize("t", ["0.5", "true", "3.0"])
+def test_ndjson_refuses_a_time_that_is_not_an_integer(tmp_path, capsys, t):
+    # the CSV reader refuses 0.5 and 3.0 too; int() would truncate them
+    path = tmp_path / "in.ndjson"
+    path.write_text(f'{{"t": 0, "u": "a", "v": "b"}}\n{{"t": {t}, "u": "b", "v": "a"}}\n')
+    want = f"{path}: line 2: malformed NDJSON record"
+    with pytest.raises(IngestError, match=re.escape(want)):
+        lio.ingest_triplets(path, "ndjson")
+    assert main(["ingest", "--input", str(path), "--format", "ndjson",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(line)["error"]["message"] for line in err] == [want]
 
 
 @settings(max_examples=150, deadline=None)

@@ -172,6 +172,18 @@ def test_joint_filter_two_paths_agree(rng, fig_basis):
     assert np.abs(fast.values - slow.values).max() < 1e-10
 
 
+@pytest.mark.parametrize("path", [apply_joint_filter, apply_joint_filter_sequential])
+@pytest.mark.parametrize("freq_len, struct_len", [
+    (1, 16), (7, 16), (9, 16), (8, 1), (8, 15), (8, 17)])
+def test_joint_filter_refuses_responses_that_do_not_fit(fig_basis, path, freq_len, struct_len):
+    # length 1 would broadcast into a wrong stream; other lengths would fail in numpy
+    stream = synth.gen_oscillating(8)
+    jf = JointFilter(FrequencyFilter(np.ones(freq_len)), np.ones(struct_len))
+    want = f"joint filter of {freq_len} frequencies by {struct_len} columns for a T = 8 by M = 16"
+    with pytest.raises(ValueError, match=want):
+        path(stream, jf, fig_basis)
+
+
 def test_dc_plus_scaling_gives_constant_mean_graph(fig_basis):
     stream = synth.gen_oscillating(8)
     chi = np.zeros(8)

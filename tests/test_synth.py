@@ -16,7 +16,7 @@ from linkspectra import (
     motif_counts,
 )
 from linkspectra import synth
-from linkspectra.synth import LemmaSizes, StructuralClass, sample_structurally_equal
+from linkspectra.synth import StructuralClass, sample_structurally_equal
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +332,9 @@ def test_verify_all_golden():
 def test_mc_respects_thread_cap(monkeypatch):
     for lemma, trials in ((3, 2000), (2, 9000)):   # 9000: two full chunks and a partial one
         monkeypatch.setenv("LINKSPECTRA_THREADS", "1")
-        seq = synth.verify_lemma(lemma, trials=trials, seed=5, sizes=LemmaSizes())
+        seq = synth.verify_lemma(lemma, trials=trials, seed=5)
         monkeypatch.setenv("LINKSPECTRA_THREADS", "3")
-        par = synth.verify_lemma(lemma, trials=trials, seed=5, sizes=LemmaSizes())
+        par = synth.verify_lemma(lemma, trials=trials, seed=5)
         assert [c.as_dict() for c in seq] == [c.as_dict() for c in par]
     monkeypatch.setenv("LINKSPECTRA_THREADS", "0")
     with pytest.raises(ValueError):
