@@ -57,7 +57,8 @@ def _prepare(args, stream):
     Triplet input already arrives over the relations that carry a nonzero
     entry (``_load_stream``); that space differs from the active one only
     when some relation's entries sum to exactly zero, and ``restrict_stream``
-    then refuses the stream.
+    then refuses the stream. ``partition_bfs`` checks the active count first,
+    so a bad count is the error reported when both faults occur.
     """
     if args.basis == "svd":
         return stream, default_basis(stream, args.level, args.seed)
@@ -65,11 +66,8 @@ def _prepare(args, stream):
         agg = stream.aggregate_graph()
         pairs = [stream.space.relations[k] for k in sorted(agg.edge_set)]
         space = active_space(stream.space.num_vertices, pairs)
-        if space.num_active != space.num_relations:
-            raise ValueError(f"BFS partitioning needs a power-of-two active relation count,"
-                             f" got {space.num_active}")
-        stream = restrict_stream(stream, space)
         tree = partition_bfs(space, seed=args.seed)
+        stream = restrict_stream(stream, space)
     else:
         tree = lio.read_tree_json(args.basis, stream.space)
     return stream, GraphBasis(tree, args.level)

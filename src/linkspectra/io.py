@@ -17,14 +17,14 @@ import json
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .graphbasis import GraphBasis, GraphCoefficients
 from .partition import PartitionTree
-from .stream import LinkStreamMatrix, RelationSpace, full_space, next_power_of_two
+from .stream import LinkStreamMatrix, RelationSpace, active_space, full_space, next_power_of_two
 from .timebasis import (
     FrequencyFilter,
     aggregation_filter,
@@ -211,13 +211,10 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
             sums = np.zeros((count, len(cols)))
             np.add.at(sums, (rows, inverse), ws)
             carried = sums.any(axis=0)
-            rels = [(int(c) // n, int(c) % n) for c in cols[carried]]
-            # padded here, not by active_space(), which refuses an empty set: a
-            # window of zero weights still ingests, and BFS set-up reports it
-            pads = next_power_of_two(len(rels)) - len(rels)
-            space = RelationSpace(n, tuple(rels) + (None,) * pads, names)
+            pairs = [(int(c) // n, int(c) % n) for c in cols[carried]]
+            space = replace(active_space(n, pairs), vertices=names)
             vals = np.zeros((count, space.num_relations))
-            vals[:, : len(rels)] = sums[:, carried]
+            vals[:, : len(pairs)] = sums[:, carried]
         else:
             _check_cells(path, count, next_power_of_two(n * n))
             space = full_space(n, names)
@@ -343,7 +340,10 @@ def read_raw(path) -> IngestResult:
     with _refusing(path), open(path, "rb") as fh:
         with _refusing(path, "malformed raw header"):
             header = json.loads(fh.readline())
-            t, m, t0 = int(header["T"]), int(header["M"]), int(header["t0"])
+            t, m, t0 = (header[k] for k in ("T", "M", "t0"))
+            if any(isinstance(x, (bool, float)) for x in (t, m, t0)):   # int() would truncate
+                raise ValueError("header number is not an integer")
+            t, m, t0 = int(t), int(m), int(t0)
             labels = list(header["labels"])
         data = fh.read()
         if len(labels) != m:

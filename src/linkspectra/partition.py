@@ -211,13 +211,12 @@ def second_left_singular_vector(sub: np.ndarray, rng: np.random.Generator):
     return u2
 
 
-def svd_vertex_split(adj: GraphSlice, seed: int, first_split=None) -> VertexSplit:
+def svd_vertex_split(adj: GraphSlice, seed: int) -> VertexSplit:
     """Recursive SVD bisection of the adjacency rows.
 
     Each set is split by sorting its second largest left singular vector in
     descending order (ties by ascending vertex index) and taking the top
-    half. Degenerate submatrices split by ascending vertex index. An explicit
-    ``first_split`` pair of vertex sets overrides the top-level split.
+    half. Degenerate submatrices split by ascending vertex index.
     """
     n = adj.space.num_vertices
     if not is_power_of_two(n):
@@ -240,15 +239,7 @@ def svd_vertex_split(adj: GraphSlice, seed: int, first_split=None) -> VertexSpli
             bottom = np.sort(verts[order[half:]])
         return split(top) + split(bottom)
 
-    if first_split is not None:
-        a = np.sort(np.asarray(list(first_split[0]), dtype=np.int64))
-        b = np.sort(np.asarray(list(first_split[1]), dtype=np.int64))
-        if a.size != b.size or not np.array_equal(np.sort(np.concatenate([a, b])), np.arange(n)):
-            raise ValueError("first_split must be a balanced bipartition of the vertices")
-        order = split(a) + split(b)
-    else:
-        order = split(np.arange(n))
-    return VertexSplit(np.array(order))
+    return VertexSplit(np.array(split(np.arange(n))))
 
 
 def tree_from_vertex_order(split: VertexSplit, space: RelationSpace) -> PartitionTree:
@@ -272,10 +263,9 @@ def tree_from_vertex_order(split: VertexSplit, space: RelationSpace) -> Partitio
     return PartitionTree(leaf)
 
 
-def partition_svd(adj: GraphSlice, seed: int = 0, first_split=None) -> PartitionTree:
+def partition_svd(adj: GraphSlice, seed: int = 0) -> PartitionTree:
     """SVD-based partition of a full relation space (see svd_vertex_split)."""
-    split = svd_vertex_split(adj, seed, first_split=first_split)
-    return tree_from_vertex_order(split, adj.space)
+    return tree_from_vertex_order(svd_vertex_split(adj, seed), adj.space)
 
 
 def _bfs_explore(edges: list, count: int, priority: np.ndarray, start=None) -> list:
@@ -328,23 +318,20 @@ def _bfs_explore(edges: list, count: int, priority: np.ndarray, start=None) -> l
     return explored
 
 
-def partition_bfs(active: RelationSpace, infrastructure: GraphSlice = None,
-                  seed: int = 0, start_vertex=None) -> PartitionTree:
+def partition_bfs(active: RelationSpace, seed: int = 0, start_vertex=None) -> PartitionTree:
     """BFS-based partition: each set is halved into explored/unexplored edges.
 
-    Requires the active relation count to be a power of two (no pads). The
-    seed draws one vertex-priority permutation that rules start-vertex
-    choice, neighbour order, and restarts; ``start_vertex`` optionally pins
-    the very first BFS root.
+    Requires a nonempty active relation set whose count is a power of two (no
+    pads). The seed draws one vertex-priority permutation that rules
+    start-vertex choice, neighbour order, and restarts; ``start_vertex``
+    optionally pins the very first BFS root.
     """
+    if active.num_active == 0:
+        raise ValueError("empty active relation set")
     if active.num_active != active.num_relations:
-        raise ValueError("BFS partitioning needs a pad-free active set with power-of-two size")
+        raise ValueError(f"BFS partitioning needs a power-of-two active relation count,"
+                         f" got {active.num_active}")
     rels = list(active.relations)
-    if infrastructure is not None:
-        supported = {infrastructure.space.relations[k] for k in infrastructure.edge_set}
-        missing = [rel for rel in rels if rel not in supported]
-        if missing:
-            raise ValueError(f"active relations absent from the infrastructure graph: {missing[:4]}")
     rng = np.random.default_rng(seed)
     priority = np.empty(active.num_vertices, dtype=np.int64)
     priority[rng.permutation(active.num_vertices)] = np.arange(active.num_vertices)

@@ -119,10 +119,11 @@ def full_space(num_vertices: int, vertices=None) -> RelationSpace:
 
 
 def active_space(num_vertices: int, pairs) -> RelationSpace:
-    """Restricted relation space (BFS mode), sorted lexicographically and padded."""
+    """Restricted relation space (BFS mode), sorted lexicographically and padded.
+
+    An empty pair list gives a space of one pad, which ``partition_bfs`` refuses.
+    """
     rels = sorted(set((int(u), int(v)) for u, v in pairs))
-    if not rels:
-        raise ValueError("empty active relation set")
     target = next_power_of_two(len(rels))
     out = list(rels) + [None] * (target - len(rels))
     return RelationSpace(num_vertices, tuple(out))

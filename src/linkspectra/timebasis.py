@@ -41,7 +41,7 @@ class FourierBasis:
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Analysis transform along axis 0: F = conj(Psi).T @ values, as a new
         complex128 array (one copy, transformed in place)."""
-        c = np.asarray(values).astype(np.complex128)
+        c = self._check_rows(np.asarray(values)).astype(np.complex128)
         np.fft.fft(c, axis=0, out=c)
         c /= np.sqrt(self.length)
         return c
@@ -54,8 +54,14 @@ class FourierBasis:
     def _inverse_in_place(self, grid: np.ndarray) -> np.ndarray:
         """``inverse`` on a writable complex128 grid the caller owns and gives
         up: the grid is overwritten with the result and returned."""
-        np.fft.ifft(grid, axis=0, out=grid)
+        np.fft.ifft(self._check_rows(grid), axis=0, out=grid)
         grid *= np.sqrt(self.length)
+        return grid
+
+    def _check_rows(self, grid: np.ndarray) -> np.ndarray:
+        if grid.shape[0] != self.length:
+            raise ValueError(f"{grid.shape[0]} time rows for a Fourier basis of length"
+                             f" {self.length}")
         return grid
 
 
@@ -138,7 +144,7 @@ def time_diff_operator(length: int) -> CirculantOperator:
     """Circular first difference; high-pass with chi_0 = 0."""
     kernel = np.zeros(length)
     kernel[0] = 1.0
-    kernel[1] = -1.0
+    kernel[1 % length] -= 1.0   # at length 1 the difference wraps onto itself
     return CirculantOperator(kernel)
 
 

@@ -67,6 +67,16 @@ def test_decompose_zero_stream_all_zero_grids(tmp_path, capsys):
         assert max(abs(v) for v in vals) == 0.0
 
 
+def test_diff_filter_on_one_step_stream(tmp_path, capsys):
+    src = tmp_path / "one.csv"
+    src.write_text("0,a,b\n0,b,a,2\n0,a,a\n")
+    outdir = tmp_path / "filter"
+    code, _, err = run(capsys, "filter", "--input", str(src), "--freq", "diff",
+                       "--out", str(outdir))
+    assert code == 0, err
+    assert np.array_equal(read_grid(outdir / "filtered.csv"), np.zeros((1, 4)))
+
+
 def test_decompose_with_tree_file(tmp_path, capsys):
     fixture = tmp_path / "fixture"
     run(capsys, "synth", "oscillating", "--times", "8", "--out", str(fixture))

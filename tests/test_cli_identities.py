@@ -1,7 +1,8 @@
 """The paper's identities through the CLI, on small random triplet files run
 in process: Parseval between the exported |C| and L grids, k-sample
 aggregation equal to the agg:k frequency filter, the all-pass selections
-returning the input, reg_t as an edit-distance sum, and real backbones for
+returning the input, reg_t as an edit-distance sum, the regularity numbers
+as energies of the decomposition's coefficients, and real backbones for
 every keep rule."""
 
 import json
@@ -139,6 +140,37 @@ def test_time_regularity_is_the_edit_distance_sum(tmp_path_factory, case):
     edits = sum(len(edges[t] ^ edges[t - 1]) for t in range(times))
     reg = json.loads((d / "reg" / "regularity.json").read_text())
     assert reg["reg_t"] == edits
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def _circular_diff_energy(grid):
+    return float(np.sum((grid - np.roll(grid, 1, axis=0)) ** 2))
+
+
+@_IDENTITIES
+@given(triplet_files())
+def test_regularity_equals_coefficient_energies(tmp_path_factory, case):
+    text, window, times = case
+    d = tmp_path_factory.mktemp("energies")
+    (d / "in.csv").write_text(text)
+    for command in ("regularity", "decompose", "embed"):
+        _run(command, "--input", d / "in.csv", *window, "--out", d / command)
+    reg = json.loads((d / "regularity" / "regularity.json").read_text())
+    u, _, re, im = np.loadtxt(d / "decompose" / "C_rect.csv", delimiter=",", skiprows=1,
+                              ndmin=2).T
+    # the circular difference is diagonal in the Fourier basis: |chi_u|^2 = 4 sin^2(pi u / T)
+    assert _close(reg["reg_t"], float(np.sum(4 * np.sin(np.pi * u / times) ** 2 * (re**2 + im**2))))
+    x_path = d / "decompose" / "X.csv"
+    scaling = np.array([label.startswith("s(")
+                        for label in x_path.read_text().split("\n", 1)[0].split(",")[1:]])
+    x = read_grid(x_path)
+    assert _close(reg["reg_e"], float(np.sum(x[:, ~scaling] ** 2)))
+    embedding = read_grid(d / "embed" / "embedding.csv")
+    assert _close(reg["relaxed_reg_t"], _circular_diff_energy(embedding))
+    assert np.abs(embedding - x[:, scaling]).max() <= 1e-9 * max(1.0, np.abs(x).max())
 
 
 @_IDENTITIES

@@ -582,6 +582,21 @@ def test_malformed_numbers_name_file_and_line(tmp_path, reader, text, where):
         reader(path)
 
 
+@pytest.mark.parametrize("key, value", [("t0", 0.5), ("t0", 2.9), ("t0", True), ("T", True),
+                                        ("M", 2.0)])
+def test_raw_header_refuses_a_number_that_is_not_an_integer(tmp_path, key, value):
+    # int() would truncate them
+    path = tmp_path / "in.raw"
+    payload = np.zeros(2, dtype="<f8").tobytes()
+    path.write_bytes(_RAW_1X2.encode() + payload)
+    assert lio.read_raw(path).stream.num_relations == 2
+    header = json.loads(_RAW_1X2)
+    header[key] = value
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(IngestError, match=re.escape(f"{path}: malformed raw header")):
+        lio.read_raw(path)
+
+
 def test_dense_csv_round_trip(tmp_path, rng):
     stream = LinkStreamMatrix(full_space(3), 7, np.round(rng.standard_normal((4, 16)), 3)
                               * (~full_space(3).inert))

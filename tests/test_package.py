@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import inspect
 import os
 import re
@@ -49,3 +50,14 @@ def test_cli_import_leaves_synth_unloaded():
                            " print('linkspectra.synth' in sys.modules)"],
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_trace_targets_resolve():
+    # the benchmark's --trace mode wraps these names; a removed or renamed one
+    # would stop it with an AttributeError
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_worker", path)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    for owner, attribute, _, _ in worker.trace_targets(worker.IngestCounter()):
+        assert callable(getattr(owner, attribute)), f"{owner.__name__}.{attribute}"

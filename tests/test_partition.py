@@ -160,16 +160,6 @@ def test_svd_deterministic_per_seed():
     assert np.array_equal(t1.leaf_order, t2.leaf_order)
 
 
-def test_svd_first_split_override(osc_stream):
-    agg = osc_stream.aggregate_graph()
-    tree = partition_svd(agg, seed=0, first_split=({0, 1}, {2, 3}))
-    # coarsest split groups relations by origin vertex {0,1} vs {2,3}
-    top = set(tree.sets(3)[0].tolist())
-    assert top == {u * 4 + v for u in (0, 1) for v in range(4)}
-    with pytest.raises(ValueError):
-        partition_svd(agg, seed=0, first_split=({0}, {1, 2, 3}))
-
-
 def test_svd_requires_power_of_two_vertices():
     with pytest.raises(ValueError):
         partition_svd(GraphSlice(full_space(3), np.zeros(16)), seed=0)
@@ -349,13 +339,12 @@ def test_bfs_disconnected_restarts():
 
 def test_bfs_rejects_padded_space():
     space = active_space(4, [(0, 1), (1, 2), (2, 3)])  # pads to 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="power-of-two active relation count, got 3$"):
         partition_bfs(space, seed=0)
 
 
-def test_bfs_infrastructure_validation():
-    edges = [(0, 1), (1, 0)]
-    space = active_space(2, edges)
-    infra = GraphSlice(space, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        partition_bfs(space, infrastructure=infra, seed=0)
+def test_bfs_rejects_empty_active_set():
+    space = active_space(3, [])
+    assert space.relations == (None,)
+    with pytest.raises(ValueError, match="^empty active relation set$"):
+        partition_bfs(space, seed=0)

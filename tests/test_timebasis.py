@@ -103,6 +103,13 @@ def test_diff_operator():
     assert np.allclose(np.abs(chi), 2.0 * np.abs(np.sin(np.pi * u / t)), atol=1e-12)
 
 
+def test_diff_on_one_step_wraps_onto_itself():
+    assert np.array_equal(time_diff_operator(1).kernel, [0.0])
+    assert np.array_equal(diff_filter(1).response, [0.0])
+    assert np.array_equal(time_diff(make_stream(np.full((1, 4), 3.0))).values, np.zeros((1, 4)))
+    assert np.array_equal(time_diff_operator(2).kernel, [1.0, -1.0])
+
+
 @pytest.mark.parametrize("t", [16, 64])
 def test_circulant_diagonalization(t):
     psi = FourierBasis(t).matrix()
@@ -119,6 +126,15 @@ def test_circulant_matches_its_matrix_and_refuses_other_lengths(rng):
     for rows in (2, 7):
         with pytest.raises(ValueError, match=f"{rows} time rows for a circulant operator of length 6"):
             op.apply_values(np.zeros((rows, 4)))
+
+
+def test_fourier_basis_refuses_other_lengths():
+    fourier = FourierBasis(8)
+    for rows in (4, 9):
+        grid = np.ones((rows, 2))
+        for call in (fourier.forward, fourier.inverse):
+            with pytest.raises(ValueError, match=f"^{rows} time rows for a Fourier basis of length 8$"):
+                call(grid)
 
 
 # ---------------------------------------------------------------------------
