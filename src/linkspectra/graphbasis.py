@@ -12,6 +12,12 @@ exact until the final multiply. The bank writes each level's differences
 straight into that level's slice of one output array (``np.subtract(...,
 out=)``, then an in-place scale), and synthesis builds each finer level in
 one buffer. Cost is O(M) per graph.
+
+Memory order: analysis allocates its output in the layout of the
+leaf-order gather and synthesis each level's buffer in the layout of its
+input grid. For a T x M grid the gather is column-major, so a grid stays
+column-major through the bank and the FFT along time, which then runs on
+contiguous columns; no transposing copy runs between the two.
 """
 
 from __future__ import annotations
@@ -100,7 +106,8 @@ class GraphBasis:
             raise ValueError("last axis must have length M")
         s = coeffs[..., : self.num_scaling] * 2.0 ** (self.level / 2.0)
         for l in range(self.level, 0, -1):
-            nxt = np.empty(s.shape[:-1] + (2 * s.shape[-1],), dtype=s.dtype)
+            # in the layout of the input grid: a T x 1 ``s`` is C and F at once
+            nxt = np.empty_like(coeffs, s.dtype, shape=s.shape[:-1] + (2 * s.shape[-1],))
             even = nxt[..., 0::2]
             w = nxt[..., 1::2]
             np.multiply(coeffs[..., self.wavelet_slice(l)], 2.0 ** (l / 2.0), out=w)

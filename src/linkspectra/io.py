@@ -47,6 +47,11 @@ class IngestResult:
     dropped: int = 0
 
 
+def _in_int64(t0: int, count: int) -> bool:
+    """Whether every step t0 .. t0 + count - 1 of a window is an int64 time."""
+    return -(1 << 63) <= t0 and t0 + count - 1 < 1 << 63
+
+
 def parse_window(text: str):
     """'t0:T' -> (t0, T); every step t0 .. t0 + T - 1 must be an int64 time."""
     try:
@@ -56,7 +61,7 @@ def parse_window(text: str):
         raise IngestError(f"window must look like 't0:T', got {text!r}") from None
     if count < 1:
         raise IngestError("window length must be positive")
-    if not (-(1 << 63) <= t0 and t0 + count - 1 < 1 << 63):
+    if not _in_int64(t0, count):
         raise IngestError(f"window {text!r} reaches outside the int64 time range")
     return t0, count
 
@@ -72,7 +77,7 @@ def _float(text) -> float:
 def _time(value) -> int:
     """``int(value)``, refusing a time outside int64 with a ValueError."""
     t = int(value)
-    if not -(1 << 63) <= t < 1 << 63:
+    if not _in_int64(t, 1):
         raise ValueError(f"time {value!r} outside the int64 range")
     return t
 
@@ -308,7 +313,7 @@ def read_dense_csv(path) -> IngestResult:
         times, rows = [], []
         with _refusing(path, "malformed numeric field") as at:
             for f in _rows(at, lines, "t", (len(header),), f"{len(header)} fields"):
-                times.append(int(f[0]))
+                times.append(_time(f[0]))
                 rows.append([_float(x) for x in f[1:]])
         if not rows:
             raise IngestError(f"{path}: no data rows")
@@ -333,7 +338,7 @@ def write_raw(path, stream: LinkStreamMatrix):
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, separators=(",", ":")) + "\n").encode())
-        fh.write(np.ascontiguousarray(stream.values, dtype="<f8").tobytes())
+        fh.write(np.asarray(stream.values, dtype="<f8").tobytes(order="C"))
 
 
 def read_raw(path) -> IngestResult:
@@ -341,15 +346,17 @@ def read_raw(path) -> IngestResult:
         with _refusing(path, "malformed raw header"):
             header = json.loads(fh.readline())
             t, m, t0 = (header[k] for k in ("T", "M", "t0"))
-            if any(isinstance(x, (bool, float)) for x in (t, m, t0)):   # int() would truncate
+            if any(type(x) is not int for x in (t, m, t0)):   # a string, float or bool
                 raise ValueError("header number is not an integer")
-            t, m, t0 = int(t), int(m), int(t0)
             labels = list(header["labels"])
         data = fh.read()
         if len(labels) != m:
             raise IngestError(f"{path}: header has M = {m} but {len(labels)} labels")
         if t < 1:
             raise IngestError(f"{path}: header has T = {t}, the time window is empty")
+        if not _in_int64(t0, t):
+            raise IngestError(f"{path}: header window {t0}:{t} reaches outside the int64"
+                              " time range")
         expected = t * m * 8
         if len(data) != expected:
             raise IngestError(f"{path}: payload has {len(data)} bytes, expected {expected}")
@@ -546,22 +553,26 @@ _BLOCK_CELLS = 4096
 def write_grid_csv(path, values: np.ndarray, row_name: str, row_labels, col_labels):
     """The one float-to-text writer: a header, then one row per label.
 
-    ``row_name`` and each row label (written as ``str(label)``) may hold
-    several comma-separated cells. Floats are written as ``%.17g``, which
-    round-trips exactly. The grid streams to the file in blocks of whole rows
-    (about ``_BLOCK_CELLS`` cells, at least one row); each block formats every
-    distinct float bit pattern once, so ``-0.0`` stays apart from ``0.0``, and
-    its text is assembled by indexing those tokens, with no per-row
-    formatting and no whole-file string.
+    The table is ``values`` flattened to ``(-1, width)`` in C order, ``width``
+    being its last axis, whatever the memory layout: a T x M x 2 view of a
+    complex grid gives one (re, im) row per cell. ``row_name`` and each row
+    label (written as ``str(label)``) may hold several comma-separated cells.
+    Floats are written as ``%.17g``, which round-trips exactly. The grid
+    streams to the file in blocks, each a contiguous copy of whole slices of
+    its first axis (about ``_BLOCK_CELLS`` cells, at least one slice), so no
+    whole-grid copy is made; each block formats every distinct float bit
+    pattern once, so ``-0.0`` stays apart from ``0.0``, and its text is
+    assembled by indexing those tokens, with no per-row formatting and no
+    whole-file string.
     """
     values = np.asarray(values, dtype=np.float64)
-    num_rows, width = values.shape
-    rows_per_block = max(1, _BLOCK_CELLS // max(width, 1))
+    width = values.shape[-1]
+    slices_per_block = max(1, _BLOCK_CELLS // max(values[:1].size, 1))
     labels = iter(row_labels)
     with open(path, "w") as fh:
         fh.write(row_name + "," + ",".join(col_labels) + "\n")
-        for lo in range(0, num_rows, rows_per_block):
-            block = np.ascontiguousarray(values[lo : lo + rows_per_block])
+        for lo in range(0, len(values), slices_per_block):
+            block = np.ascontiguousarray(values[lo : lo + slices_per_block]).reshape(-1, width)
             rows = len(block)
             bits, cell_token = np.unique(block.view(np.int64).ravel(), return_inverse=True)
             floats = bits.view(np.float64).tolist()
@@ -586,7 +597,7 @@ def write_coefficient_matrix(outdir, coeffs):
                    coefficient_labels(coeffs.basis))
     freqs = [f"{u}," for u in range(t)]
     cols = [str(k) for k in range(m)]
-    write_grid_csv(outdir / "C_rect.csv", coeffs.values.view(np.float64).reshape(-1, 2),
+    write_grid_csv(outdir / "C_rect.csv", coeffs.values[..., None].view(np.float64),
                    "freq,column", (u + k for u in freqs for k in cols), ["re", "im"])
 
 

@@ -110,7 +110,8 @@ def _synthesize_stream(grid: np.ndarray, basis: GraphBasis, space, t0: int) -> L
 
 def reconstruct(coeffs: CoefficientMatrix) -> LinkStreamMatrix:
     """L = Psi C Phi, realified (imaginary residue above tolerance is an error)."""
-    return _synthesize_stream(coeffs.values.copy(), coeffs.basis, coeffs.space, coeffs.t0)
+    return _synthesize_stream(coeffs.values.copy(order="K"), coeffs.basis, coeffs.space,
+                              coeffs.t0)
 
 
 def _check_fits(stream: LinkStreamMatrix, jf: JointFilter):
@@ -174,13 +175,15 @@ class KeepRule:
         if self.mode == "top":
             if self.top > t * m:
                 raise ValueError("top-k selection larger than the coefficient grid")
-            # everything above the k-th magnitude, then its ties in flat order,
-            # which is (u, k) order, as documented
-            mag = coeffs.magnitude.ravel()
-            thr = np.partition(mag, mag.size - self.top)[mag.size - self.top]
+            # everything above the k-th magnitude, then its ties in (u, k)
+            # order, as documented: nonzero lists them row-major in any layout
+            mag = coeffs.magnitude
+            flat = mag.ravel(order="K")
+            thr = np.partition(flat, flat.size - self.top)[flat.size - self.top]
             mask = mag > thr
-            mask[np.flatnonzero(mag == thr)[: self.top - np.count_nonzero(mask)]] = True
-            mask = mask.reshape(t, m)
+            need = self.top - np.count_nonzero(mask)
+            u, k = np.nonzero(mag == thr)
+            mask[u[:need], k[:need]] = True
             return mask | mask[(-np.arange(t)) % t]
         if self.mode == "box":
             if not (0 <= self.freq_range[0] and self.freq_range[1] <= t // 2):
@@ -205,7 +208,8 @@ def backbone(stream: LinkStreamMatrix, basis: GraphBasis, keep: KeepRule):
     mask = keep.mask(coeffs)
     if not mask.any():
         raise ValueError("backbone selection is empty")
-    kept = np.where(mask, coeffs.values, 0.0)
+    kept = np.zeros_like(coeffs.values)
+    np.copyto(kept, coeffs.values, where=mask)
     del coeffs  # and its cached magnitude, before the synthesis
     return _synthesize_stream(kept, basis, stream.space, stream.t0), mask
 
@@ -225,15 +229,17 @@ class RegularityReport:
                 "boundary": self.boundary}
 
 
-def _time_derivative(values: np.ndarray, boundary: str) -> np.ndarray:
+def _time_derivative(values: np.ndarray, boundary: str, order: str) -> np.ndarray:
+    """d[t] = values[t] - values[t - 1] (wrapping at t = 0 when circular), laid
+    out in memory ``order``: a sum adds in memory order, so a fixed order keeps
+    the bits of a sum of squares the same for any input layout."""
     if boundary == "circular":
-        # d[t] = values[t] - values[t - 1], wrapping at t = 0
-        d = np.empty_like(values)
+        d = np.empty_like(values, order=order)
         np.subtract(values[1:], values[:-1], out=d[1:])
         np.subtract(values[0], values[-1], out=d[0])
         return d
     if boundary == "linear":
-        return values[1:] - values[:-1]
+        return np.subtract(values[1:], values[:-1], order=order)
     raise ValueError("boundary must be 'circular' or 'linear'")
 
 
@@ -251,7 +257,9 @@ def regularity(stream: LinkStreamMatrix, basis: GraphBasis,
     changes between consecutive graphs; reg_e = ||L Q^(diff)||_F^2 is the
     summed graph regularity of the slices.
     """
-    reg_t = _sum_of_squares(_time_derivative(stream.values, boundary))
+    # C: the layout of a stream read from a file; the synthesis below leaves
+    # de column-major for any input, as its last step is a column gather
+    reg_t = _sum_of_squares(_time_derivative(stream.values, boundary, "C"))
     x = basis.analyze_values(stream.values)
     x *= detail_pass_response(basis)[None, :]
     de = _clear_inert(stream.space, basis.synthesize_values(x))
@@ -265,4 +273,4 @@ def relaxed_time_regularity(stream: LinkStreamMatrix, basis: GraphBasis,
     """||H^(diff) S||_F^2 on the scaling block; zero iff the slices are
     structurally equal at the basis level."""
     s = time_structure(stream, basis)[:, : basis.num_scaling]
-    return _sum_of_squares(_time_derivative(s, boundary))
+    return _sum_of_squares(_time_derivative(s, boundary, "F"))   # the filter bank's layout

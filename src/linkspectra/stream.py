@@ -33,9 +33,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _frozen(x, dtype=None) -> np.ndarray:
-    """A container's read-only copy of caller input; C order lets writers view
-    complex grids as float pairs."""
-    return _readonly(np.array(x, dtype=dtype, order="C"))
+    """A container's read-only copy of caller input, contiguous and in the
+    input's memory order: each kernel's grid stays in the layout it was made
+    in (a T x M grid from the filter bank is column-major), so no transposing
+    copy runs between the FFT along time and the filter bank along relations."""
+    return _readonly(np.array(x, dtype=dtype, order="K"))
 
 
 @dataclass(frozen=True)
@@ -259,8 +261,12 @@ class LinkStreamMatrix:
             yield self.slice_at(int(t))
 
     def aggregate_graph(self) -> GraphSlice:
-        """Sum of all slices; the all-time aggregate used to fix a basis."""
-        return GraphSlice(self.space, self.values.sum(axis=0))
+        """Sum of all slices; the all-time aggregate used to fix a basis.
+
+        Summed over C-ordered values, which adds the slices one after another:
+        over a column-major grid numpy would sum each column pairwise, which
+        can change the last bits and so the basis."""
+        return GraphSlice(self.space, np.ascontiguousarray(self.values).sum(axis=0))
 
     def with_values(self, values) -> "LinkStreamMatrix":
         return LinkStreamMatrix(self.space, self.t0, values)

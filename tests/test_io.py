@@ -558,6 +558,8 @@ def _tree_doc(**changes):
     (lambda p: lio.ingest_triplets(p, "ndjson"),
      '{"t": 0, "u": "a", "v": "b"}\n{"t": 100000000000000000000, "u": "a", "v": "b"}\n',
      "line 2: malformed NDJSON record"),
+    (lio.read_dense_csv, "t,a->b\n9223372036854775807,1\n9223372036854775808,0\n",
+     "line 3: malformed numeric field"),
 ], ids=["dense-value", "dense-time", "struct-index", "struct-value", "freq-value",
         "tree-leaf-shape", "tree-internal-shape", "tree-stream-labels", "raw-negative-window",
         "freq-index", "tree-json", "csv-fields", "csv-weight", "ndjson-record",
@@ -571,7 +573,7 @@ def _tree_doc(**changes):
         "tree-deep", "raw-vertex-arrow", "raw-vertex-comma", "raw-vertex-newline",
         "ndjson-deep", "raw-header-deep", "csv-not-utf8", "ndjson-not-utf8",
         "dense-not-utf8", "struct-not-utf8", "freq-not-utf8",
-        "csv-time-int64", "ndjson-time-int64"])
+        "csv-time-int64", "ndjson-time-int64", "dense-time-int64"])
 def test_malformed_numbers_name_file_and_line(tmp_path, reader, text, where):
     path = tmp_path / "bad.txt"
     if isinstance(text, bytes):
@@ -582,18 +584,23 @@ def test_malformed_numbers_name_file_and_line(tmp_path, reader, text, where):
         reader(path)
 
 
-@pytest.mark.parametrize("key, value", [("t0", 0.5), ("t0", 2.9), ("t0", True), ("T", True),
-                                        ("M", 2.0)])
+@pytest.mark.parametrize("key, value", [
+    ("t0", 0.5), ("t0", 2.9), ("t0", True), ("T", True), ("M", 2.0),   # int() truncates
+    ("T", "1"), ("M", "2"), ("t0", "0"), ("t0", None),                 # int() parses
+    ("t0", 1 << 63), ("t0", 1 << 70), ("t0", -(1 << 63) - 1)])         # not int64 times
 def test_raw_header_refuses_a_number_that_is_not_an_integer(tmp_path, key, value):
-    # int() would truncate them
     path = tmp_path / "in.raw"
     payload = np.zeros(2, dtype="<f8").tobytes()
-    path.write_bytes(_RAW_1X2.encode() + payload)
-    assert lio.read_raw(path).stream.num_relations == 2
     header = json.loads(_RAW_1X2)
+    for t0 in (0, (1 << 63) - 1, -(1 << 63)):   # the int64 edges are times
+        header["t0"] = t0
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        assert lio.read_raw(path).stream.t0 == t0
     header[key] = value
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    with pytest.raises(IngestError, match=re.escape(f"{path}: malformed raw header")):
+    refusal = ("malformed raw header" if type(value) is not int
+               else f"header window {value}:1 reaches outside the int64 time range")
+    with pytest.raises(IngestError, match=re.escape(f"{path}: {refusal}")):
         lio.read_raw(path)
 
 
@@ -658,7 +665,9 @@ def test_float_export_golden_bytes(tmp_path):
 
 
 def _write_grid_rows(path, values, row_name, row_labels, col_labels):
-    """The per-row ``%.17g`` writer that write_grid_csv must match byte for byte."""
+    """The per-row ``%.17g`` writer that write_grid_csv must match byte for byte;
+    its table is ``values`` flattened to ``(-1, width)`` in C order."""
+    values = values.reshape(-1, values.shape[-1])
     fmt = "%s" + ",%.17g" * values.shape[1] + "\n"
     with open(path, "w") as fh:
         fh.write(row_name + "," + ",".join(col_labels) + "\n")
@@ -671,17 +680,23 @@ _GRID_POOL = [0.0, -0.0, 1.0, -1.0, 0.1 + 0.2, 5e-324, -5e-324, 1e-310,
               2.2250738585072014e-308, 2.0**60, -(2.0**60), 1 / 3]
 
 
-@settings(max_examples=60, deadline=None)
-@given(width=st.sampled_from([1, 2, 3, 4095, 4096, 4097]), data=st.data())
-def test_grid_writer_matches_per_row_writer(tmp_path_factory, width, data):
-    rows_per_block = max(1, 4096 // width)
-    # whole blocks, and row counts that leave the last block part full
-    num_rows = data.draw(st.sampled_from(
-        [1, rows_per_block, rows_per_block + 1, 2 * rows_per_block + 3]))
+@settings(max_examples=80, deadline=None)
+@given(width=st.sampled_from([1, 2, 3, 4095, 4096, 4097]), depth=st.sampled_from([None, 1, 3]),
+       order=st.sampled_from("CF"), data=st.data())
+def test_grid_writer_matches_per_row_writer(tmp_path_factory, width, depth, order, data):
+    # a 2-D grid, or a 3-D one of ``depth`` table rows per slice of its first
+    # axis, stored row- or column-major
+    slices_per_block = max(1, 4096 // (width * (depth or 1)))
+    # whole blocks, and slice counts that leave the last block part full
+    num_slices = data.draw(st.sampled_from(
+        [1, slices_per_block, slices_per_block + 1, 2 * slices_per_block + 3]))
+    shape = (num_slices, width) if depth is None else (num_slices, depth, width)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    values = np.array(_GRID_POOL)[rng.integers(0, len(_GRID_POOL), (num_rows, width))]
-    fresh = rng.random((num_rows, width)) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+    values = np.array(_GRID_POOL)[rng.integers(0, len(_GRID_POOL), shape)]
+    fresh = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
     values[fresh] = rng.standard_normal(fresh.sum()) * 10.0 ** rng.integers(-320, 300, fresh.sum())
+    values = np.asarray(values, order=order)
+    num_rows = values.size // width
     if data.draw(st.booleans()):
         row_name, labels = "t", np.arange(num_rows) - data.draw(st.integers(0, 5))
     else:
@@ -691,6 +706,27 @@ def test_grid_writer_matches_per_row_writer(tmp_path_factory, width, data):
     lio.write_grid_csv(d / "blocks.csv", values, row_name, iter(labels), cols)
     _write_grid_rows(d / "rows.csv", values, row_name, labels, cols)
     assert (d / "blocks.csv").read_bytes() == (d / "rows.csv").read_bytes()
+
+
+def test_grid_exports_are_the_same_bytes_in_either_memory_order(tmp_path, rng):
+    space = full_space(3)
+    basis = GraphBasis(PartitionTree(rng.permutation(16)), 2)
+    vals = rng.standard_normal((6, 16)) * ~space.inert
+    grid = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
+    grid[0, :3] = [-0.0, complex(0.0, -0.0), 5e-324]
+    written = []
+    for order in "CF":
+        d = tmp_path / order
+        stream = LinkStreamMatrix(space, -3, np.asarray(vals, order=order))
+        coeffs = CoefficientMatrix(np.asarray(grid, order=order), basis, space)
+        assert coeffs.values.flags[f"{order}_CONTIGUOUS"]
+        lio.write_coefficient_matrix(d, coeffs)
+        lio.write_raw(d / "stream.raw", stream)
+        written.append([(d / f).read_bytes() for f in ("C_abs.csv", "C_rect.csv", "stream.raw")])
+    assert written[0] == written[1]
+    c_rect = written[0][1].decode().splitlines()
+    assert c_rect[1:4] == ["0,0,-0,0", "0,1,0,-0", "0,2,4.9406564584124654e-324,0"]
+    assert len(c_rect) == 1 + 6 * 16
 
 
 def test_tree_json_round_trip(tmp_path, rng):

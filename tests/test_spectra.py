@@ -310,9 +310,11 @@ def test_top_k_mask_matches_stable_sort_under_ties(t, n, spread, data):
     parts = data.draw(st.lists(st.integers(-spread, spread), min_size=2 * t * m,
                                max_size=2 * t * m))
     values = np.array(parts, dtype=float).view(complex).reshape(t, m)
-    coeffs = CoefficientMatrix(values, GraphBasis(PartitionTree(np.arange(m)), 1), space)
     k = data.draw(st.integers(1, t * m))
-    assert np.array_equal(KeepRule.top_k(k).mask(coeffs), _top_k_mask_by_sort(coeffs, k))
+    for order in "CF":   # ties go in (u, k) order whatever the memory order
+        coeffs = CoefficientMatrix(np.asarray(values, order=order),
+                                   GraphBasis(PartitionTree(np.arange(m)), 1), space)
+        assert np.array_equal(KeepRule.top_k(k).mask(coeffs), _top_k_mask_by_sort(coeffs, k))
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +484,55 @@ def test_in_place_kernels_match_allocating_references_bitwise(t, n, level):
     kernel = np.zeros(t)
     kernel[[0, 1]] = 1.0, -1.0
     _same_bits(time_diff(stream).values, _ref_circulant(kernel, vals))
+
+
+def _layout_results(stream, coeffs, basis, jf, top):
+    """Every kernel's result on one stream and one coefficient grid."""
+    t = stream.num_times
+    x = basis.analyze_values(stream.values)
+    results = [
+        x,
+        basis.synthesize_values(x),
+        FourierBasis(t).forward(stream.values),
+        FourierBasis(t).inverse(coeffs.values),
+        decompose(stream, basis).values,
+        reconstruct(coeffs).values,
+        apply_joint_filter(stream, jf, basis).values,
+        apply_joint_filter_sequential(stream, jf, basis).values,
+        relaxed_time_regularity(stream, basis),
+        relaxed_time_regularity(stream, basis, "linear"),
+        aggregate(stream, min(3, t)).values,
+        stream.aggregate_graph().weights,
+    ]
+    for rule in (KeepRule.box(0, t // 4, 0, basis.num_scaling - 1), KeepRule.top_k(top)):
+        kept, mask = backbone(stream, basis, rule)
+        results += [kept.values, mask]
+    for boundary in ("circular", "linear"):
+        rep = regularity(stream, basis, boundary)
+        results += [rep.reg_t, rep.reg_e]
+    return results
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(1, 12), n=st.integers(2, 5), unweighted=st.booleans(), data=st.data())
+def test_kernels_give_the_same_bits_for_row_and_column_major_input(t, n, unweighted, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stream = _weighted_stream(rng, t, n)
+    if unweighted:   # ties in |C| for the top-k rule
+        stream = stream.with_values(stream.values != 0.0)
+    m = stream.num_relations
+    basis = GraphBasis(random_tree(m, rng), data.draw(st.integers(1, m.bit_length() - 1)))
+    jf = JointFilter(lowpass_filter(0.2, t), rng.standard_normal(m))
+    top = data.draw(st.integers(1, t * m))
+    grid = decompose(stream, basis).values
+    results = []
+    for order in "CF":
+        layout = (LinkStreamMatrix(stream.space, 0, np.asarray(stream.values, order=order)),
+                  CoefficientMatrix(np.asarray(grid, order=order), basis, stream.space))
+        assert all(a.values.flags[f"{order}_CONTIGUOUS"] for a in layout)
+        results.append(_layout_results(*layout, basis, jf, top))
+    for got, want in zip(*results):
+        _same_bits(got, want)
 
 
 def _traced_peak(call) -> int:

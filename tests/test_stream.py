@@ -227,6 +227,17 @@ def test_container_owns_read_only_c_ordered_copy(name):
     assert np.array_equal(stored, before)
 
 
+@pytest.mark.parametrize("name", ["LinkStreamMatrix", "CoefficientMatrix"])
+def test_container_keeps_the_column_major_order_of_its_input(name):
+    values, build = _container_inputs()[name]
+    given = np.asfortranarray(np.vstack([values, 2 * values]))
+    stored = build(given)
+    assert stored.flags.f_contiguous and not stored.flags.c_contiguous
+    assert not stored.flags.writeable
+    assert not np.shares_memory(stored, given)
+    assert np.array_equal(stored, given)
+
+
 def test_accessors_return_read_only_views(fig_basis, osc_stream):
     g = osc_stream.slice_at(0)
     for view in (g.adjacency(), osc_stream.edge_series(0), embed_coarse(g, fig_basis)):
