@@ -38,8 +38,7 @@ def main():
 
     outdir = Path(args.out)
     lio.write_coefficient_matrix(outdir, coeffs)
-    lio.write_raw(outdir / "backbone.raw", kept)
-    lio.write_dense_csv(outdir / "backbone.csv", kept)
+    lio.write_stream(outdir, kept, "backbone")
 
     template = synth.daynight_template(2, args.per_comm, args.period, args.duty,
                                        args.times)

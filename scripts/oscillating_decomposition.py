@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from linkspectra import GraphBasis, aggregate, decompose, freq_relational, time_structure
+from linkspectra import GraphBasis, aggregate
 from linkspectra import io as lio
 from linkspectra import synth
 
@@ -25,11 +25,10 @@ def main():
 
     stream = synth.gen_oscillating(args.times)
     basis = GraphBasis(synth.fig_partition(), 3)
-    coeffs = decompose(stream, basis)
     outdir = Path(args.out)
-    lio.write_plot_bundle(outdir, stream, time_structure(stream, basis),
-                          freq_relational(stream), coeffs)
-    lio.write_dense_csv(outdir / "aggregated.csv", aggregate(stream, 2))
+    coeffs = lio.write_plot_bundle(outdir, stream, basis)
+    agg = aggregate(stream, 2)
+    lio.write_dense_csv(outdir / "aggregated.csv", agg)
 
     mag = coeffs.magnitude
     labels = lio.coefficient_labels(basis)
@@ -37,7 +36,6 @@ def main():
     for u, k in np.argwhere(mag > 1e-9):
         print(f"  freq {u:3d} ({u / args.times:.3f} cyc)  {labels[k]:10s}"
               f"  |C| = {mag[u, k]:.6f}")
-    agg = aggregate(stream, 2)
     print(f"2-sample aggregate constant clique: "
           f"{bool(np.array_equal(agg.values, np.ones_like(agg.values)))}")
     print(f"bundle written to {outdir}")

@@ -16,19 +16,17 @@ from . import io as lio
 from .graphbasis import GraphBasis
 from .partition import partition_bfs
 from .spectra import (
-    CoefficientMatrix,
     JointFilter,
     KeepRule,
     apply_joint_filter,
     backbone,
     default_basis,
     regularity,
-    relaxed_time_regularity,
     structure_split,
     time_structure,
 )
 from .stream import active_space, restrict_stream, stream_from_slices
-from .timebasis import FourierBasis, aggregate, aggregation_filter
+from .timebasis import aggregate, aggregation_filter
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,41 +39,27 @@ def _emit_error(kind: str, message: str):
     sys.stderr.write(json.dumps({"error": {"type": kind, "message": message}}) + "\n")
 
 
-def _load_stream(args, window):
-    basis = args.basis if args.needs_basis else None
+def _load(args, window):
+    """Read the input and resolve the basis; ``bfs`` restricts the stream to the
+    active relations. ``partition_bfs`` checks their count first, so a bad count
+    is reported ahead of a relation whose records sum to zero."""
+    choice = args.basis if args.needs_basis else None
     result = lio.read_stream(args.input, args.format, window=window,
-                             pad_vertices=basis not in (None, "bfs"), active_only=basis == "bfs")
+                             pad_vertices=choice not in (None, "bfs"), active_only=choice == "bfs")
     if result.dropped:
         sys.stderr.write(json.dumps({"warning": "triplets outside the window were dropped",
                                      "dropped": result.dropped}) + "\n")
-    return result.stream
-
-
-def _prepare(args, stream):
-    """Resolve the basis; BFS mode restricts the stream to the active space.
-
-    Triplet input already arrives over the relations that carry a nonzero
-    entry (``_load_stream``); that space differs from the active one only
-    when some relation's entries sum to exactly zero, and ``restrict_stream``
-    then refuses the stream. ``partition_bfs`` checks the active count first,
-    so a bad count is the error reported when both faults occur.
-    """
-    if args.basis == "svd":
+    stream = result.stream
+    if choice is None:
+        return stream, None
+    if choice == "svd":
         return stream, default_basis(stream, args.level, args.seed)
-    if args.basis == "bfs":
-        agg = stream.aggregate_graph()
-        pairs = [stream.space.relations[k] for k in sorted(agg.edge_set)]
+    if choice == "bfs":
+        pairs = [stream.space.relations[k] for k in sorted(stream.aggregate_graph().edge_set)]
         space = active_space(stream.space.num_vertices, pairs)
         tree = partition_bfs(space, seed=args.seed)
-        stream = restrict_stream(stream, space)
-    else:
-        tree = lio.read_tree_json(args.basis, stream.space)
-    return stream, GraphBasis(tree, args.level)
-
-
-def _write_stream_outputs(outdir: Path, stream, stem: str = "stream"):
-    lio.write_raw(outdir / f"{stem}.raw", stream)
-    lio.write_dense_csv(outdir / f"{stem}.csv", stream)
+        return restrict_stream(stream, space), GraphBasis(tree, args.level)
+    return stream, GraphBasis(lio.read_tree_json(choice, stream.space), args.level)
 
 
 def _parse_keep(text: str) -> KeepRule:
@@ -101,7 +85,7 @@ def _parse_keep(text: str) -> KeepRule:
 # commands: each writes its outputs into ``out`` and may return an exit status
 
 def _ingest(args, out, stream, basis):
-    _write_stream_outputs(out, stream)
+    lio.write_stream(out, stream)
 
 
 def _basis(args, out, stream, basis):
@@ -109,27 +93,24 @@ def _basis(args, out, stream, basis):
 
 
 def _decompose(args, out, stream, basis):
-    x = time_structure(stream, basis)
-    fourier = FourierBasis(stream.num_times)
-    coeffs = CoefficientMatrix(fourier.forward(x), basis, stream.space, stream.t0)
-    lio.write_plot_bundle(out, stream, x, fourier.forward(stream.values), coeffs)
+    lio.write_plot_bundle(out, stream, basis)
 
 
 def _filter(args, out, stream, basis):
     jf = JointFilter(lio.frequency_filter(args.freq, stream.num_times),
                      lio.structural_response(args.struct, basis))
-    _write_stream_outputs(out, apply_joint_filter(stream, jf, basis), stem="filtered")
+    lio.write_stream(out, apply_joint_filter(stream, jf, basis), "filtered")
 
 
 def _backbone(args, out, stream, basis):
     kept_stream, mask = backbone(stream, basis, _parse_keep(args.keep))
-    _write_stream_outputs(out, kept_stream, stem="backbone")
+    lio.write_stream(out, kept_stream, "backbone")
     lio.write_grid_csv(out / "kept_mask.csv", mask.astype(float), "freq",
                        range(mask.shape[0]), lio.coefficient_labels(basis))
 
 
 def _aggregate(args, out, stream, basis):
-    _write_stream_outputs(out, aggregate(stream, args.agg_window), stem="aggregated")
+    lio.write_stream(out, aggregate(stream, args.agg_window), "aggregated")
     chi = aggregation_filter(args.agg_window, stream.num_times)
     lio.write_grid_csv(out / "aggregation_response.csv",
                        chi.response.view(float).reshape(-1, 2), "freq_index",
@@ -144,7 +125,6 @@ def _embed(args, out, stream, basis):
 
 def _regularity(args, out, stream, basis):
     doc = regularity(stream, basis, boundary=args.boundary).as_dict()
-    doc["relaxed_reg_t"] = relaxed_time_regularity(stream, basis, boundary=args.boundary)
     (out / "regularity.json").write_text(json.dumps(doc, indent=1) + "\n")
     sys.stdout.write(json.dumps(doc) + "\n")
 
@@ -156,7 +136,7 @@ def _oscillating(args, out, *_):
     from . import synth
 
     stream = synth.gen_oscillating(args.times)
-    _write_stream_outputs(out, stream)
+    lio.write_stream(out, stream)
     lio.write_tree_json(out / "tree.json", synth.fig_partition(), stream.space)
 
 
@@ -165,7 +145,7 @@ def _sbm_pair(args, out, *_):
 
     g1, g2, tree = synth.gen_sbm_pair(args.blocks, args.per_block, args.p_in, args.p_out,
                                       args.seed)
-    _write_stream_outputs(out, stream_from_slices([g1, g2]), stem="pair")
+    lio.write_stream(out, stream_from_slices([g1, g2]), "pair")
     lio.write_tree_json(out / "tree.json", tree, g1.space)
 
 
@@ -174,7 +154,7 @@ def _daynight(args, out, *_):
 
     stream = synth.gen_daynight(args.communities, args.per_comm, args.period, args.duty,
                                 args.p_active, args.times, args.seed)
-    _write_stream_outputs(out, stream)
+    lio.write_stream(out, stream)
 
 
 def _verify_lemmas(args, out, *_):
@@ -294,11 +274,7 @@ def run_command(args) -> int:
         raise ValueError("level must be >= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stream = basis = None
-    if args.reads_stream:
-        stream = _load_stream(args, window)
-    if args.needs_basis:
-        stream, basis = _prepare(args, stream)
+    stream, basis = _load(args, window) if args.reads_stream else (None, None)
     status = args.run(args, out, stream, basis) or 0
     _write_config(out, args, window)
     return status

@@ -24,8 +24,10 @@ import numpy as np
 
 from .graphbasis import GraphBasis, GraphCoefficients
 from .partition import PartitionTree
+from .spectra import CoefficientMatrix, time_structure
 from .stream import LinkStreamMatrix, RelationSpace, active_space, full_space, next_power_of_two
 from .timebasis import (
+    FourierBasis,
     FrequencyFilter,
     aggregation_filter,
     diff_filter,
@@ -37,7 +39,7 @@ class IngestError(ValueError):
     pass
 
 
-# the largest T x M float64 grid that triplet ingest allocates (1 GiB)
+# the largest T x M float64 grid that ingest or a synth generator allocates (1 GiB)
 MAX_INGEST_CELLS = 1 << 27
 
 
@@ -72,6 +74,13 @@ def _float(text) -> float:
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {text!r}")
     return x
+
+
+def _integers(values) -> list:
+    """``values``, refusing a string, float or bool in it, which ``int()`` would take."""
+    if any(type(x) is not int for x in values):
+        raise ValueError("number is not an integer")
+    return values
 
 
 def _time(value) -> int:
@@ -212,7 +221,7 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
         cols = np.array(us, dtype=np.int64) * n + np.array(vs, dtype=np.int64)
         if active_only:
             cols, inverse = np.unique(cols, return_inverse=True)
-            _check_cells(path, count, next_power_of_two(len(cols)))
+            _check_cells(count, len(cols))
             sums = np.zeros((count, len(cols)))
             np.add.at(sums, (rows, inverse), ws)
             carried = sums.any(axis=0)
@@ -221,19 +230,21 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
             vals = np.zeros((count, space.num_relations))
             vals[:, : len(pairs)] = sums[:, carried]
         else:
-            _check_cells(path, count, next_power_of_two(n * n))
+            _check_cells(count, n * n)
             space = full_space(n, names)
             vals = np.zeros((count, space.num_relations))
             np.add.at(vals, (rows, cols), ws)
         return IngestResult(LinkStreamMatrix(space, t0, vals), dropped)
 
 
-def _check_cells(path, num_times: int, num_relations: int):
-    cells = num_times * num_relations
+def _check_cells(num_times: int, num_relations: int):
+    """Refuse a T x next_pow2(M) float64 grid over ``MAX_INGEST_CELLS`` cells."""
+    m = next_power_of_two(num_relations)
+    cells = num_times * m
     if cells > MAX_INGEST_CELLS:
-        raise IngestError(f"{path}: a T = {num_times} by M = {num_relations} stream needs"
-                          f" {cells * 8} bytes, over the {MAX_INGEST_CELLS * 8}-byte"
-                          " ingest limit")
+        raise ValueError(f"a T = {num_times} by M = {m} stream needs"
+                         f" {cells * 8} bytes, over the {MAX_INGEST_CELLS * 8}-byte"
+                         " ingest limit")
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +312,12 @@ def write_dense_csv(path, stream: LinkStreamMatrix):
     write_grid_csv(path, stream.values, "t", stream.times, relation_labels(stream.space))
 
 
+def write_stream(outdir, stream: LinkStreamMatrix, stem: str = "stream"):
+    """The two exports of a stream: ``<stem>.raw`` and ``<stem>.csv`` in ``outdir``."""
+    write_raw(Path(outdir) / f"{stem}.raw", stream)
+    write_dense_csv(Path(outdir) / f"{stem}.csv", stream)
+
+
 def read_dense_csv(path) -> IngestResult:
     with _refusing(path):
         lines = _text(path).splitlines()
@@ -345,9 +362,7 @@ def read_raw(path) -> IngestResult:
     with _refusing(path), open(path, "rb") as fh:
         with _refusing(path, "malformed raw header"):
             header = json.loads(fh.readline())
-            t, m, t0 = (header[k] for k in ("T", "M", "t0"))
-            if any(type(x) is not int for x in (t, m, t0)):   # a string, float or bool
-                raise ValueError("header number is not an integer")
+            t, m, t0 = _integers([header[k] for k in ("T", "M", "t0")])
             labels = list(header["labels"])
         data = fh.read()
         if len(labels) != m:
@@ -408,10 +423,10 @@ def read_tree_json(path, space: RelationSpace = None) -> PartitionTree:
     ``relation_labels(space)``."""
     with _refusing(path, "malformed tree document"):
         doc = json.loads(_text(path))
-        m = int(doc["num_relations"])
+        (m,) = _integers([doc["num_relations"]])
         labels = list(doc["labels"])
         index = {lab: k for k, lab in enumerate(labels)}
-        leaf_order = np.array(doc["leaf_order"], dtype=np.int64)
+        leaf_order = np.array(_integers(doc["leaf_order"]), dtype=np.int64)
         nested = doc["nested"]
 
     with _refusing(path):
@@ -601,12 +616,18 @@ def write_coefficient_matrix(outdir, coeffs):
                    "freq,column", (u + k for u in freqs for k in cols), ["re", "im"])
 
 
-def write_plot_bundle(outdir, stream, x, f, coeffs):
-    """Grids for L, X, |F| and |C|: the decomposition's three panels."""
+def write_plot_bundle(outdir, stream: LinkStreamMatrix, basis: GraphBasis):
+    """Grids for L, X, |F| and |C|, the decomposition's three panels, from one
+    analysis of L; returns C, built from that X."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     labels = relation_labels(stream.space)
+    fourier = FourierBasis(stream.num_times)
+    x = time_structure(stream, basis)
+    coeffs = CoefficientMatrix(fourier.forward(x), basis, stream.space, stream.t0)
     write_grid_csv(outdir / "L.csv", stream.values, "t", stream.times, labels)
-    write_grid_csv(outdir / "X.csv", x, "t", stream.times, coefficient_labels(coeffs.basis))
-    write_grid_csv(outdir / "F_abs.csv", np.abs(f), "freq", range(stream.num_times), labels)
+    write_grid_csv(outdir / "X.csv", x, "t", stream.times, coefficient_labels(basis))
+    write_grid_csv(outdir / "F_abs.csv", np.abs(fourier.forward(stream.values)), "freq",
+                   range(stream.num_times), labels)
     write_coefficient_matrix(outdir, coeffs)
+    return coeffs

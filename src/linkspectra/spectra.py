@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphbasis import GraphBasis, _clear_inert, detail_pass_response
+from .graphbasis import GraphBasis, _clear_inert
 from .partition import partition_svd
 from .stream import LinkStreamMatrix, _frozen, _readonly
 from .timebasis import (
@@ -218,6 +218,7 @@ def backbone(stream: LinkStreamMatrix, basis: GraphBasis, keep: KeepRule):
 class RegularityReport:
     reg_t: float
     reg_e: float
+    relaxed_reg_t: float
     boundary: str = "circular"
 
     @property
@@ -226,7 +227,7 @@ class RegularityReport:
 
     def as_dict(self) -> dict:
         return {"reg_t": self.reg_t, "reg_e": self.reg_e, "reg": self.reg,
-                "boundary": self.boundary}
+                "boundary": self.boundary, "relaxed_reg_t": self.relaxed_reg_t}
 
 
 def _time_derivative(values: np.ndarray, boundary: str, order: str) -> np.ndarray:
@@ -251,26 +252,26 @@ def _sum_of_squares(a: np.ndarray) -> float:
 
 def regularity(stream: LinkStreamMatrix, basis: GraphBasis,
                boundary: str = "circular") -> RegularityReport:
-    """Total variation along time and relations.
+    """Total variation along time and relations, from one analysis of L.
 
     reg_t = ||H^(diff) L||_F^2 counts (for unweighted streams) the edge
     changes between consecutive graphs; reg_e = ||L Q^(diff)||_F^2 is the
-    summed graph regularity of the slices.
+    summed graph regularity of the slices; relaxed_reg_t = ||H^(diff) S||_F^2
+    on the scaling block S of X = L Phi.T is zero iff the slices are
+    structurally equal at the basis level.
     """
     # C: the layout of a stream read from a file; the synthesis below leaves
     # de column-major for any input, as its last step is a column gather
     reg_t = _sum_of_squares(_time_derivative(stream.values, boundary, "C"))
     x = basis.analyze_values(stream.values)
-    x *= detail_pass_response(basis)[None, :]
-    de = _clear_inert(stream.space, basis.synthesize_values(x))
-    del x
-    reg_e = _sum_of_squares(de)
-    return RegularityReport(reg_t, reg_e, boundary)
+    scaling = x[:, : basis.num_scaling]
+    relaxed = _sum_of_squares(_time_derivative(scaling, boundary, "F"))  # the filter bank's layout
+    scaling[...] = 0.0   # the detail pass
+    reg_e = _sum_of_squares(_clear_inert(stream.space, basis.synthesize_values(x)))
+    return RegularityReport(reg_t, reg_e, relaxed, boundary)
 
 
 def relaxed_time_regularity(stream: LinkStreamMatrix, basis: GraphBasis,
                             boundary: str = "circular") -> float:
-    """||H^(diff) S||_F^2 on the scaling block; zero iff the slices are
-    structurally equal at the basis level."""
-    s = time_structure(stream, basis)[:, : basis.num_scaling]
-    return _sum_of_squares(_time_derivative(s, boundary, "F"))   # the filter bank's layout
+    """``regularity(...).relaxed_reg_t``."""
+    return regularity(stream, basis, boundary).relaxed_reg_t

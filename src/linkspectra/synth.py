@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from .graphbasis import GraphBasis, analyze, graph_regularity, motif_counts
+from .io import _check_cells
 from .partition import PartitionTree, VertexSplit, tree_from_vertex_order
 from .spectra import regularity, relaxed_time_regularity
 from .stream import (
@@ -80,6 +81,7 @@ def gen_oscillating(num_times: int) -> LinkStreamMatrix:
     """Claw motif on even times, triangle motif on odd times (4 vertices)."""
     if num_times < 1:
         raise ValueError("need a positive window")
+    _check_cells(num_times, 16)
     space = oscillating_space()
     vals = np.zeros((num_times, 16))
     vals[0::2][:, claw_indices(space)] = 1.0
@@ -105,6 +107,7 @@ def gen_sbm_pair(blocks: int, n_per_block: int, p_in: float, p_out: float, seed:
         raise ValueError(f"invalid SBM parameters: p_in and p_out must lie in [0, 1],"
                          f" got p_in={p_in}, p_out={p_out}")
     n = blocks * n_per_block
+    _check_cells(2, n * n)
     space = full_space(n)
     membership = np.repeat(np.arange(blocks), n_per_block)
     within = membership[:, None] == membership[None, :]
@@ -128,6 +131,7 @@ def _daynight_layout(n_communities, per_community, period, duty, num_times):
     if not (0 < duty <= 1 and period >= 1):
         raise ValueError(f"invalid day/night parameters: need 0 < duty <= 1 and"
                          f" period >= 1, got duty={duty}, period={period}")
+    _check_cells(num_times, (n_communities * per_community) ** 2)
     membership = np.repeat(np.arange(n_communities), per_community)
     within = (membership[:, None] == membership[None, :]).reshape(-1)
     day = (np.arange(num_times) % period) < int(round(duty * period))

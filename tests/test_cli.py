@@ -16,7 +16,6 @@ from linkspectra import (
     freq_relational,
     full_space,
     regularity,
-    relaxed_time_regularity,
     synth,
     time_structure,
 )
@@ -354,7 +353,6 @@ def test_cli_outputs_equal_library_results(tmp_path, capsys):
 
     d, out = cli("regularity")
     doc = regularity(stream, basis).as_dict()
-    doc["relaxed_reg_t"] = relaxed_time_regularity(stream, basis)
     assert json.loads((d / "regularity.json").read_text()) == doc
     assert json.loads(out) == doc
 

@@ -604,6 +604,21 @@ def test_raw_header_refuses_a_number_that_is_not_an_integer(tmp_path, key, value
         lio.read_raw(path)
 
 
+@pytest.mark.parametrize("changes", [
+    {"num_relations": "2"}, {"num_relations": 2.0}, {"num_relations": True},
+    {"leaf_order": ["0", "1"]}, {"leaf_order": [0.5, 1.5]}, {"leaf_order": [0.0, 1.0]},
+    {"leaf_order": [False, True]}, {"leaf_order": "01"}],
+    ids=["size-string", "size-float", "size-bool", "order-strings", "order-halves",
+         "order-floats", "order-bools", "order-text"])
+def test_tree_json_refuses_a_number_that_is_not_an_integer(tmp_path, changes):
+    path = tmp_path / "tree.json"
+    path.write_text(_tree_doc())
+    assert lio.read_tree_json(path).leaf_order.tolist() == [0, 1]
+    path.write_text(_tree_doc(**changes))
+    with pytest.raises(IngestError, match=re.escape(f"{path}: malformed tree document")):
+        lio.read_tree_json(path)
+
+
 def test_dense_csv_round_trip(tmp_path, rng):
     stream = LinkStreamMatrix(full_space(3), 7, np.round(rng.standard_normal((4, 16)), 3)
                               * (~full_space(3).inert))
@@ -808,14 +823,32 @@ def test_frequency_filter_presets_and_csv(tmp_path):
 
 
 def test_plot_bundle(tmp_path, fig_basis):
-    from linkspectra import decompose, freq_relational, time_structure
+    from linkspectra import decompose
 
     stream = synth.gen_oscillating(4)
-    coeffs = decompose(stream, fig_basis)
-    lio.write_plot_bundle(tmp_path / "bundle", stream,
-                         time_structure(stream, fig_basis),
-                         freq_relational(stream), coeffs)
+    coeffs = lio.write_plot_bundle(tmp_path / "bundle", stream, fig_basis)
+    assert coeffs.values.tobytes() == decompose(stream, fig_basis).values.tobytes()
     for name in ("L.csv", "X.csv", "F_abs.csv", "C_abs.csv", "C_rect.csv"):
         assert (tmp_path / "bundle" / name).exists()
     header = (tmp_path / "bundle" / "C_abs.csv").read_text().splitlines()[0]
     assert header.startswith("freq,s(3)[0],s(3)[1],w(3)[0]")
+
+
+def test_each_product_analyses_the_stream_once(tmp_path, monkeypatch, fig_basis):
+    from linkspectra import decompose, regularity
+
+    calls = []
+    analyze = GraphBasis.analyze_values
+
+    def counting(self, values):
+        calls.append(values.shape)
+        return analyze(self, values)
+
+    monkeypatch.setattr(GraphBasis, "analyze_values", counting)
+    stream = synth.gen_oscillating(8)
+    for product in (lambda: regularity(stream, fig_basis),
+                    lambda: decompose(stream, fig_basis),
+                    lambda: lio.write_plot_bundle(tmp_path, stream, fig_basis)):
+        calls.clear()
+        product()
+        assert calls == [(8, 16)]

@@ -42,3 +42,15 @@ def test_sbm_edit_profile_sums_to_edit_distance(tmp_path):
     profile = np.array([float(line.split(",")[2]) for line in lines[1:]])
     assert len(profile) == 256
     assert profile.sum() == pytest.approx(edit, rel=1e-12)
+
+
+def test_oscillating_script_bundle_equals_the_cli_bundle(tmp_path):
+    from linkspectra.cli import main
+
+    run_script("oscillating_decomposition.py", "--times", "8", out=tmp_path / "script")
+    assert main(["synth", "oscillating", "--times", "8", "--out", str(tmp_path / "fx")]) == 0
+    assert main(["decompose", "--input", str(tmp_path / "fx" / "stream.raw"), "--format", "raw",
+                 "--basis", str(tmp_path / "fx" / "tree.json"), "--level", "3",
+                 "--out", str(tmp_path / "cli")]) == 0
+    for name in ("L.csv", "X.csv", "F_abs.csv", "C_abs.csv", "C_rect.csv"):
+        assert (tmp_path / "script" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()

@@ -375,6 +375,22 @@ def test_relaxed_regularity_alternating_value(fig_basis, osc_space):
     assert relaxed_time_regularity(const, fig_basis) == 0.0
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("boundary", ["circular", "linear"])
+def test_relaxed_reg_t_equals_the_scaling_block_oracle_bitwise(order, boundary):
+    rng = np.random.default_rng(40)
+    stream = _weighted_stream(rng, 40, 16)
+    stream = LinkStreamMatrix(stream.space, 0, np.asarray(stream.values, order=order))
+    basis = GraphBasis(random_tree(stream.num_relations, rng), 4)
+    s = time_structure(stream, basis)[:, : basis.num_scaling]
+    ds = s - np.roll(s, 1, axis=0) if boundary == "circular" else np.diff(s, axis=0)
+    ds = np.asfortranarray(ds)   # summed in the filter bank's layout
+    rep = regularity(stream, basis, boundary)
+    _same_bits(rep.relaxed_reg_t, float(np.sum(ds * ds)))
+    _same_bits(relaxed_time_regularity(stream, basis, boundary), rep.relaxed_reg_t)
+    assert list(rep.as_dict()) == ["reg_t", "reg_e", "reg", "boundary", "relaxed_reg_t"]
+
+
 # ---------------------------------------------------------------------------
 # in-place kernels: bitwise oracle, memory bound, caller arrays untouched
 #

@@ -162,6 +162,28 @@ def test_sbm_pair_refuses_probabilities_outside_unit_interval(p_in, p_out):
                                f" got p_in={p_in}, p_out={p_out}")
 
 
+@pytest.mark.parametrize("generate, times, relations", [
+    (lambda: synth.gen_oscillating(40), 40, 16),
+    (lambda: synth.gen_sbm_pair(2, 4, 0.5, 0.1, seed=0), 2, 64),
+    (lambda: synth.gen_daynight(3, 2, num_times=10), 10, 64),
+    (lambda: synth.daynight_template(3, 2, num_times=10), 10, 64),
+], ids=["oscillating", "sbm-pair", "daynight", "daynight-template"])
+def test_generators_refuse_a_grid_over_the_cell_limit(monkeypatch, generate, times, relations):
+    from linkspectra import io as lio
+
+    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", times * relations)
+    assert generate() is not None
+    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", times * relations - 1)
+    spaces = []
+    monkeypatch.setattr(synth, "full_space", lambda *a: spaces.append(a))
+    with pytest.raises(ValueError) as info:
+        generate()
+    assert str(info.value) == (
+        f"a T = {times} by M = {relations} stream needs {8 * times * relations} bytes,"
+        f" over the {8 * (times * relations - 1)}-byte ingest limit")
+    assert spaces == []   # refused before the relation list is built
+
+
 def test_daynight_phase_structure():
     stream = synth.gen_daynight(duty=0.5, p_active=1.0, period=20, num_times=40, seed=0)
     assert stream.slice_at(0).edge_count > 0
