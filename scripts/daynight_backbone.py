@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from linkspectra import KeepRule, backbone, decompose, default_basis
+from linkspectra import KeepRule, backbone_from, decompose, default_basis
 from linkspectra import io as lio
 from linkspectra import synth
 
@@ -33,8 +33,8 @@ def main():
                                 args.p_active, args.times, args.seed)
     basis = default_basis(stream, synth.block_level(args.per_comm), args.seed)
     coeffs = decompose(stream, basis)
-    kept, mask = backbone(stream, basis,
-                          KeepRule.box(0, args.freq_cut, 0, basis.num_scaling - 1))
+    kept, mask = backbone_from(coeffs,
+                               KeepRule.box(0, args.freq_cut, 0, basis.num_scaling - 1))
 
     outdir = Path(args.out)
     lio.write_coefficient_matrix(outdir, coeffs)

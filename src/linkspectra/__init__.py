@@ -38,6 +38,7 @@ from .spectra import (
     KeepRule,
     apply_joint_filter,
     backbone,
+    backbone_from,
     decompose,
     default_basis,
     freq_relational,
@@ -78,7 +79,7 @@ __all__ = [
     "PartitionTree", "VertexSplit", "morton_index", "partition_bfs", "partition_svd",
     # spectra
     "CoefficientMatrix", "JointFilter", "KeepRule", "apply_joint_filter", "backbone",
-    "decompose", "default_basis", "freq_relational", "reconstruct", "regularity",
+    "backbone_from", "decompose", "default_basis", "freq_relational", "reconstruct", "regularity",
     "relaxed_time_regularity", "time_structure",
     # stream
     "GraphSlice", "LinkStreamMatrix", "RelationSpace", "active_space", "full_space",

@@ -10,14 +10,21 @@ weight vector: sums and differences are accumulated unnormalized and the
 2^{-l/2} scale is applied once per output block, so integer inputs stay
 exact until the final multiply. The bank writes each level's differences
 straight into that level's slice of one output array (``np.subtract(...,
-out=)``, then an in-place scale), and synthesis builds each finer level in
-one buffer. Cost is O(M) per graph.
+out=)``, then an in-place scale) and keeps its sums in the gather buffer;
+synthesis builds the levels in two buffers, in turn. Cost is O(M) per graph.
 
-Memory order: analysis allocates its output in the layout of the
-leaf-order gather and synthesis each level's buffer in the layout of its
-input grid. For a T x M grid the gather is column-major, so a grid stays
-column-major through the bank and the FFT along time, which then runs on
-contiguous columns; no transposing copy runs between the two.
+Memory order: the bank's buffers and outputs are column-major, so a
+T x M grid stays column-major through the bank and the FFT along time,
+which then runs on contiguous columns; no transposing copy runs between the
+two. The one transpose is the leaf-order gather of a row-major input, done
+a small block of columns at a time.
+
+Threads: the bank on a block of 2^k leaf positions is the bank on a subtree,
+so ``analyze_values`` and ``synthesize_values`` split the columns, in whole
+subtrees, over the ``LINKSPECTRA_THREADS`` workers (``stream._in_parts``);
+the levels above those subtrees run on the caller over a few columns. The
+caller allocates every grid-sized buffer and each worker writes its own
+columns, so the bits and the memory order do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +34,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .partition import PartitionTree
-from .stream import GraphSlice, _frozen
+from .stream import GraphSlice, _frozen, _in_parts
+
+#: The bank splits the leaf positions into at least this many subtrees.
+_MIN_SUBTREES = 16
+#: Cells of the scratch block through which a row-major gather is transposed:
+#: 256 KiB of float64, which stays in the cache while it is copied. A worker
+#: thread's malloc arena keeps it: with 1 MiB, a 2-worker analysis of a
+#: T = 70, M = 2^12 grid peaked 2 MB above a 1-worker one.
+_GATHER_CELLS = 1 << 15
 
 __all__ = [
     "GraphBasis",
@@ -85,17 +100,22 @@ class GraphBasis:
         values = np.asarray(values)
         if values.shape[-1] != self.num_relations:
             raise ValueError("last axis must have length M")
-        s = values[..., self.tree.position_to_relation]
-        # keep the gather's memory layout (column-major for a T x M grid), so
-        # the block writes here and a time-axis FFT after them stay contiguous
-        out = np.empty_like(s, dtype=np.result_type(s, 1.0))
-        for l in range(1, self.level + 1):
-            even = s[..., 0::2]
-            odd = s[..., 1::2]
-            block = out[..., self.wavelet_slice(l)]
-            np.subtract(even, odd, out=block)
-            block *= 2.0 ** (-l / 2.0)
-            s = even + odd
+        if not (values.flags.c_contiguous or values.flags.f_contiguous):
+            values = np.ascontiguousarray(values)
+        out = np.empty(values.shape, np.result_type(values, 1.0), order="F")
+        # scratch, made after ``out`` so that it is freed from the top of the
+        # heap; it then holds each level's sums, in place
+        gathered = np.empty(values.shape, values.dtype, order="F")
+        depth = self._subtree_level()
+
+        def part(blocks):
+            pos = slice(blocks.start << depth, blocks.stop << depth)
+            _gather_columns(values, self.tree.position_to_relation[pos], gathered[..., pos])
+            self._analysis_levels(gathered[..., pos], out, range(1, depth + 1), pos.start)
+
+        _in_parts(part, self.num_relations >> depth, out)
+        s = self._analysis_levels(gathered[..., :: 1 << depth], out,
+                                  range(depth + 1, self.level + 1), 0)
         np.multiply(s, 2.0 ** (-self.level / 2.0), out=out[..., : self.num_scaling])
         return out
 
@@ -104,18 +124,65 @@ class GraphBasis:
         coeffs = np.asarray(coeffs)
         if coeffs.shape[-1] != self.num_relations:
             raise ValueError("last axis must have length M")
-        s = coeffs[..., : self.num_scaling] * 2.0 ** (self.level / 2.0)
-        for l in range(self.level, 0, -1):
-            # in the layout of the input grid: a T x 1 ``s`` is C and F at once
-            nxt = np.empty_like(coeffs, s.dtype, shape=s.shape[:-1] + (2 * s.shape[-1],))
+        dtype = np.result_type(coeffs, 1.0)
+        # level l reads buffers[l % 2] and writes buffers[(l - 1) % 2], so
+        # the final level-1 sums land in ``finest``, and ``out`` is free for
+        # the gather once they are made
+        out = np.empty(coeffs.shape, dtype, order="F")
+        finest = np.empty(coeffs.shape, dtype, order="F")   # scratch, after ``out``
+        buffers = (finest, out)
+        depth = self._subtree_level()
+        s = np.multiply(coeffs[..., : self.num_scaling], 2.0 ** (self.level / 2.0),
+                        out=buffers[self.level % 2][..., : self.num_scaling])
+        # the sums entering the workers' levels, one column per subtree,
+        # copied: the workers overwrite the buffer they are in
+        s = self._synthesis_levels(coeffs, buffers, s, range(self.level, depth, -1), 0).copy()
+
+        def part(blocks):
+            self._synthesis_levels(coeffs, buffers, s[..., blocks], range(depth, 0, -1),
+                                   blocks.start << depth)
+
+        _in_parts(part, self.num_relations >> depth, out)
+        _in_parts(lambda cols: _gather_columns(finest, self.tree.leaf_order[cols], out[..., cols]),
+                  self.num_relations, out)
+        return out
+
+    def _subtree_level(self) -> int:
+        """The levels 1..k that the workers run, each on its own subtrees:
+        blocks of 2^k leaf positions, at least ``_MIN_SUBTREES`` of them."""
+        return max(0, min(self.level, self.tree.num_levels - _MIN_SUBTREES.bit_length() + 1))
+
+    def _analysis_levels(self, s, out, levels, lo: int):
+        """Analysis ``levels`` on the sums ``s`` of the positions from ``lo``:
+        the differences go to their columns of ``out``, the sums stay in the
+        even columns of ``s``, which are returned."""
+        for l in levels:
+            even = s[..., 0::2]
+            odd = s[..., 1::2]
+            start = (self.num_relations >> l) + (lo >> l)
+            block = out[..., start : start + even.shape[-1]]
+            np.subtract(even, odd, out=block)
+            block *= 2.0 ** (-l / 2.0)
+            s = np.add(even, odd, out=even)
+        return s
+
+    def _synthesis_levels(self, coeffs, buffers, s, levels, lo: int):
+        """Synthesis ``levels`` from the sums ``s`` of the subtrees whose leaf
+        positions start at ``lo``; level l writes the sums of the subtrees'
+        halves into ``buffers[(l - 1) % 2]`` from column ``lo`` on, within
+        those subtrees' positions, and the last level's are returned."""
+        for l in levels:
+            width = s.shape[-1]
+            nxt = buffers[(l - 1) % 2][..., lo : lo + 2 * width]
             even = nxt[..., 0::2]
             w = nxt[..., 1::2]
-            np.multiply(coeffs[..., self.wavelet_slice(l)], 2.0 ** (l / 2.0), out=w)
+            first = (self.num_relations >> l) + (lo >> l)
+            np.multiply(coeffs[..., first : first + width], 2.0 ** (l / 2.0), out=w)
             np.add(s, w, out=even)
             np.subtract(s, w, out=w)
             nxt *= 0.5
             s = nxt
-        return s[..., self.tree.leaf_order]
+        return s
 
     def materialize(self) -> np.ndarray:
         """Dense M x M basis matrix Phi (test and inspection use)."""
@@ -139,6 +206,26 @@ class GraphBasis:
     def _check_slice(self, g: GraphSlice):
         if g.space.num_relations != self.num_relations:
             raise ValueError("graph does not live in this basis's relation space")
+
+
+def _gather_columns(src: np.ndarray, cols: np.ndarray, dst: np.ndarray):
+    """``dst[..., j] = src[..., cols[j]]`` with no grid-sized temporary, for a
+    C- or F-contiguous ``src``. Column-major arrays copy whole columns with
+    ``np.take`` on their transposes. A row-major ``src`` goes through
+    ``np.take`` into a scratch block of ``_GATHER_CELLS``, which is then
+    copied (transposed, in the cache) into ``dst``. ``mode="wrap"`` because
+    with the default ``"raise"`` ``np.take`` copies ``out`` first."""
+    if src.flags.f_contiguous and dst.flags.f_contiguous:
+        np.take(src.T, cols, axis=0, out=dst.T, mode="wrap")
+        return
+    rows = src.size // src.shape[-1]
+    step = max(1, _GATHER_CELLS // rows)
+    scratch = np.empty(rows * min(step, cols.size), src.dtype)
+    for lo in range(0, cols.size, step):
+        part = cols[lo : lo + step]
+        block = scratch[: rows * part.size].reshape(src.shape[:-1] + part.shape)
+        np.take(src, part, axis=-1, out=block, mode="wrap")
+        dst[..., lo : lo + part.size] = block
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,7 @@ def _iter_triplets_ndjson(path, lines):
             rec, end = _JSON.raw_decode(line)
             if end != len(line):
                 raise ValueError("extra data")
-            if isinstance(rec["t"], (bool, float)):   # int() would truncate them
+            if type(rec["t"]) is not int:   # int() would truncate 0.5 and parse "5"
                 raise ValueError("time is not an integer")
             yield _time(rec["t"]), str(rec["u"]), str(rec["v"]), _float(rec.get("w", 1.0))
 

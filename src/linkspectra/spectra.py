@@ -16,7 +16,7 @@ import numpy as np
 
 from .graphbasis import GraphBasis, _clear_inert
 from .partition import partition_svd
-from .stream import LinkStreamMatrix, _frozen, _readonly
+from .stream import LinkStreamMatrix, _Fresh, _frozen, _readonly
 from .timebasis import (
     FourierBasis,
     FrequencyFilter,
@@ -27,7 +27,10 @@ from .timebasis import (
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
-    """Complex T x M coefficient grid plus everything needed to invert it."""
+    """Complex T x M coefficient grid plus everything needed to invert it.
+
+    The constructor copies ``values``; ``decompose`` hands over the grid it
+    has just made, wrapped in ``stream._Fresh``, which is adopted instead."""
 
     values: np.ndarray = field(repr=False)
     basis: GraphBasis
@@ -96,22 +99,23 @@ def decompose(stream: LinkStreamMatrix, basis: GraphBasis) -> CoefficientMatrix:
     if basis.num_relations != stream.num_relations:
         raise ValueError("graph basis does not match the stream's relation space")
     c = FourierBasis(stream.num_times).forward(basis.analyze_values(stream.values))
-    return CoefficientMatrix(c, basis, stream.space, stream.t0)
+    return CoefficientMatrix(_Fresh(c), basis, stream.space, stream.t0)
 
 
-def _synthesize_stream(grid: np.ndarray, basis: GraphBasis, space, t0: int) -> LinkStreamMatrix:
+def _synthesize_stream(grid: np.ndarray, out: np.ndarray, basis: GraphBasis, space,
+                       t0: int) -> LinkStreamMatrix:
     """L = Psi grid Phi for a grid laid out like C, realified before Phi (see _realify).
 
-    Consumes ``grid``: a writable complex128 array the caller owns, which the
-    inverse FFT overwrites."""
-    x = _realify(FourierBasis(grid.shape[0])._inverse_in_place(grid))
-    return LinkStreamMatrix(space, t0, _clear_inert(space, basis.synthesize_values(x)))
+    The inverse FFT writes into ``out``: a complex128 grid the caller owns and
+    gives up, which may be ``grid`` itself."""
+    x = _realify(FourierBasis(grid.shape[0])._inverse_into(grid, out))
+    return LinkStreamMatrix(space, t0, _Fresh(_clear_inert(space, basis.synthesize_values(x))))
 
 
 def reconstruct(coeffs: CoefficientMatrix) -> LinkStreamMatrix:
     """L = Psi C Phi, realified (imaginary residue above tolerance is an error)."""
-    return _synthesize_stream(coeffs.values.copy(order="K"), coeffs.basis, coeffs.space,
-                              coeffs.t0)
+    return _synthesize_stream(coeffs.values, np.empty_like(coeffs.values), coeffs.basis,
+                              coeffs.space, coeffs.t0)
 
 
 def _check_fits(stream: LinkStreamMatrix, jf: JointFilter):
@@ -130,7 +134,7 @@ def apply_joint_filter(stream: LinkStreamMatrix, jf: JointFilter,
     filtered = jf.freq.response[:, None] * c.values
     del c
     filtered *= jf.struct[None, :]
-    return _synthesize_stream(filtered, basis, stream.space, stream.t0)
+    return _synthesize_stream(filtered, filtered, basis, stream.space, stream.t0)
 
 
 def apply_joint_filter_sequential(stream: LinkStreamMatrix, jf: JointFilter,
@@ -199,19 +203,29 @@ class KeepRule:
 
 
 def backbone(stream: LinkStreamMatrix, basis: GraphBasis, keep: KeepRule):
-    """Reconstruct the stream from the selected coefficients only.
+    """Reconstruct the stream from the selected coefficients only:
+    ``backbone_from(decompose(stream, basis), keep)``.
 
     Returns the filtered stream and the boolean kept mask over (frequency,
     basis element).
     """
-    coeffs = decompose(stream, basis)
+    return backbone_from(decompose(stream, basis), keep)
+
+
+def backbone_from(coeffs: CoefficientMatrix, keep: KeepRule):
+    """``backbone`` on a coefficient grid already computed: the stream made
+    of the coefficients ``keep`` selects, and the boolean kept mask."""
     mask = keep.mask(coeffs)
     if not mask.any():
         raise ValueError("backbone selection is empty")
     kept = np.zeros_like(coeffs.values)
     np.copyto(kept, coeffs.values, where=mask)
-    del coeffs  # and its cached magnitude, before the synthesis
-    return _synthesize_stream(kept, basis, stream.space, stream.t0), mask
+    basis, space, t0 = coeffs.basis, coeffs.space, coeffs.t0
+    # called from ``backbone`` this is the grid's last reference (CPython 3.11
+    # and later hand a call's arguments over to it), so the grid and its cached
+    # magnitude go before the synthesis
+    del coeffs
+    return _synthesize_stream(kept, kept, basis, space, t0), mask
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ of worker count.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -26,6 +25,7 @@ from .stream import (
     LinkStreamMatrix,
     RelationSpace,
     _frozen,
+    _max_threads,
     full_space,
     graph_edit,
     is_power_of_two,
@@ -247,23 +247,6 @@ class LemmaCheck:
         return {"lemma": self.lemma, "statistic": self.statistic,
                 "expected": self.expected, "observed": self.observed,
                 "stderr": self.stderr, "trials": self.trials, "pass": self.passed}
-
-
-def _max_threads() -> int:
-    """The Monte-Carlo worker cap: LINKSPECTRA_THREADS, else min(4, the CPUs
-    this process may run on)."""
-    raw = os.environ.get("LINKSPECTRA_THREADS", "")
-    if raw.strip():
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"LINKSPECTRA_THREADS={raw!r} is not an integer") from None
-        if value < 1:
-            raise ValueError("LINKSPECTRA_THREADS must be >= 1")
-        return value
-    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count())
-    return min(4, usable or 1)
 
 
 def _mc_samples(sample_chunk, trials: int, seed: int) -> np.ndarray:

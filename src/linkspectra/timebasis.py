@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .stream import LinkStreamMatrix, _frozen
+from .stream import LinkStreamMatrix, _Fresh, _frozen, _in_parts
 
 #: imaginary residue above this magnitude is an error when realifying output
 IMAG_TOL = 1e-9
@@ -40,23 +40,38 @@ class FourierBasis:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Analysis transform along axis 0: F = conj(Psi).T @ values, as a new
-        complex128 array (one copy, transformed in place)."""
-        c = self._check_rows(np.asarray(values)).astype(np.complex128)
-        np.fft.fft(c, axis=0, out=c)
-        c /= np.sqrt(self.length)
-        return c
+        complex128 array in the memory order of ``values``."""
+        values = np.asarray(values)
+        return self._transform(values, np.empty_like(values, np.complex128), np.fft.fft,
+                               np.divide)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Synthesis transform along axis 0: values = Psi @ coeffs, as a new
         complex128 array; ``coeffs`` is left as it is."""
-        return self._inverse_in_place(np.array(coeffs, dtype=np.complex128))
+        coeffs = np.asarray(coeffs)
+        return self._inverse_into(coeffs, np.empty_like(coeffs, np.complex128))
 
-    def _inverse_in_place(self, grid: np.ndarray) -> np.ndarray:
-        """``inverse`` on a writable complex128 grid the caller owns and gives
-        up: the grid is overwritten with the result and returned."""
-        np.fft.ifft(self._check_rows(grid), axis=0, out=grid)
-        grid *= np.sqrt(self.length)
-        return grid
+    def _inverse_into(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``inverse`` written into ``out``, a complex128 grid of the same shape
+        that may be ``coeffs`` itself, and returned."""
+        return self._transform(coeffs, out, np.fft.ifft, np.multiply)
+
+    def _transform(self, values, out, fft, rescale) -> np.ndarray:
+        """``out = rescale(fft(values), sqrt(T))`` along axis 0. Each column
+        is transformed on its own, so the columns are split over the workers;
+        each copies its columns into ``out`` and transforms them there."""
+        self._check_rows(values)
+        root = np.sqrt(self.length)
+
+        def part(cols):
+            o = out[..., cols]
+            if values is not out:
+                np.copyto(o, values[..., cols])
+            fft(o, axis=0, out=o)
+            rescale(o, root, out=o)
+
+        _in_parts(part, out.shape[-1], out)
+        return out
 
     def _check_rows(self, grid: np.ndarray) -> np.ndarray:
         if grid.shape[0] != self.length:
@@ -121,12 +136,19 @@ class CirculantOperator:
         if t != self.length:
             raise ValueError(f"{t} time rows for a circulant operator of length {self.length}")
         out = np.zeros_like(values, dtype=np.result_type(values, self.kernel))
-        term = np.empty_like(out)
+        term = None
         for d in np.nonzero(self.kernel)[0]:
-            # term[t] = values[t - d], wrapping: np.roll into one reused buffer
-            term[d:] = values[: t - d]
-            term[:d] = values[t - d :]
-            term *= self.kernel[d]
+            # out[t] += h_d * values[t - d], wrapping; a tap of 1 adds the
+            # shifted rows straight in (multiplying by 1.0 is exact)
+            tap = self.kernel[d]
+            if tap == 1.0:
+                out[d:] += values[: t - d]
+                out[:d] += values[t - d :]
+                continue
+            if term is None:
+                term = np.empty_like(out)
+            np.multiply(values[: t - d], tap, out=term[d:])
+            np.multiply(values[t - d :], tap, out=term[:d])
             out += term
         return out
 
@@ -175,9 +197,15 @@ def dft_inverse(coeffs: np.ndarray, like: LinkStreamMatrix) -> LinkStreamMatrix:
 def _realify(values: np.ndarray) -> np.ndarray:
     """Real part (a view) of a time-synthesized grid; imaginary residue above
     IMAG_TOL is an error. Exact before the graph synthesis too: Phi multiplies
-    by real scalars only, so it never mixes real and imaginary parts."""
+    by real scalars only, so it never mixes real and imaginary parts. The
+    residue is the largest of the workers' column blocks' residues."""
     imag = values.imag
-    residue = float(max(imag.max(), -imag.min()))  # max |imag| without an |imag| array
+
+    def part_residue(cols):
+        part = imag[..., cols]
+        return max(part.max(), -part.min())   # max |imag| without an |imag| array
+
+    residue = float(max(_in_parts(part_residue, imag.shape[-1], imag)))
     if residue > IMAG_TOL:
         raise ValueError(
             f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.0e};"
@@ -190,17 +218,18 @@ def apply_frequency_filter(stream: LinkStreamMatrix, filt: FrequencyFilter) -> L
     if filt.length != stream.num_times:
         raise ValueError("filter length does not match the stream window")
     basis = FourierBasis(stream.num_times)
-    out = basis._inverse_in_place(filt.response[:, None] * basis.forward(stream.values))
-    return stream.with_values(_realify(out))
+    grid = basis.forward(stream.values)
+    np.multiply(filt.response[:, None], grid, out=grid)
+    return stream.with_values(_realify(basis._inverse_into(grid, grid)))
 
 
 def aggregate(stream: LinkStreamMatrix, window: int) -> LinkStreamMatrix:
     """Exact k-sample aggregation by shifted sums (integer-exact)."""
     op = aggregation_operator(window, stream.num_times)
-    return stream.with_values(op.apply_values(stream.values))
+    return stream.with_values(_Fresh(op.apply_values(stream.values)))
 
 
 def time_diff(stream: LinkStreamMatrix) -> LinkStreamMatrix:
     """Circular first difference along time."""
     op = time_diff_operator(stream.num_times)
-    return stream.with_values(op.apply_values(stream.values))
+    return stream.with_values(_Fresh(op.apply_values(stream.values)))

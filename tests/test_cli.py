@@ -66,6 +66,16 @@ def test_decompose_zero_stream_all_zero_grids(tmp_path, capsys):
         assert max(abs(v) for v in vals) == 0.0
 
 
+def test_decompose_refuses_a_zero_thread_cap(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "one.csv"
+    src.write_text("0,a,b\n1,b,a\n")
+    monkeypatch.setenv("LINKSPECTRA_THREADS", "0")
+    code, _, err = run(capsys, "decompose", "--input", str(src), "--out", str(tmp_path / "d"))
+    assert code == 1
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": {"type": "ValueError", "message": "LINKSPECTRA_THREADS must be >= 1"}}]
+
+
 def test_diff_filter_on_one_step_stream(tmp_path, capsys):
     src = tmp_path / "one.csv"
     src.write_text("0,a,b\n0,b,a,2\n0,a,a\n")

@@ -111,7 +111,7 @@ def _ndjson_records_loads(path, lines):
             continue
         try:
             rec = json.loads(line)
-            if isinstance(rec["t"], (bool, float)):
+            if type(rec["t"]) is not int:
                 raise ValueError("time is not an integer")
             t = int(rec["t"])
             u = str(rec["u"])
@@ -157,9 +157,10 @@ def test_ndjson_refuses_what_json_loads_refuses(tmp_path, text, where):
         lio.ingest_triplets(path, "ndjson")
 
 
-@pytest.mark.parametrize("t", ["0.5", "true", "3.0"])
+@pytest.mark.parametrize("t", ["0.5", "true", "3.0", '"5"', "null"])
 def test_ndjson_refuses_a_time_that_is_not_an_integer(tmp_path, capsys, t):
-    # the CSV reader refuses 0.5 and 3.0 too; int() would truncate them
+    # the CSV reader refuses 0.5 and 3.0 too; int() would truncate them and
+    # parse the string "5"
     path = tmp_path / "in.ndjson"
     path.write_text(f'{{"t": 0, "u": "a", "v": "b"}}\n{{"t": {t}, "u": "b", "v": "a"}}\n')
     want = f"{path}: line 2: malformed NDJSON record"

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,11 +14,13 @@ from linkspectra import (
     JointFilter,
     KeepRule,
     LinkStreamMatrix,
+    active_space,
     aggregate,
     analyze,
     apply_frequency_filter,
     apply_joint_filter,
     backbone,
+    backbone_from,
     decompose,
     default_basis,
     dft_inverse,
@@ -35,6 +38,7 @@ from linkspectra.graphbasis import coarse_pass_response, detail_pass_response
 from linkspectra.partition import PartitionTree
 from linkspectra.spectra import apply_joint_filter_sequential, freq_relational, structure_split
 from linkspectra.timebasis import lowpass_filter
+from linkspectra import stream as lstream
 from linkspectra import synth
 
 from conftest import random_tree
@@ -549,6 +553,110 @@ def test_kernels_give_the_same_bits_for_row_and_column_major_input(t, n, unweigh
         results.append(_layout_results(*layout, basis, jf, top))
     for got, want in zip(*results):
         _same_bits(got, want)
+
+
+def _worker_results(stream, coeffs, basis, jf, top):
+    """Each product the kernels' worker split reaches, on one stream."""
+    results = [time_structure(stream, basis), decompose(stream, basis).values,
+               reconstruct(coeffs).values, apply_joint_filter(stream, jf, basis).values,
+               apply_frequency_filter(stream, jf.freq).values]
+    for rule in (KeepRule.box(0, stream.num_times // 4, 0, basis.num_scaling - 1),
+                 KeepRule.top_k(top)):
+        kept, mask = backbone(stream, basis, rule)
+        results += [kept.values, mask]
+    for boundary in ("circular", "linear"):
+        results += list(regularity(stream, basis, boundary).as_dict().values())
+    return results
+
+
+def _signature(result):
+    """Bits, dtype, shape, memory order and write flag of one result."""
+    if not isinstance(result, np.ndarray):
+        return repr(result)
+    flags = result.flags
+    return (result.dtype.str, result.shape, flags.c_contiguous, flags.f_contiguous,
+            flags.writeable, result.tobytes(order="A"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(t=st.sampled_from([1, 2, 3, 7, 8, 13]), relations=st.integers(2, 40),
+       order=st.sampled_from("CF"), data=st.data())
+def test_kernels_give_the_same_bits_and_layout_for_any_worker_count(t, relations, order,
+                                                                   data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    space = active_space(7, [(k // 7, k % 7) for k in range(relations)])
+    m = space.num_relations   # 2 to 64, padded above the active relations
+    vals = rng.standard_normal((t, m))
+    vals[:, space.inert] = 0.0
+    stream = LinkStreamMatrix(space, 0, np.asarray(vals, order=order))
+    basis = GraphBasis(random_tree(m, rng), data.draw(st.integers(1, m.bit_length() - 1)))
+    jf = JointFilter(lowpass_filter(0.2, t), rng.standard_normal(m))
+    grid = decompose(stream, basis).values
+    coeffs = CoefficientMatrix(np.asarray(grid, order=order), basis, space)
+    top = data.draw(st.integers(1, t * m))
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lstream, "_SPLIT_MIN_CELLS", 1)   # split even these small grids
+        for workers in ("1", "2", "3"):
+            mp.setenv("LINKSPECTRA_THREADS", workers)
+            runs.append([_signature(r) for r in _worker_results(stream, coeffs, basis, jf, top)])
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_asymmetric_response_fails_the_same_way_for_any_worker_count(monkeypatch, rng):
+    monkeypatch.setattr(lstream, "_SPLIT_MIN_CELLS", 1)
+    stream = LinkStreamMatrix(full_space(4), 0, rng.standard_normal((16, 16)))
+    chi = np.zeros(16, dtype=complex)
+    chi[3] = 1.0  # keeps one side only
+    before = threading.active_count()
+    messages = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("LINKSPECTRA_THREADS", workers)
+        with pytest.raises(ValueError, match="not conjugate-symmetric") as err:
+            apply_frequency_filter(stream, FrequencyFilter(chi))
+        messages.append(str(err.value))
+        assert threading.active_count() == before
+    assert messages == messages[:1] * 3
+
+
+def test_each_grid_is_analysed_once_whatever_the_worker_count(monkeypatch, rng):
+    monkeypatch.setattr(lstream, "_SPLIT_MIN_CELLS", 1)
+    monkeypatch.setenv("LINKSPECTRA_THREADS", "2")
+    calls = []
+    for owner, name in ((GraphBasis, "analyze_values"), (GraphBasis, "synthesize_values"),
+                        (FourierBasis, "forward")):
+        def counting(self, grid, _wrapped=getattr(owner, name), _name=name):
+            calls.append((_name, threading.get_ident()))
+            return _wrapped(self, grid)
+        monkeypatch.setattr(owner, name, counting)
+    stream = _weighted_stream(rng, 12, 4)
+    basis = GraphBasis(random_tree(16, rng), 2)
+    jf = JointFilter(lowpass_filter(0.2, 12), rng.standard_normal(16))
+    box = KeepRule.box(0, 2, 0, basis.num_scaling - 1)
+    one_each = [("analyze_values",), ("analyze_values", "forward"),
+                ("analyze_values", "forward", "synthesize_values")]
+    for call, want in ((lambda: time_structure(stream, basis), one_each[0]),
+                       (lambda: decompose(stream, basis), one_each[1]),
+                       (lambda: backbone(stream, basis, box), one_each[2]),
+                       (lambda: apply_joint_filter(stream, jf, basis), one_each[2]),
+                       (lambda: regularity(stream, basis), ("analyze_values",
+                                                            "synthesize_values"))):
+        calls.clear()
+        call()
+        assert sorted(name for name, _ in calls) == sorted(want)
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+def test_backbone_is_backbone_from_the_decomposition(rng):
+    stream = _weighted_stream(rng, 12, 4)
+    basis = GraphBasis(random_tree(16, rng), 2)
+    coeffs = decompose(stream, basis)
+    for rule in (KeepRule.box(0, 2, 0, basis.num_scaling - 1), KeepRule.top_k(5)):
+        kept, mask = backbone(stream, basis, rule)
+        kept_from, mask_from = backbone_from(coeffs, rule)
+        _same_bits(kept_from.values, kept.values)
+        _same_bits(mask_from, mask)
+    assert not coeffs.values.flags.writeable   # the grid given is left as it was
 
 
 def _traced_peak(call) -> int:

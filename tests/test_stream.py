@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from linkspectra import (
     slice_from_edges,
     stream_from_slices,
 )
+from linkspectra import stream as lstream
 from linkspectra import synth
 from linkspectra.timebasis import CirculantOperator
 
@@ -242,3 +245,81 @@ def test_accessors_return_read_only_views(fig_basis, osc_stream):
     g = osc_stream.slice_at(0)
     for view in (g.adjacency(), osc_stream.edge_series(0), embed_coarse(g, fig_basis)):
         assert not view.flags.writeable
+
+
+def test_package_grids_are_adopted_and_caller_arrays_copied():
+    space = full_space(2)
+    fresh = np.ones((3, 4))
+    adopted = LinkStreamMatrix(space, 0, lstream._Fresh(fresh))
+    assert adopted.values is fresh and not fresh.flags.writeable
+    given = np.ones((3, 4))
+    copied = LinkStreamMatrix(space, 0, given)
+    assert not np.shares_memory(copied.values, given) and given.flags.writeable
+    # a view, a read-only array or another dtype is copied, never adopted
+    for grid in (np.ones((3, 8))[:, ::2], _read_only(np.ones((3, 4))), np.ones((3, 4), int)):
+        kept = LinkStreamMatrix(space, 0, lstream._Fresh(grid)).values
+        assert not np.shares_memory(kept, grid) and kept.dtype == np.float64
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+def test_default_thread_cap_counts_usable_cpus(monkeypatch):
+    monkeypatch.delenv("LINKSPECTRA_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+    assert lstream._max_threads() == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+    assert lstream._max_threads() == 4
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert lstream._max_threads() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert lstream._max_threads() == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 5, 64])
+def test_in_parts_covers_the_range_in_order(monkeypatch, workers, n):
+    monkeypatch.setenv("LINKSPECTRA_THREADS", str(workers))
+    grid = np.broadcast_to(0.0, (2, lstream._SPLIT_MIN_CELLS))
+    parts = lstream._in_parts(lambda part: (part, threading.get_ident()), n, grid)
+    slices = [p for p, _ in parts]
+    assert len(slices) == min(workers, n)
+    assert [i for p in slices for i in range(n)[p]] == list(range(n))
+    # the first part runs on the caller, the others on threads
+    on_caller = [ident == threading.get_ident() for _, ident in parts]
+    assert on_caller == [True] + [False] * (len(parts) - 1)
+
+
+@pytest.mark.parametrize("grid", [np.zeros(1 << 19), np.zeros((4, 1 << 10))],
+                         ids=["one-dimensional", "below-the-cell-floor"])
+def test_in_parts_runs_small_and_flat_grids_on_the_caller(monkeypatch, grid):
+    monkeypatch.setenv("LINKSPECTRA_THREADS", "4")
+    parts = lstream._in_parts(lambda part: (part, threading.get_ident()), 8, grid)
+    assert parts == [(slice(0, 8), threading.get_ident())]
+
+
+@pytest.mark.parametrize("failing", [0, 2], ids=["caller-part", "worker-part"])
+def test_in_parts_raises_a_part_error_on_the_caller_after_joining(monkeypatch, failing):
+    monkeypatch.setenv("LINKSPECTRA_THREADS", "3")
+    before = threading.active_count()
+    done = []
+
+    def work(part):
+        if part.start == failing:
+            raise KeyError("part failed")
+        done.append(part.start)
+
+    with pytest.raises(KeyError, match="part failed"):
+        lstream._in_parts(work, 6, np.broadcast_to(0.0, (6, lstream._SPLIT_MIN_CELLS)))
+    assert sorted(done) == sorted({0, 2, 4} - {failing})   # the other parts ran
+    assert threading.active_count() == before
+
+
+def test_thread_cap_refuses_a_bad_setting(monkeypatch):
+    for raw in ("0", "-1", "two"):
+        monkeypatch.setenv("LINKSPECTRA_THREADS", raw)
+        with pytest.raises(ValueError, match="LINKSPECTRA_THREADS"):
+            lstream._in_parts(lambda part: None, 4, np.zeros(4))

@@ -1,5 +1,4 @@
 import itertools
-import os
 
 import numpy as np
 import pytest
@@ -361,16 +360,3 @@ def test_mc_respects_thread_cap(monkeypatch):
     monkeypatch.setenv("LINKSPECTRA_THREADS", "0")
     with pytest.raises(ValueError):
         synth.verify_lemma(3, trials=500, seed=0)
-
-
-def test_default_thread_cap_counts_usable_cpus(monkeypatch):
-    monkeypatch.delenv("LINKSPECTRA_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
-    assert synth._max_threads() == 2
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
-    assert synth._max_threads() == 4
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert synth._max_threads() == 4
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert synth._max_threads() == 1
