@@ -15,15 +15,12 @@ from .graphbasis import (
     GraphBasis,
     GraphCoefficients,
     analyze,
-    coarse_filter,
     detail_filter,
     edit_distance_spectrum,
-    embed_coarse,
     graph_regularity,
     motif_counts,
     structural_filter_graph,
     synthesize,
-    template_graph,
 )
 from .partition import (
     PartitionTree,
@@ -65,16 +62,13 @@ from .timebasis import (
     aggregate,
     aggregation_operator,
     apply_frequency_filter,
-    dft_inverse,
-    time_diff,
     time_diff_operator,
 )
 
 __all__ = [
     # graphbasis
-    "GraphBasis", "GraphCoefficients", "analyze", "coarse_filter", "detail_filter",
-    "edit_distance_spectrum", "embed_coarse", "graph_regularity", "motif_counts",
-    "structural_filter_graph", "synthesize", "template_graph",
+    "GraphBasis", "GraphCoefficients", "analyze", "detail_filter", "edit_distance_spectrum",
+    "graph_regularity", "motif_counts", "structural_filter_graph", "synthesize",
     # partition
     "PartitionTree", "VertexSplit", "morton_index", "partition_bfs", "partition_svd",
     # spectra
@@ -87,5 +81,5 @@ __all__ = [
     "stream_from_slices",
     # timebasis
     "FourierBasis", "FrequencyFilter", "aggregate", "aggregation_operator",
-    "apply_frequency_filter", "dft_inverse", "time_diff", "time_diff_operator",
+    "apply_frequency_filter", "time_diff_operator",
 ]

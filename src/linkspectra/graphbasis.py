@@ -44,22 +44,6 @@ _MIN_SUBTREES = 16
 #: T = 70, M = 2^12 grid peaked 2 MB above a 1-worker one.
 _GATHER_CELLS = 1 << 15
 
-__all__ = [
-    "GraphBasis",
-    "GraphCoefficients",
-    "analyze",
-    "synthesize",
-    "embed_coarse",
-    "edit_distance_spectrum",
-    "structural_filter_graph",
-    "coarse_filter",
-    "detail_filter",
-    "template_graph",
-    "graph_regularity",
-    "motif_counts",
-]
-
-
 @dataclass(frozen=True)
 class GraphBasis:
     """Partition tree plus a resolution level; rows of Phi are implicit."""
@@ -276,11 +260,6 @@ def synthesize(coeffs: GraphCoefficients, space) -> GraphSlice:
     return GraphSlice(space, _clear_inert(space, coeffs.basis.synthesize_values(coeffs.values)))
 
 
-def embed_coarse(g: GraphSlice, basis: GraphBasis) -> np.ndarray:
-    """Scaling-only view s; reflects structural classes, not single graphs."""
-    return analyze(g, basis).scaling
-
-
 def edit_distance_spectrum(g1: GraphSlice, g2: GraphSlice, basis: GraphBasis) -> np.ndarray:
     """Per-coefficient squared differences; sums exactly to graph_edit."""
     if not (g1.is_unweighted and g2.is_unweighted):
@@ -315,19 +294,9 @@ def detail_pass_response(basis: GraphBasis) -> np.ndarray:
     return r
 
 
-def coarse_filter(g: GraphSlice, basis: GraphBasis) -> GraphSlice:
-    """Coarse-grain approximation: each relation gets its motif mean weight."""
-    return structural_filter_graph(g, basis, coarse_pass_response(basis))
-
-
 def detail_filter(g: GraphSlice, basis: GraphBasis) -> GraphSlice:
     """Detail part f(e) - mean over the motif of e; the graph derivative."""
     return structural_filter_graph(g, basis, detail_pass_response(basis))
-
-
-def template_graph(basis: GraphBasis, space) -> GraphSlice:
-    """Graph with every decomposition coefficient equal to one."""
-    return synthesize(GraphCoefficients(basis, np.ones(basis.num_relations)), space)
 
 
 def graph_regularity(g: GraphSlice, basis: GraphBasis) -> float:

@@ -22,10 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphbasis import GraphBasis, GraphCoefficients
+from .graphbasis import GraphBasis, GraphCoefficients, coarse_pass_response, detail_pass_response
 from .partition import PartitionTree
-from .spectra import CoefficientMatrix, time_structure
-from .stream import LinkStreamMatrix, RelationSpace, active_space, full_space, next_power_of_two
+from .spectra import CoefficientMatrix, freq_relational, time_structure
+from .stream import (
+    LinkStreamMatrix,
+    RelationSpace,
+    _Fresh,
+    active_space,
+    full_space,
+    next_power_of_two,
+)
 from .timebasis import (
     FourierBasis,
     FrequencyFilter,
@@ -511,8 +518,6 @@ def read_structural_response_csv(path, basis: GraphBasis) -> np.ndarray:
 
 
 def structural_response(spec: str, basis: GraphBasis) -> np.ndarray:
-    from .graphbasis import coarse_pass_response, detail_pass_response
-
     if spec == "coarse":
         return coarse_pass_response(basis)
     if spec == "detail":
@@ -622,12 +627,12 @@ def write_plot_bundle(outdir, stream: LinkStreamMatrix, basis: GraphBasis):
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     labels = relation_labels(stream.space)
-    fourier = FourierBasis(stream.num_times)
     x = time_structure(stream, basis)
-    coeffs = CoefficientMatrix(fourier.forward(x), basis, stream.space, stream.t0)
+    coeffs = CoefficientMatrix(_Fresh(FourierBasis(stream.num_times).forward(x)), basis,
+                               stream.space, stream.t0)
     write_grid_csv(outdir / "L.csv", stream.values, "t", stream.times, labels)
     write_grid_csv(outdir / "X.csv", x, "t", stream.times, coefficient_labels(basis))
-    write_grid_csv(outdir / "F_abs.csv", np.abs(fourier.forward(stream.values)), "freq",
+    write_grid_csv(outdir / "F_abs.csv", np.abs(freq_relational(stream)), "freq",
                    range(stream.num_times), labels)
     write_coefficient_matrix(outdir, coeffs)
     return coeffs

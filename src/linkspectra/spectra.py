@@ -180,15 +180,18 @@ class KeepRule:
             if self.top > t * m:
                 raise ValueError("top-k selection larger than the coefficient grid")
             # everything above the k-th magnitude, then its ties in (u, k)
-            # order, as documented: nonzero lists them row-major in any layout
+            # order, as documented: nonzero walks the transpose (row-major for
+            # the filter bank's column-major grid) and the few ties are sorted
             mag = coeffs.magnitude
             flat = mag.ravel(order="K")
             thr = np.partition(flat, flat.size - self.top)[flat.size - self.top]
             mask = mag > thr
             need = self.top - np.count_nonzero(mask)
-            u, k = np.nonzero(mag == thr)
-            mask[u[:need], k[:need]] = True
-            return mask | mask[(-np.arange(t)) % t]
+            k, u = np.nonzero((mag == thr).T)
+            first = np.lexsort((k, u))[:need]
+            mask[u[first], k[first]] = True
+            mask[1:] |= mask[:0:-1]   # the mirror (T - u, k); numpy buffers the overlap
+            return mask
         if self.mode == "box":
             if not (0 <= self.freq_range[0] and self.freq_range[1] <= t // 2):
                 raise ValueError(f"folded frequency box must lie in 0..{t // 2}")

@@ -185,10 +185,6 @@ class StructuralClass:
             raise ValueError(f"profile entries must lie in 0..{width}")
         object.__setattr__(self, "profile", p)
 
-    @classmethod
-    def of_graph(cls, g: GraphSlice, basis: GraphBasis) -> "StructuralClass":
-        return cls(g.space, basis.tree, basis.level, motif_counts(g, basis))
-
 
 def _membership_draws(profile: np.ndarray, level: int, trials: int,
                       rng: np.random.Generator) -> np.ndarray:

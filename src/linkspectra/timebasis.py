@@ -101,11 +101,6 @@ class FrequencyFilter:
         idx = (-np.arange(self.length)) % self.length
         return bool(np.allclose(self.response[idx], np.conj(self.response), atol=1e-12))
 
-    def compose(self, other: "FrequencyFilter") -> "FrequencyFilter":
-        if other.length != self.length:
-            raise ValueError("filter lengths differ")
-        return FrequencyFilter(self.response * other.response)
-
 
 @dataclass(frozen=True)
 class CirculantOperator:
@@ -187,13 +182,6 @@ def lowpass_filter(cutoff: float, length: int) -> FrequencyFilter:
     return FrequencyFilter((folded <= cutoff + 1e-12).astype(np.complex128))
 
 
-def dft_inverse(coeffs: np.ndarray, like: LinkStreamMatrix) -> LinkStreamMatrix:
-    """Invert ``spectra.freq_relational`` back to a real stream on the window of
-    ``like``."""
-    vals = FourierBasis(like.num_times).inverse(coeffs)
-    return like.with_values(_realify(vals))
-
-
 def _realify(values: np.ndarray) -> np.ndarray:
     """Real part (a view) of a time-synthesized grid; imaginary residue above
     IMAG_TOL is an error. Exact before the graph synthesis too: Phi multiplies
@@ -226,10 +214,4 @@ def apply_frequency_filter(stream: LinkStreamMatrix, filt: FrequencyFilter) -> L
 def aggregate(stream: LinkStreamMatrix, window: int) -> LinkStreamMatrix:
     """Exact k-sample aggregation by shifted sums (integer-exact)."""
     op = aggregation_operator(window, stream.num_times)
-    return stream.with_values(_Fresh(op.apply_values(stream.values)))
-
-
-def time_diff(stream: LinkStreamMatrix) -> LinkStreamMatrix:
-    """Circular first difference along time."""
-    op = time_diff_operator(stream.num_times)
     return stream.with_values(_Fresh(op.apply_values(stream.values)))

@@ -7,10 +7,8 @@ from linkspectra import (
     GraphBasis,
     GraphSlice,
     analyze,
-    coarse_filter,
     detail_filter,
     edit_distance_spectrum,
-    embed_coarse,
     full_space,
     graph_edit,
     graph_regularity,
@@ -18,9 +16,8 @@ from linkspectra import (
     slice_from_edges,
     structural_filter_graph,
     synthesize,
-    template_graph,
 )
-from linkspectra.graphbasis import GraphCoefficients
+from linkspectra.graphbasis import GraphCoefficients, coarse_pass_response
 from linkspectra.partition import PartitionTree
 from linkspectra import synth
 
@@ -174,12 +171,12 @@ def test_embed_coarse_closed_forms(rng):
     space = full_space(4)
     g = random_unweighted(space, rng)
     m = motif_counts(g, basis)
-    s = embed_coarse(g, basis)
+    s = analyze(g, basis).scaling
     assert np.dot(s, s) == pytest.approx(np.sum(m.astype(float) ** 2) / 4, abs=1e-9)
     # structurally equal graphs share the scaling vector
-    cls = synth.StructuralClass.of_graph(g, basis)
+    cls = synth.StructuralClass(g.space, basis.tree, basis.level, m)
     other = synth.sample_structurally_equal(cls, rng)
-    assert np.allclose(embed_coarse(other, basis), s, atol=1e-9)
+    assert np.allclose(analyze(other, basis).scaling, s, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +213,7 @@ def test_identity_filter(fig_basis, osc_space, rng):
 
 def test_coarse_filter_closed_form(fig_basis, osc_space, rng):
     g = random_weighted(osc_space, rng)
-    out = coarse_filter(g, fig_basis)
+    out = structural_filter_graph(g, fig_basis, coarse_pass_response(fig_basis))
     for k, members in enumerate(fig_basis.tree.sets(3)):
         expected = g.weights[members].sum() / 8
         assert np.allclose(out.weights[members], expected, atol=1e-10)
@@ -232,7 +229,7 @@ def test_detail_filter_closed_form(fig_basis, osc_space, rng):
 
 def test_decomposition_splits_and_detail_idempotent(fig_basis, osc_space, rng):
     g = random_weighted(osc_space, rng)
-    c = coarse_filter(g, fig_basis)
+    c = structural_filter_graph(g, fig_basis, coarse_pass_response(fig_basis))
     d = detail_filter(g, fig_basis)
     assert np.abs(c.weights + d.weights - g.weights).max() < 1e-12
     dd = detail_filter(d, fig_basis)
@@ -248,7 +245,7 @@ def test_filter_matches_edge_domain_oracle(rng):
 
 
 def test_template_graph(fig_basis, osc_space):
-    tpl = template_graph(fig_basis, osc_space)
+    tpl = synthesize(GraphCoefficients(fig_basis, np.ones(16)), osc_space)
     back = analyze(tpl, fig_basis)
     assert np.allclose(back.values, 1.0, atol=1e-12)
     clique = GraphSlice(osc_space, np.ones(16))
@@ -297,7 +294,7 @@ def test_padded_space_round_trip_and_filters(rng):
     back = synthesize(analyze(g, basis), space)
     assert np.abs(back.weights - g.weights).max() < 1e-12
     assert np.all(back.weights[space.inert] == 0.0)
-    c = coarse_filter(g, basis)
+    c = structural_filter_graph(g, basis, coarse_pass_response(basis))
     d = detail_filter(g, basis)
     assert np.all(c.weights[space.inert] == 0.0)
     assert np.abs((c.weights + d.weights - g.weights)[~space.inert]).max() < 1e-12

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib.util
 import inspect
 import os
@@ -63,3 +64,41 @@ def test_benchmark_trace_targets_resolve():
     spec.loader.exec_module(worker)
     for owner, attribute, _, _ in worker.trace_targets(worker.IngestCounter()):
         assert callable(getattr(owner, attribute)), f"{owner.__name__}.{attribute}"
+
+
+# Public names that no package code, script, benchmark or acceptance test
+# calls, and why each stays; every other such name is a second way to reach
+# a kernel that already has a public name.
+KEEP = {
+    "synthesize": "the inverse of analyze: builds a graph from its GraphCoefficients",
+    "slice_from_edges": "a constructor: GraphSlice from an edge list",
+    "morton_index": "the analytic Z-order oracle for tree_from_vertex_order",
+    "apply_joint_filter_sequential": "the two-step oracle for apply_joint_filter",
+    "write_coefficients_csv": "the only writer of the --struct CSV format",
+}
+
+
+def _references(path):
+    """(name of the top-level def or class, or None; the names it uses as a
+    Name or an Attribute) for each top-level statement of ``path``."""
+    for stmt in ast.parse(path.read_text()).body:
+        yield getattr(stmt, "name", None), {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_function_has_a_caller():
+    root = Path(__file__).resolve().parents[1]
+    outside = [*(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py"),
+               root / "tests" / "test_acceptance.py"]
+    called = {name for path in outside for _, refs in _references(path) for name in refs}
+    modules = sorted((root / "src" / "linkspectra").glob("*.py"))
+    sites = [(path.stem, owner, refs) for path in modules for owner, refs in _references(path)]
+    uncalled = [f"{path.stem}.{stmt.name}" for path in modules
+                for stmt in ast.parse(path.read_text()).body
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_") and stmt.name not in called
+                and stmt.name not in KEEP
+                and not any(stmt.name in refs and (mod, owner) != (path.stem, stmt.name)
+                            for mod, owner, refs in sites)]
+    assert uncalled == []

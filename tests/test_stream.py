@@ -18,8 +18,8 @@ from linkspectra import (
     RelationSpace,
     VertexSplit,
     active_space,
+    analyze,
     decompose,
-    embed_coarse,
     full_space,
     graph_dist,
     graph_edit,
@@ -243,7 +243,7 @@ def test_container_keeps_the_column_major_order_of_its_input(name):
 
 def test_accessors_return_read_only_views(fig_basis, osc_stream):
     g = osc_stream.slice_at(0)
-    for view in (g.adjacency(), osc_stream.edge_series(0), embed_coarse(g, fig_basis)):
+    for view in (g.adjacency(), osc_stream.edge_series(0), analyze(g, fig_basis).scaling):
         assert not view.flags.writeable
 
 
