@@ -160,6 +160,9 @@ def _iter_triplets_csv(path, lines):
 # stripped line has no surrounding JSON whitespace and a leading BOM does not
 # decode, so a value that must end at len(line) accepts what loads accepts
 _JSON = json.JSONDecoder()
+# the JSON types of an NDJSON record's names and weight (type() is exact, so a
+# boolean is neither): str() and float() would take a list, null, "2.5" or true
+_NAME_TYPES, _WEIGHT_TYPES = (str, int), (int, float)
 
 
 def _iter_triplets_ndjson(path, lines):
@@ -172,9 +175,11 @@ def _iter_triplets_ndjson(path, lines):
             rec, end = _JSON.raw_decode(line)
             if end != len(line):
                 raise ValueError("extra data")
-            if type(rec["t"]) is not int:   # int() would truncate 0.5 and parse "5"
-                raise ValueError("time is not an integer")
-            yield _time(rec["t"]), str(rec["u"]), str(rec["v"]), _float(rec.get("w", 1.0))
+            t, u, v, w = rec["t"], rec["u"], rec["v"], rec.get("w", 1.0)
+            if (type(t) is not int or type(u) not in _NAME_TYPES   # int() would take 0.5, "5"
+                    or type(v) not in _NAME_TYPES or type(w) not in _WEIGHT_TYPES):
+                raise ValueError("field of the wrong JSON type")
+            yield _time(t), str(u), str(v), _float(w)
 
 
 def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = False,
@@ -241,7 +246,7 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
             space = full_space(n, names)
             vals = np.zeros((count, space.num_relations))
             np.add.at(vals, (rows, cols), ws)
-        return IngestResult(LinkStreamMatrix(space, t0, vals), dropped)
+        return IngestResult(LinkStreamMatrix(space, t0, _Fresh(vals)), dropped)
 
 
 def _check_cells(num_times: int, num_relations: int):
@@ -344,7 +349,7 @@ def read_dense_csv(path) -> IngestResult:
         times = np.array(times)
         if not np.array_equal(times, np.arange(times[0], times[0] + len(times))):
             raise IngestError(f"{path}: dense CSV times must be contiguous")
-        return IngestResult(LinkStreamMatrix(space, int(times[0]), np.array(rows)))
+        return IngestResult(LinkStreamMatrix(space, int(times[0]), _Fresh(np.array(rows))))
 
 
 # ---------------------------------------------------------------------------

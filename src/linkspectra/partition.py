@@ -268,14 +268,14 @@ def partition_svd(adj: GraphSlice, seed: int = 0) -> PartitionTree:
     return tree_from_vertex_order(svd_vertex_split(adj, seed), adj.space)
 
 
-def _bfs_explore(edges: list, count: int, priority: np.ndarray, start=None) -> list:
+def _bfs_explore(edges: list, count: int, priority: np.ndarray) -> list:
     """First ``count`` directed edges in BFS exploration order.
 
     Movement treats relations as undirected; at each visited vertex the
     self-loop is counted first, then edges to neighbours in ascending seeded
-    priority (both directions of a neighbouring pair, outgoing first). When a
-    fragment exhausts, the walk restarts from the lowest-priority unvisited
-    endpoint.
+    priority (both directions of a neighbouring pair, outgoing first). The
+    walk starts, and restarts whenever a fragment exhausts, from the
+    lowest-priority unvisited endpoint.
     """
     remaining = set(edges)
     adjacency = {}
@@ -289,11 +289,6 @@ def _bfs_explore(edges: list, count: int, priority: np.ndarray, start=None) -> l
     explored = []
     visited = set()
     queue = deque()
-    if start is not None:
-        if start not in adjacency:
-            raise ValueError(f"start vertex {start} is not incident to the edge set")
-        visited.add(start)
-        queue.append(start)
     while len(explored) < count:
         if not queue:
             fresh = next(w for w in vertices if w not in visited)
@@ -318,13 +313,13 @@ def _bfs_explore(edges: list, count: int, priority: np.ndarray, start=None) -> l
     return explored
 
 
-def partition_bfs(active: RelationSpace, seed: int = 0, start_vertex=None) -> PartitionTree:
+def partition_bfs(active: RelationSpace, seed: int = 0) -> PartitionTree:
     """BFS-based partition: each set is halved into explored/unexplored edges.
 
     Requires a nonempty active relation set whose count is a power of two (no
     pads). The seed draws one vertex-priority permutation that rules
-    start-vertex choice, neighbour order, and restarts; ``start_vertex``
-    optionally pins the very first BFS root.
+    start-vertex choice, neighbour order, and restarts: the first BFS root is
+    the vertex of lowest priority.
     """
     if active.num_active == 0:
         raise ValueError("empty active relation set")
@@ -338,16 +333,16 @@ def partition_bfs(active: RelationSpace, seed: int = 0, start_vertex=None) -> Pa
 
     index_of = {rel: k for k, rel in enumerate(rels)}
 
-    def split(edge_list: list, start) -> list:
+    def split(edge_list: list) -> list:
         if len(edge_list) == 1:
             return [edge_list[0]]
         half = len(edge_list) // 2
-        explored = _bfs_explore(edge_list, half, priority, start=start)
+        explored = _bfs_explore(edge_list, half, priority)
         explored_set = set(explored)
         rest = [e for e in edge_list if e not in explored_set]
-        return split(explored, None) + split(rest, None)
+        return split(explored) + split(rest)
 
-    leaf_rels = split(rels, start_vertex)
+    leaf_rels = split(rels)
     order = np.empty(len(rels), dtype=np.int64)
     for pos, rel in enumerate(leaf_rels):
         order[index_of[rel]] = pos

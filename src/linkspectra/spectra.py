@@ -108,7 +108,7 @@ def _synthesize_stream(grid: np.ndarray, out: np.ndarray, basis: GraphBasis, spa
 
     The inverse FFT writes into ``out``: a complex128 grid the caller owns and
     gives up, which may be ``grid`` itself."""
-    x = _realify(FourierBasis(grid.shape[0])._inverse_into(grid, out))
+    x = _realify(FourierBasis(grid.shape[0]).inverse(grid, out))
     return LinkStreamMatrix(space, t0, _Fresh(_clear_inert(space, basis.synthesize_values(x))))
 
 
@@ -288,7 +288,6 @@ def regularity(stream: LinkStreamMatrix, basis: GraphBasis,
     return RegularityReport(reg_t, reg_e, relaxed, boundary)
 
 
-def relaxed_time_regularity(stream: LinkStreamMatrix, basis: GraphBasis,
-                            boundary: str = "circular") -> float:
-    """``regularity(...).relaxed_reg_t``."""
-    return regularity(stream, basis, boundary).relaxed_reg_t
+def relaxed_time_regularity(stream: LinkStreamMatrix, basis: GraphBasis) -> float:
+    """``regularity(stream, basis).relaxed_reg_t``, circular boundary."""
+    return regularity(stream, basis).relaxed_reg_t

@@ -316,11 +316,6 @@ class LinkStreamMatrix:
             raise ValueError("inert (padding) columns must be zero")
         object.__setattr__(self, "values", vals)
 
-    @cached_property
-    def unweighted(self) -> bool:
-        """True when every entry is 0 or 1."""
-        return bool(np.all((self.values == 0.0) | (self.values == 1.0)))
-
     @property
     def num_times(self) -> int:
         return self.values.shape[0]
@@ -373,7 +368,7 @@ def stream_from_slices(slices, t0: int = 0) -> LinkStreamMatrix:
         raise ValueError("no slices given")
     space = slices[0].space
     vals = np.stack([s.weights for s in slices])
-    return LinkStreamMatrix(space, t0, vals)
+    return LinkStreamMatrix(space, t0, _Fresh(vals))
 
 
 def restrict_stream(stream: LinkStreamMatrix, space: RelationSpace) -> LinkStreamMatrix:
@@ -391,4 +386,5 @@ def restrict_stream(stream: LinkStreamMatrix, space: RelationSpace) -> LinkStrea
     if outside.size:
         rel = stream.space.relations[outside[0]]
         raise ValueError(f"active relation {rel} is outside the restricted space")
-    return LinkStreamMatrix(replace(space, vertices=stream.space.vertices), stream.t0, vals)
+    return LinkStreamMatrix(replace(space, vertices=stream.space.vertices), stream.t0,
+                            _Fresh(vals))

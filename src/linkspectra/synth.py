@@ -24,6 +24,7 @@ from .stream import (
     GraphSlice,
     LinkStreamMatrix,
     RelationSpace,
+    _Fresh,
     _frozen,
     _max_threads,
     full_space,
@@ -86,7 +87,7 @@ def gen_oscillating(num_times: int) -> LinkStreamMatrix:
     vals = np.zeros((num_times, 16))
     vals[0::2][:, claw_indices(space)] = 1.0
     vals[1::2][:, triangle_indices(space)] = 1.0
-    return LinkStreamMatrix(space, 0, vals)
+    return LinkStreamMatrix(space, 0, _Fresh(vals))
 
 
 def block_level(per_community: int) -> int:
@@ -151,7 +152,7 @@ def gen_daynight(n_communities: int = 2, per_community: int = 16, period: int = 
     vals = np.zeros((num_times, space.num_relations))
     active = rng.random((int(day.sum()), int(within.sum()))) < p_active
     vals[np.ix_(day, within)] = active
-    return LinkStreamMatrix(space, 0, vals)
+    return LinkStreamMatrix(space, 0, _Fresh(vals))
 
 
 def daynight_template(n_communities: int = 2, per_community: int = 16, period: int = 20,
@@ -161,7 +162,7 @@ def daynight_template(n_communities: int = 2, per_community: int = 16, period: i
                                           num_times)
     vals = np.zeros((num_times, space.num_relations))
     vals[np.ix_(day, within)] = 1.0
-    return LinkStreamMatrix(space, 0, vals)
+    return LinkStreamMatrix(space, 0, _Fresh(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -45,15 +45,14 @@ class FourierBasis:
         return self._transform(values, np.empty_like(values, np.complex128), np.fft.fft,
                                np.divide)
 
-    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        """Synthesis transform along axis 0: values = Psi @ coeffs, as a new
-        complex128 array; ``coeffs`` is left as it is."""
+    def inverse(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Synthesis transform along axis 0: values = Psi @ coeffs, written into
+        ``out`` and returned. ``out`` is a complex128 grid of the same shape,
+        which may be ``coeffs`` itself; without it the result is a new array in
+        the memory order of ``coeffs``, which is left as it is."""
         coeffs = np.asarray(coeffs)
-        return self._inverse_into(coeffs, np.empty_like(coeffs, np.complex128))
-
-    def _inverse_into(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``inverse`` written into ``out``, a complex128 grid of the same shape
-        that may be ``coeffs`` itself, and returned."""
+        if out is None:
+            out = np.empty_like(coeffs, np.complex128)
         return self._transform(coeffs, out, np.fft.ifft, np.multiply)
 
     def _transform(self, values, out, fft, rescale) -> np.ndarray:
@@ -208,7 +207,7 @@ def apply_frequency_filter(stream: LinkStreamMatrix, filt: FrequencyFilter) -> L
     basis = FourierBasis(stream.num_times)
     grid = basis.forward(stream.values)
     np.multiply(filt.response[:, None], grid, out=grid)
-    return stream.with_values(_realify(basis._inverse_into(grid, grid)))
+    return stream.with_values(_realify(basis.inverse(grid, grid)))
 
 
 def aggregate(stream: LinkStreamMatrix, window: int) -> LinkStreamMatrix:

@@ -1,6 +1,6 @@
 import json
-
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,7 +50,7 @@ def test_ingest_duplicates_sum(tmp_path):
     path.write_text("0,a,b\n0,a,b\n0,a,b,0.5\n")
     stream = lio.ingest_triplets(path, "csv").stream
     assert stream.values[0, stream.space.index_of(0, 1)] == 2.5
-    assert not stream.unweighted
+    assert not stream.slice_at(0).is_unweighted
 
 
 def test_ingest_window_drops_and_counts(tmp_path):
@@ -103,20 +103,23 @@ def test_ingest_malformed_line_number(tmp_path):
 
 
 def _ndjson_records_loads(path, lines):
-    """The NDJSON triplet parser as it was with ``json.loads`` per line: the
-    oracle for the records it accepts and the line it refuses."""
+    """The NDJSON triplet parser written with ``json.loads`` per line and
+    ``isinstance`` type checks: the oracle for the records it accepts and the
+    line it refuses."""
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             rec = json.loads(line)
-            if type(rec["t"]) is not int:
+            t, u, v, w = rec["t"], rec["u"], rec["v"], rec.get("w", 1.0)
+            if type(t) is not int:
                 raise ValueError("time is not an integer")
-            t = int(rec["t"])
-            u = str(rec["u"])
-            v = str(rec["v"])
-            w = lio._float(rec.get("w", 1.0))
+            if any(isinstance(x, bool) or not isinstance(x, (str, int)) for x in (u, v)):
+                raise ValueError("vertex name is not a string or an integer")
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise ValueError("weight is not a number")
+            t, u, v, w = int(t), str(u), str(v), lio._float(w)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             raise IngestError(f"{path}: line {lineno}: malformed NDJSON record") from None
         yield t, u, v, w
@@ -172,6 +175,32 @@ def test_ndjson_refuses_a_time_that_is_not_an_integer(tmp_path, capsys, t):
     assert [json.loads(line)["error"]["message"] for line in err] == [want]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("w", '"2.5"'), ("w", "true"), ("w", "null"),
+    ("u", '["x"]'), ("u", '{"x": 1}'), ("u", "null"), ("u", "true"), ("u", "1.5"),
+    ("v", '["x"]'),
+])
+def test_ndjson_refuses_a_name_or_weight_of_the_wrong_type(tmp_path, field, value):
+    # names are JSON strings or integers and weights JSON numbers: str() and
+    # float() would read ["x"] as a vertex "['x']" and "2.5" or true as weights
+    record = {"t": "1", "u": '"b"', "v": '"a"', field: value}
+    text = ('{"t": 0, "u": "a", "v": "b"}\n{'
+            + ", ".join(f'"{key}": {x}' for key, x in record.items()) + "}\n")
+    path = tmp_path / "in.ndjson"
+    path.write_text(text)
+    want = f"{path}: line 2: malformed NDJSON record"
+    assert _outcome(_ndjson_records_loads(path, text.splitlines())) == want
+    with pytest.raises(IngestError, match=re.escape(want)):
+        lio.ingest_triplets(path, "ndjson")
+
+
+def test_ndjson_valid_records_keep_their_values():
+    want = [(0, "a", "b", 1.0), (1, "b", "a", 2.5), (3, "c", "a", -1e-3), (4, "7", "c", 1.0)]
+    lines = _NDJSON_VALID.splitlines()
+    assert _outcome(lio._iter_triplets_ndjson("in.ndjson", lines)) == want
+    assert _outcome(_ndjson_records_loads("in.ndjson", lines)) == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["insert", "delete", "join", "split"]),
                           st.floats(0, 1, exclude_max=True), st.sampled_from(_NDJSON_PIECES)),
@@ -192,6 +221,22 @@ def test_ndjson_parse_matches_json_loads_on_mutated_files(mutations):
     lines = text.splitlines()
     want = _outcome(_ndjson_records_loads("in.ndjson", lines))
     assert _outcome(lio._iter_triplets_ndjson("in.ndjson", lines)) == want
+
+
+def test_sparse_long_window_ingest_holds_one_grid(tmp_path):
+    # two records 4000 steps apart over four vertices: a 4001 x 16 grid that
+    # the stream adopts; a second copy of it would double the peak
+    path = tmp_path / "in.csv"
+    path.write_text("0,a,b\n4000,c,d\n")
+    lio.ingest_triplets(path, "csv")   # warm-up
+    tracemalloc.start()
+    try:
+        stream = lio.ingest_triplets(path, "csv").stream
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.values.shape == (4001, 16)
+    assert peak < 1.5 * stream.values.nbytes
 
 
 def test_ingest_empty_input(tmp_path):

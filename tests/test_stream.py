@@ -151,14 +151,6 @@ def test_inert_columns_must_be_zero():
         LinkStreamMatrix(space, 0, vals)
 
 
-def test_unweighted_flag_derived():
-    space = full_space(2)
-    assert LinkStreamMatrix(space, 0, np.eye(4)[:2]).unweighted
-    assert not LinkStreamMatrix(space, 0, np.full((2, 4), 0.5)).unweighted
-    assert not LinkStreamMatrix(space, 0, np.full((2, 4), 2.0)).unweighted
-    assert LinkStreamMatrix(space, 0, np.zeros((2, 4))).unweighted
-
-
 def test_restrict_stream_round_trip(osc_stream, osc_space):
     sub = active_space(4, [osc_space.relations[k] for k in synth.claw_indices(osc_space)])
     claw_only = osc_stream.with_values(np.where(
