@@ -65,7 +65,7 @@ def _load(args, window):
 def _parse_keep(text: str) -> KeepRule:
     if text.startswith("top:"):
         try:
-            k = int(text.split(":", 1)[1])
+            k = int(lio._plain(text.split(":", 1)[1]))
         except ValueError:
             raise ValueError(f"keep top must look like 'top:<k>', got {text!r}") from None
         return KeepRule.top_k(k)
@@ -73,8 +73,8 @@ def _parse_keep(text: str) -> KeepRule:
         body = text.split(":", 1)[1]
         try:
             fr, cr = body.split(",")
-            f0, f1 = (int(x) for x in fr.split(":"))
-            c0, c1 = (int(x) for x in cr.split(":"))
+            f0, f1 = (int(lio._plain(x)) for x in fr.split(":"))
+            c0, c1 = (int(lio._plain(x)) for x in cr.split(":"))
         except ValueError:
             raise ValueError(f"keep box must look like 'box:u0:u1,k0:k1', got {text!r}") from None
         return KeepRule.box(f0, f1, c0, c1)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -65,7 +66,7 @@ def parse_window(text: str):
     """'t0:T' -> (t0, T); every step t0 .. t0 + T - 1 must be an int64 time."""
     try:
         t0, count = text.split(":")
-        t0, count = int(t0), int(count)
+        t0, count = int(_plain(t0)), int(_plain(count))
     except ValueError:
         raise IngestError(f"window must look like 't0:T', got {text!r}") from None
     if count < 1:
@@ -75,9 +76,19 @@ def parse_window(text: str):
     return t0, count
 
 
+def _plain(text):
+    """``text``, refusing a string that holds ``_`` or a non-ASCII character
+    with a ValueError: ``int()`` and ``float()`` would read ``1_0`` as 10 and
+    a fullwidth digit three as 3. Every number parsed from text passes here;
+    a number that is not a string (an NDJSON field) passes unchanged."""
+    if type(text) is str and ("_" in text or not text.isascii()):
+        raise ValueError(f"number {text!r} holds '_' or a non-ASCII character")
+    return text
+
+
 def _float(text) -> float:
     """``float(text)``, refusing nan and +-inf with a ValueError."""
-    x = float(text)
+    x = float(_plain(text))
     if not math.isfinite(x):
         raise ValueError(f"non-finite number {text!r}")
     return x
@@ -92,7 +103,7 @@ def _integers(values) -> list:
 
 def _time(value) -> int:
     """``int(value)``, refusing a time outside int64 with a ValueError."""
-    t = int(value)
+    t = int(_plain(value))
     if not _in_int64(t, 1):
         raise ValueError(f"time {value!r} outside the int64 range")
     return t
@@ -190,10 +201,13 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
     record order; out-of-window triplets are dropped and counted.
     ``pad_vertices`` grows the vertex set to the next power of two (required
     before SVD partitioning). By default the columns are the full relation
-    space; ``active_only`` keeps only the relations that carry a nonzero
-    entry, in lexicographic order and padded to a power of two, so nothing of
-    size N^2 is allocated (BFS mode). A grid of more than
-    ``MAX_INGEST_CELLS`` cells is refused before it is allocated.
+    space; ``active_only`` keeps only the relations that have records in the
+    window, in lexicographic order and padded to a power of two, so nothing
+    of size N^2 is allocated (BFS mode). The aggregate graph alone picks the
+    relations of a BFS basis (``cli._load``): a relation whose records cancel
+    in every cell is an all-zero column here, which ``restrict_stream`` drops.
+    A grid of more than ``MAX_INGEST_CELLS`` cells is refused before it is
+    allocated.
     """
     parse = {"csv": _iter_triplets_csv, "ndjson": _iter_triplets_ndjson}.get(fmt)
     if parse is None:
@@ -202,8 +216,7 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
         text = _text(path)
         if not text.strip():
             raise IngestError(f"{path}: empty input")
-        names: list = []
-        index: dict = {}
+        index: dict = {}   # vertex name -> index, in first-seen order
         times, us, vs, ws = [], [], [], []
         dropped = 0
         for t, u, v, w in parse(path, text.splitlines()):
@@ -213,8 +226,7 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
             for name in (u, v):
                 if name not in index:
                     _check_vertex_name(path, name, triplets=True)
-                    index[name] = len(names)
-                    names.append(name)
+                    index[name] = len(index)
             times.append(t)
             us.append(index[u])
             vs.append(index[v])
@@ -225,27 +237,20 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
             t0, count = window
         else:
             t0, count = min(times), max(times) - min(times) + 1
-        n = len(names)
-        if pad_vertices:
-            n = next_power_of_two(n)
-        names += [f"~v{i}" for i in range(len(names), n)]
+        n = next_power_of_two(len(index)) if pad_vertices else len(index)
+        names = [*index, *(f"~v{i}" for i in range(len(index), n))]
         rows = np.array(times, dtype=np.int64) - t0
         cols = np.array(us, dtype=np.int64) * n + np.array(vs, dtype=np.int64)
         if active_only:
-            cols, inverse = np.unique(cols, return_inverse=True)
-            _check_cells(count, len(cols))
-            sums = np.zeros((count, len(cols)))
-            np.add.at(sums, (rows, inverse), ws)
-            carried = sums.any(axis=0)
-            pairs = [(int(c) // n, int(c) % n) for c in cols[carried]]
-            space = replace(active_space(n, pairs), vertices=names)
-            vals = np.zeros((count, space.num_relations))
-            vals[:, : len(pairs)] = sums[:, carried]
+            # np.unique sorts u * n + v, the lexicographic order of active_space
+            keys, cols = np.unique(cols, return_inverse=True)
+            _check_cells(count, len(keys))
+            space = replace(active_space(n, [divmod(k, n) for k in keys.tolist()]), vertices=names)
         else:
             _check_cells(count, n * n)
             space = full_space(n, names)
-            vals = np.zeros((count, space.num_relations))
-            np.add.at(vals, (rows, cols), ws)
+        vals = np.zeros((count, space.num_relations))
+        np.add.at(vals, (rows, cols), ws)
         return IngestResult(LinkStreamMatrix(space, t0, _Fresh(vals)), dropped)
 
 
@@ -376,7 +381,10 @@ def read_raw(path) -> IngestResult:
             header = json.loads(fh.readline())
             t, m, t0 = _integers([header[k] for k in ("T", "M", "t0")])
             labels = list(header["labels"])
-        data = fh.read()
+        # a file's payload size is known before any grid is allocated; a pipe
+        # is not seekable and is read whole
+        data = None if fh.seekable() else fh.read()
+        payload = os.fstat(fh.fileno()).st_size - fh.tell() if data is None else len(data)
         if len(labels) != m:
             raise IngestError(f"{path}: header has M = {m} but {len(labels)} labels")
         if t < 1:
@@ -385,13 +393,17 @@ def read_raw(path) -> IngestResult:
             raise IngestError(f"{path}: header window {t0}:{t} reaches outside the int64"
                               " time range")
         expected = t * m * 8
-        if len(data) != expected:
-            raise IngestError(f"{path}: payload has {len(data)} bytes, expected {expected}")
-        vals = np.frombuffer(data, dtype="<f8").reshape(t, m)
+        if payload == expected and data is None:   # the grid the stream adopts
+            vals = np.empty((t, m), dtype="<f8")
+            payload = fh.readinto(vals)
+        elif payload == expected:   # a view of the bytes read, which the stream copies
+            vals = np.frombuffer(data, dtype="<f8").reshape(t, m)
+        if payload != expected:
+            raise IngestError(f"{path}: payload has {payload} bytes, expected {expected}")
         if not np.all(np.isfinite(vals)):
             raise IngestError(f"{path}: payload holds non-finite values")
         space = _parse_labels(path, labels, header.get("vertices"))
-        return IngestResult(LinkStreamMatrix(space, t0, vals))
+        return IngestResult(LinkStreamMatrix(space, t0, _Fresh(vals)))
 
 
 def read_stream(path, fmt: str, window=None, pad_vertices: bool = False,
@@ -505,7 +517,7 @@ def read_structural_response_csv(path, basis: GraphBasis) -> np.ndarray:
     with _refusing(path, "malformed numeric field") as at:
         for kind, level, idx, value in _rows(at, lines, "kind.*", (4,),
                                              "'kind,level,index,value'"):
-            level, idx, value = int(level), int(idx), _float(value)
+            level, idx, value = int(_plain(level)), int(_plain(idx)), _float(value)
             if kind == "s":
                 if level != basis.level or not (0 <= idx < basis.num_scaling):
                     raise IngestError(f"{at}: scaling index out of range")
@@ -539,7 +551,7 @@ def read_frequency_filter_csv(path, length: int) -> FrequencyFilter:
         lines = _text(path).splitlines()
     with _refusing(path, "malformed numeric field") as at:
         for u, real, imag in _rows(at, lines, "freq.*", (3,), "'freq_index,re,im'"):
-            u, real, imag = int(u), _float(real), _float(imag)
+            u, real, imag = int(_plain(u)), _float(real), _float(imag)
             if not (0 <= u < length):
                 raise IngestError(f"{at}: frequency index {u} out of range")
             response[u] = real + 1j * imag
@@ -560,7 +572,7 @@ def frequency_filter(spec: str, length: int) -> FrequencyFilter:
         number, shape, make = ((int, "agg:<k>", aggregation_filter) if name == "agg"
                                else (float, "lowpass:<cutoff>", lowpass_filter))
         try:
-            arg = number(arg)
+            arg = number(_plain(arg))
         except ValueError:
             raise ValueError(f"freq {name} must look like {shape!r}, got {spec!r}") from None
         return make(arg, length)

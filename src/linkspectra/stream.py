@@ -384,7 +384,7 @@ def restrict_stream(stream: LinkStreamMatrix, space: RelationSpace) -> LinkStrea
     others = np.flatnonzero(rest)
     outside = others[np.any(stream.values[:, others] != 0.0, axis=0)]
     if outside.size:
-        rel = stream.space.relations[outside[0]]
+        rel = tuple(stream.space.vertices[i] for i in stream.space.relations[outside[0]])
         raise ValueError(f"active relation {rel} is outside the restricted space")
     return LinkStreamMatrix(replace(space, vertices=stream.space.vertices), stream.t0,
                             _Fresh(vals))

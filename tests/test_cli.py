@@ -22,7 +22,7 @@ from linkspectra import (
 from linkspectra import io as lio
 from linkspectra.cli import main
 from linkspectra.stream import active_space, restrict_stream
-from linkspectra.graphbasis import coarse_pass_response
+from linkspectra.graphbasis import GraphCoefficients, coarse_pass_response
 from linkspectra.timebasis import lowpass_filter
 
 from conftest import read_grid
@@ -236,10 +236,12 @@ def test_usage_error_json(tmp_path, capsys):
     assert doc["error"]["type"] == "usage"
 
 
+_RING = "".join(f"{t},{v},{(v + 1) % 8}\n" for t in range(4) for v in range(8))
+
+
 def ring_csv(tmp_path):
     src = tmp_path / "ring.csv"
-    lines = [f"{t},{v},{(v + 1) % 8}" for t in range(4) for v in range(8)]
-    src.write_text("\n".join(lines) + "\n")
+    src.write_text(_RING)
     return src
 
 
@@ -279,7 +281,7 @@ def test_bfs_commands_from_csv_equal_restricted_raw(tmp_path, capsys):
     ("0,a,b\n1,b,c\n2,c,a\n",
      "BFS partitioning needs a power-of-two active relation count, got 3"),
     ("0,a,b,1\n1,a,b,-1\n0,b,a\n0,a,a\n1,b,b\n2,b,c\n",
-     "active relation (0, 1) is outside the restricted space"),
+     "active relation ('a', 'b') is outside the restricted space"),
     ("0,a,b,1\n1,a,b,-1\n0,b,a\n0,a,a\n1,b,b\n",
      "BFS partitioning needs a power-of-two active relation count, got 3"),
 ])
@@ -312,13 +314,68 @@ def test_flag_value_errors_name_the_expected_shape(tmp_path, capsys, argv, messa
     (["backbone", "--keep", "box:1:2"],
      "keep box must look like 'box:u0:u1,k0:k1', got 'box:1:2'"),
     (["backbone", "--keep", "foo"], "unknown keep rule 'foo'"),
-], ids=["level-0", "keep-box-malformed", "keep-unknown"])
+    (["filter", "--freq", "lowpass:0.7"], "cutoff is a cyclic frequency in [0, 0.5]"),
+    # the ring restricted to its 8 active relations is a 4 x 8 grid: 32 coefficients
+    (["backbone", "--keep", "top:33"], "top-k selection larger than the coefficient grid"),
+], ids=["level-0", "keep-box-malformed", "keep-unknown", "lowpass-cutoff",
+        "keep-top-over-grid"])
 def test_refused_flag_value_is_one_error_line(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *argv, "--input", str(ring_csv(tmp_path)), "--basis", "bfs",
                          "--out", str(tmp_path / "out"))
     assert (code, out) == (1, "")
     assert [json.loads(line) for line in err.splitlines()] == [
         {"error": {"type": "ValueError", "message": message}}]
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"in": "1_0,a,b,2\n"}, ["ingest"],
+     "{in}: line 1: malformed numeric field in '1_0,a,b,2'"),
+    ({"in": "0,a,b,1_5\n"}, ["ingest"],
+     "{in}: line 1: malformed numeric field in '0,a,b,1_5'"),
+    ({"in": "0,a,b,\uff13\n"}, ["ingest"],
+     "{in}: line 1: malformed numeric field in '0,a,b,\uff13'"),
+    ({"in": "t,a->a\n0,1_0\n"}, ["ingest", "--format", "dense"],
+     "{in}: line 2: malformed numeric field"),
+    ({"in": "t,a->a\n\uff10,1\n"}, ["ingest", "--format", "dense"],
+     "{in}: line 2: malformed numeric field"),
+    ({"in": _RING, "f": "freq_index,re,im\n\uff11,1,0\n"},
+     ["filter", "--basis", "bfs", "--freq", "{f}"],
+     "{f}: line 2: malformed numeric field"),
+    ({"in": _RING, "s": "kind,level,index,value\ns,3,0_0,1\n"},
+     ["filter", "--basis", "bfs", "--struct", "{s}"],
+     "{s}: line 2: malformed numeric field"),
+    ({"in": _RING}, ["ingest", "--window", "0:1_0"],
+     "window must look like 't0:T', got '0:1_0'"),
+    ({"in": _RING}, ["backbone", "--basis", "bfs", "--keep", "top:1_0"],
+     "keep top must look like 'top:<k>', got 'top:1_0'"),
+    ({"in": _RING}, ["backbone", "--basis", "bfs", "--keep", "box:0:1,0:\uff11"],
+     "keep box must look like 'box:u0:u1,k0:k1', got 'box:0:1,0:\uff11'"),
+    ({"in": _RING}, ["filter", "--basis", "bfs", "--freq", "agg:0_2"],
+     "freq agg must look like 'agg:<k>', got 'agg:0_2'"),
+    ({"in": _RING}, ["filter", "--basis", "bfs", "--freq", "lowpass:0_1"],
+     "freq lowpass must look like 'lowpass:<cutoff>', got 'lowpass:0_1'"),
+], ids=["csv-time", "csv-weight", "csv-fullwidth-weight", "dense-value",
+        "dense-fullwidth-time", "freq-csv-index", "struct-csv-index", "window", "keep-top",
+        "keep-box", "freq-agg", "freq-lowpass"])
+def test_numbers_with_an_underscore_or_non_ascii_digit_are_refused(tmp_path, capsys, files,
+                                                                  argv, message):
+    paths = {stem: str(tmp_path / f"{stem}.csv") for stem in files}
+    for stem, text in files.items():
+        (tmp_path / f"{stem}.csv").write_text(text)
+    argv = [arg.format_map(paths) for arg in argv]
+    code, out, err = run(capsys, *argv, "--input", paths["in"],
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert _one_error(err) == message.format_map(paths)
+
+
+def test_dense_csv_with_only_a_header_is_refused(tmp_path, capsys):
+    src = tmp_path / "dense.csv"
+    src.write_text("t,a->a\n")
+    code, out, err = run(capsys, "ingest", "--input", str(src), "--format", "dense",
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert _one_error(err) == f"{src}: no data rows"
 
 
 def test_cli_outputs_equal_library_results(tmp_path, capsys):
@@ -350,6 +407,13 @@ def test_cli_outputs_equal_library_results(tmp_path, capsys):
         stream, JointFilter(lowpass_filter(0.1, 24), coarse_pass_response(basis)), basis)
     assert np.array_equal(lio.read_raw(d / "filtered.raw").stream.values, filtered.values)
     assert np.array_equal(read_grid(d / "filtered.csv"), filtered.values)
+    # the coarse response written as a --struct CSV filters to the same bytes
+    preset = d.rename(tmp_path / "filter-coarse")
+    lio.write_coefficients_csv(tmp_path / "coarse.csv",
+                               GraphCoefficients(basis, coarse_pass_response(basis)))
+    d, _ = cli("filter", "--freq", "lowpass:0.1", "--struct", str(tmp_path / "coarse.csv"))
+    for name in ("filtered.raw", "filtered.csv"):
+        assert (d / name).read_bytes() == (preset / name).read_bytes()
 
     d, _ = cli("backbone", "--keep", "top:3")
     kept, mask = backbone(stream, basis, KeepRule.top_k(3))
@@ -512,6 +576,17 @@ def test_window_outside_int64_is_one_ingest_error(tmp_path, capsys):
     assert code == 1 and out == ""
     assert _one_error(err) == ("window '-9223372036854775809:10' reaches outside"
                                " the int64 time range")
+
+
+@pytest.mark.parametrize("window, message", [
+    ("abc", "window must look like 't0:T', got 'abc'"),
+    ("0:0", "window length must be positive"),
+])
+def test_malformed_window_is_one_ingest_error(tmp_path, capsys, window, message):
+    code, out, err = run(capsys, "ingest", "--input", str(ring_csv(tmp_path)),
+                         "--window", window, "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"type": "IngestError", "message": message}}
 
 
 def test_svd_tree_reused_on_padded_triplet_input(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import tracemalloc
 
@@ -224,19 +225,50 @@ def test_ndjson_parse_matches_json_loads_on_mutated_files(mutations):
 
 
 def test_sparse_long_window_ingest_holds_one_grid(tmp_path):
-    # two records 4000 steps apart over four vertices: a 4001 x 16 grid that
-    # the stream adopts; a second copy of it would double the peak
+    # two records 4000 steps apart over four vertices: a 4001 x 16 grid (4001 x 2
+    # over the relations that have records) that the stream adopts; a second
+    # copy of it would double the peak
     path = tmp_path / "in.csv"
     path.write_text("0,a,b\n4000,c,d\n")
-    lio.ingest_triplets(path, "csv")   # warm-up
+    for active_only, width in ((False, 16), (True, 2)):
+        lio.ingest_triplets(path, "csv", active_only=active_only)   # warm-up
+        tracemalloc.start()
+        try:
+            stream = lio.ingest_triplets(path, "csv", active_only=active_only).stream
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stream.values.shape == (4001, width)
+        assert peak < 1.5 * stream.values.nbytes, active_only
+
+
+def test_read_raw_holds_one_grid(tmp_path):
+    path = tmp_path / "in.raw"
+    lio.write_raw(path, synth.gen_oscillating(2000))   # a 2000 x 16 grid
+    lio.read_raw(path)   # warm-up
     tracemalloc.start()
     try:
-        stream = lio.ingest_triplets(path, "csv").stream
+        stream = lio.read_raw(path).stream
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stream.values.shape == (4001, 16)
+    assert stream.values.shape == (2000, 16)
     assert peak < 1.5 * stream.values.nbytes
+
+
+def test_read_raw_from_a_pipe(tmp_path):
+    path = tmp_path / "in.raw"
+    lio.write_raw(path, synth.gen_oscillating(4))
+    r, w = os.pipe()
+    os.write(w, path.read_bytes())
+    os.close(w)
+    try:
+        piped = lio.read_raw(f"/dev/fd/{r}").stream
+    finally:
+        os.close(r)
+    stream = lio.read_raw(path).stream
+    assert (piped.space, piped.t0) == (stream.space, stream.t0)
+    assert piped.values.tobytes() == stream.values.tobytes()
 
 
 def test_ingest_empty_input(tmp_path):
@@ -398,15 +430,23 @@ def test_active_ingest_equals_restricted_full_ingest(tmp_path_factory, records, 
     active = lio.ingest_triplets(path, fmt, window=window, active_only=True)
     assert active.stream.space.vertices == full.stream.space.vertices
     assert active.dropped == full.dropped
+    assert active.stream.t0 == full.stream.t0
+    # the active ingest holds exactly the relations that have records in the window
+    index = {name: i for i, name in enumerate(full.stream.space.vertices)}
+    t0, count = full.stream.t0, full.stream.num_times
+    recorded = {(index[u], index[v]) for t, u, v, _ in lines if t0 <= t < t0 + count}
+    assert [rel for rel in active.stream.space.relations if rel is not None] == sorted(recorded)
+    # the aggregate picks the same basis relations from both, and both restrict
+    # to the same bits
     pairs = aggregate_pairs(full.stream)
+    assert aggregate_pairs(active.stream) == pairs
     if not pairs:   # every weight in the window is zero
-        assert active.stream.space.num_active == 0
         assert not active.stream.values.any()
         return
-    expected = restrict_stream(full.stream, active_space(full.stream.space.num_vertices, pairs))
-    assert active.stream.space == expected.space
-    assert active.stream.t0 == expected.t0
-    assert np.array_equal(active.stream.values, expected.values)
+    space = active_space(full.stream.space.num_vertices, pairs)
+    restricted = [restrict_stream(s.stream, space) for s in (active, full)]
+    assert restricted[0].space == restricted[1].space
+    assert restricted[0].values.tobytes() == restricted[1].values.tobytes()
 
 
 def test_active_ingest_keeps_zero_aggregate_relation_for_refusal(tmp_path):
@@ -419,7 +459,7 @@ def test_active_ingest_keeps_zero_aggregate_relation_for_refusal(tmp_path):
     assert space.relations == ((0, 0), (1, 0), (1, 1), (1, 2))
     for stream in (active, lio.ingest_triplets(path, "csv").stream):
         with pytest.raises(ValueError, match=re.escape(
-                "active relation (0, 1) is outside the restricted space")):
+                "active relation ('a', 'b') is outside the restricted space")):
             restrict_stream(stream, space)
 
 
