@@ -12,9 +12,11 @@ then the line where there is one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import re
 from contextlib import contextmanager
@@ -30,6 +32,7 @@ from .stream import (
     LinkStreamMatrix,
     RelationSpace,
     _Fresh,
+    _plain,
     active_space,
     full_space,
     next_power_of_two,
@@ -74,16 +77,6 @@ def parse_window(text: str):
     if not _in_int64(t0, count):
         raise IngestError(f"window {text!r} reaches outside the int64 time range")
     return t0, count
-
-
-def _plain(text):
-    """``text``, refusing a string that holds ``_`` or a non-ASCII character
-    with a ValueError: ``int()`` and ``float()`` would read ``1_0`` as 10 and
-    a fullwidth digit three as 3. Every number parsed from text passes here;
-    a number that is not a string (an NDJSON field) passes unchanged."""
-    if type(text) is str and ("_" in text or not text.isascii()):
-        raise ValueError(f"number {text!r} holds '_' or a non-ASCII character")
-    return text
 
 
 def _float(text) -> float:
@@ -193,6 +186,96 @@ def _iter_triplets_ndjson(path, lines):
             yield _time(t), str(u), str(v), _float(w)
 
 
+# stripped, non-blank NDJSON lines per json.loads call: only one chunk's
+# records are alive at once
+_NDJSON_CHUNK = 1024
+
+
+def _ingest_records(path, records, window) -> tuple:
+    """The in-window records (t, u, v, w) as ``(index, times, us, vs, ws,
+    dropped)``: ``index`` maps each vertex name, checked when first seen, to
+    its index in first-seen order (u before v); the others are arrays, u and
+    v as indices. One record at a time: the oracle of ``_ndjson_chunks``."""
+    index: dict = {}   # vertex name -> index, in first-seen order
+    times, us, vs, ws = [], [], [], []
+    dropped = 0
+    for t, u, v, w in records:
+        if window is not None and not (window[0] <= t < window[0] + window[1]):
+            dropped += 1
+            continue
+        for name in (u, v):
+            if name not in index:
+                _check_vertex_name(path, name, triplets=True)
+                index[name] = len(index)
+        times.append(t)
+        us.append(index[u])
+        vs.append(index[v])
+        ws.append(w)
+    return (index, np.array(times, dtype=np.int64), np.array(us, dtype=np.int64),
+            np.array(vs, dtype=np.int64), np.array(ws, dtype=np.float64), dropped)
+
+
+def _ndjson_chunks(path, lines, window) -> tuple:
+    """``_ingest_records`` of NDJSON ``lines``, parsed by one ``json.loads``
+    call per chunk of lines, each chunk checked by C-level passes and kept
+    only as int64 and float64 arrays.
+
+    A record passes what the per-line reader checks: a dict whose ``t`` is
+    an int64 JSON integer, ``u`` and ``v`` JSON strings or integers and
+    ``w`` a finite JSON number. A chunk is parsed as its lines joined by
+    ",\n", and must hold one "{" and one record per line, every line but the
+    last ending with "}". Then each record is one line: a JSON string holds
+    no raw line break, so each joining ",\n" is outside strings, after a "}"
+    that closes an object; the lines end N objects and hold N "{", so there
+    are N objects, all of them records. Where any check fails, the error
+    raised (an ``IngestError`` for a refused vertex name) sends the file to
+    the per-line reader.
+    """
+    index: dict = {}
+    parts = []
+    dropped = 0
+    lines = list(filter(None, map(str.strip, lines)))
+    for lo in range(0, len(lines), _NDJSON_CHUNK):
+        chunk = lines[lo : lo + _NDJSON_CHUNK]
+        text = "[" + ",\n".join(chunk) + "]"
+        if text.count("},\n") != len(chunk) - 1 or text.count("{") != len(chunk):
+            raise ValueError("a line is not one flat JSON object")
+        recs = json.loads(text)
+        if len(recs) != len(chunk):
+            raise ValueError("the records are not the lines")
+        # itemgetter("t") raises TypeError on any JSON value but a dict
+        t, u, v = (list(map(operator.itemgetter(key), recs)) for key in "tuv")
+        w = list(map(dict.get, recs, itertools.repeat("w"), itertools.repeat(1.0)))
+        if set(map(type, t)) != {int} or not set(map(type, w)) <= {int, float}:
+            raise TypeError("field of the wrong JSON type")
+        try:
+            "".join(u), "".join(v)   # a TypeError unless every name is a JSON string
+        except TypeError:
+            if not set(map(type, u + v)) <= {str, int}:
+                raise
+            u, v = list(map(str, u)), list(map(str, v))   # 7 names the vertex "7"
+        # np.array raises OverflowError where _time and float() do
+        t, w = np.array(t, dtype=np.int64), np.array(w, dtype=np.float64)
+        if not np.isfinite(w).all():
+            raise ValueError("non-finite weight")
+        if window is not None:
+            keep = (t >= window[0]) & (t < window[0] + window[1])
+            t, w = t[keep], w[keep]
+            u, v = (list(itertools.compress(x, keep.tolist())) for x in (u, v))
+            dropped += len(keep) - len(t)
+        try:
+            us, vs = (np.fromiter(map(index.__getitem__, x), np.int64, len(x)) for x in (u, v))
+        except KeyError:   # new names: checked and indexed in first-seen order, u before v
+            for name in dict.fromkeys(itertools.chain.from_iterable(zip(u, v))):
+                if name not in index:
+                    _check_vertex_name(path, name, triplets=True)
+                    index[name] = len(index)
+            us, vs = (np.fromiter(map(index.__getitem__, x), np.int64, len(x)) for x in (u, v))
+        parts.append((t, us, vs, w))
+    times, us, vs, ws = (np.concatenate(arrays) for arrays in zip(*parts))
+    return index, times, us, vs, ws, dropped
+
+
 def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = False,
                     active_only: bool = False) -> IngestResult:
     """Read triplet records into a dense stream.
@@ -207,40 +290,37 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
     relations of a BFS basis (``cli._load``): a relation whose records cancel
     in every cell is an all-zero column here, which ``restrict_stream`` drops.
     A grid of more than ``MAX_INGEST_CELLS`` cells is refused before it is
-    allocated.
+    allocated. NDJSON is parsed in chunks (``_ndjson_chunks``); a file the
+    chunks do not pass is read again line by line, which accepts it or
+    refuses it at its line.
     """
     parse = {"csv": _iter_triplets_csv, "ndjson": _iter_triplets_ndjson}.get(fmt)
     if parse is None:
         raise IngestError(f"unknown triplet format {fmt!r}")
     with _refusing(path):
         text = _text(path)
-        if not text.strip():
+        if not text or text.isspace():
             raise IngestError(f"{path}: empty input")
-        index: dict = {}   # vertex name -> index, in first-seen order
-        times, us, vs, ws = [], [], [], []
-        dropped = 0
-        for t, u, v, w in parse(path, text.splitlines()):
-            if window is not None and not (window[0] <= t < window[0] + window[1]):
-                dropped += 1
-                continue
-            for name in (u, v):
-                if name not in index:
-                    _check_vertex_name(path, name, triplets=True)
-                    index[name] = len(index)
-            times.append(t)
-            us.append(index[u])
-            vs.append(index[v])
-            ws.append(w)
-        if not times:
+        lines = text.splitlines()
+        found = None
+        if fmt == "ndjson":
+            try:
+                found = _ndjson_chunks(path, lines, window)
+            except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+                pass   # the per-line reader below decides
+        index, times, us, vs, ws, dropped = found or _ingest_records(path, parse(path, lines),
+                                                                     window)
+        if not len(times):
             raise IngestError(f"{path}: no triplets inside the window")
         if window is not None:
             t0, count = window
         else:
-            t0, count = min(times), max(times) - min(times) + 1
+            t0 = int(times.min())
+            count = int(times.max()) - t0 + 1
         n = next_power_of_two(len(index)) if pad_vertices else len(index)
         names = [*index, *(f"~v{i}" for i in range(len(index), n))]
-        rows = np.array(times, dtype=np.int64) - t0
-        cols = np.array(us, dtype=np.int64) * n + np.array(vs, dtype=np.int64)
+        rows = times - t0
+        cols = us * n + vs
         if active_only:
             # np.unique sorts u * n + v, the lexicographic order of active_space
             keys, cols = np.unique(cols, return_inverse=True)
@@ -585,6 +665,136 @@ def frequency_filter(spec: str, length: int) -> FrequencyFilter:
 # cells per write_grid_csv block: the grids repeat values heavily within a
 # block, and a block's tokens stay small (whole-grid dedup doubles peak RSS)
 _BLOCK_CELLS = 4096
+# a block with fewer distinct values in the kernel's range is formatted by
+# ``%``: below this the fixed cost of the kernel's array calls outweighs what
+# it saves per value
+_KERNEL_MIN_VALUES = 512
+
+
+def _percent_tokens(floats) -> list:
+    """``",%.17g" % x`` for each float of a sequence: the oracle of ``_g17``."""
+    return (("\n,%.17g" * len(floats)) % tuple(floats)).split("\n")[1:]
+
+
+@functools.cache
+def _g17_tables():
+    """The constant tables of ``_g17``.
+
+    Per biased binary exponent of 1e-10 <= |x| < 1e15 (989 .. 1072, where
+    x = f * 2^b, 2^52 <= f < 2^53): the significand at which x reaches the
+    power of ten inside its binade; per (binade, reached) the decimal
+    exponent X, the 32-bit limbs of 5^p, p = 16 - X, and the shift k with
+    x * 10^p = f * 5^p / 2^k (5^p < 2^63, 0 < k < 64). Then the ASCII digits
+    of 0000 .. 9999 as uint32 words in uint64, their trailing zeros, and per
+    (X + 10) * 17 + significant digits - 1 three masks over a 32-byte row:
+    the bytes kept from A (digit j at 7 + j), those kept from B (digit j at
+    8 + j, the sign at 1) and those set: ",", the "0.0.." of -4 <= X < 0,
+    the point, "e-XX" at 25 and the newline at 29.
+    """
+    reach, xs, m0, m1, shift = [], [], [], [], []
+    for e in range(989, 1073):
+        b = e - 1075
+        x0 = len(str(2 ** (e - 1023))) - 1 if e >= 1023 else -len(str(2 ** (1023 - e)))
+        y = x0 + 1
+        reach.append(min(10**y << -b if y >= 0 else -(-(1 << -b) // 10**-y), 1 << 53))
+        for x in (x0, y):
+            xs.append(x)
+            m0.append(5 ** (16 - x) & 0xFFFFFFFF)
+            m1.append(5 ** (16 - x) >> 32)
+            shift.append(x - 16 - b)
+    ascii4 = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    zeros4 = (ascii4[:, ::-1] == 48).cumprod(axis=1).sum(axis=1)
+    from_a, from_b, put = np.zeros((3, 25, 17, 32), dtype=np.uint8)
+    for x in range(-10, 15):
+        for n in range(1, 18):
+            keep_a, keep_b, set_ = from_a[x + 10, n - 1], from_b[x + 10, n - 1], put[x + 10, n - 1]
+            keep_b[1], set_[0], set_[29] = 255, ord(","), ord("\n")
+            if -4 <= x < 0:
+                prefix = b"0." + b"0" * (-x - 1)
+                set_[7 - len(prefix) : 7] = list(prefix)
+                keep_a[7 : 7 + n] = 255
+                continue
+            point = max(x, 0)   # the digit the point follows; integer digits all stay
+            keep_a[7 : 8 + point] = 255
+            if n > point + 1:
+                set_[8 + point] = ord(".")
+                keep_b[9 + point : 8 + n] = 255
+            if x < -4:
+                set_[25:29] = list(b"e-%02d" % -x)
+    u64 = np.uint64
+    return (np.array(reach, u64), np.array(xs), np.array(m0, u64), np.array(m1, u64),
+            np.array(shift, u64), ascii4.view("<u4").ravel().astype(u64), zeros4,
+            *(m.reshape(25 * 17, 32).view(u64).T.copy() for m in (from_a, from_b, put)))
+
+
+def _g17(values: np.ndarray) -> str:
+    """``",%.17g\n" % x`` for each x of ``values``, 1e-10 <= |x| < 1e15, as
+    one string, computed on the array.
+
+    The 17 digits are D = round-half-even(f * 5^p / 2^k) (see
+    ``_g17_tables``), the product exact in 128 bits built from 32-bit limbs,
+    so 10^16 <= D < 10^17: no double of the range lies within half a unit in
+    the 17th digit below a power of ten, so none rounds up to 10^17. Each row
+    is then laid out from its (X, significant digits) masks: fixed notation
+    for -4 <= X < 17, exponent notation below, trailing zeros dropped, and
+    the unset bytes (0) removed.
+    """
+    reach, xs, m0s, m1s, shifts, ascii4, zeros4, from_a, from_b, put = _g17_tables()
+    bits = values.view(np.uint64)
+    f = bits & np.uint64(2**52 - 1) | np.uint64(2**52)
+    i = (bits >> 52 & 0x7FF).astype(np.intp) - 989
+    i = 2 * i + (f >= reach[i])
+    x, m0, m1, k = xs[i], m0s[i], m1s[i], shifts[i]
+    f0, f1 = f & 0xFFFFFFFF, f >> 32
+    low = f0 * m0
+    mid = f1 * m0 + f0 * m1
+    lo = low + (mid << 32)
+    hi = f1 * m1 + (mid >> 32) + (lo < low)
+    # floor(hi:lo / 2^k), rounded half to even on the remainder lo << (64 - k)
+    q = hi << 64 - k | lo >> k
+    q += (lo << 64 - k) + (q & 1) > 2**63
+    d = q.view(np.int64)
+    hi = d // 10**8
+    lo = d - hi * 10**8
+    first = hi // 10**8
+    chunks = []   # digits 1-4, 5-8, 9-12, 13-16
+    for part in (hi - first * 10**8, lo):
+        upper = part // 10**4
+        chunks += [upper, part - upper * 10**4]
+    # the row's four words, word-major: A, then B = A one byte later
+    a = np.zeros((4, len(d)), dtype=np.uint64)
+    a[0] = (first + 48).astype(np.uint64) << 56
+    a[1] = ascii4[chunks[0]] | ascii4[chunks[1]] << 32
+    a[2] = ascii4[chunks[2]] | ascii4[chunks[3]] << 32
+    b = a << 8
+    b[1:] |= a[:-1] >> 56
+    b[0] |= (bits >> 63) * np.uint64(ord("-") << 8)
+    # the trailing zeros of D: a chunk counts only when all later ones are zero
+    zeros = zeros4[chunks[3]]
+    for j in (1, 2, 3):
+        zeros += (zeros == 4 * j) * zeros4[chunks[3 - j]]
+    key = (x + 10) * 17 + 16 - zeros
+    a &= from_a.take(key, axis=1)
+    b &= from_b.take(key, axis=1)
+    a |= b
+    a |= put.take(key, axis=1)
+    out = np.ascontiguousarray(a.T).view(np.uint8).ravel()
+    return out[out != 0].tobytes().decode("ascii")
+
+
+def _cell_tokens(floats: np.ndarray, cell_float: np.ndarray) -> tuple:
+    """The ``",%.17g" % x`` tokens of the floats ``floats`` as a list, and
+    ``cell_float``, each cell's index into ``floats``, mapped to the index of
+    its token: ``_g17`` formats the floats in its range and ``%`` the others
+    (zeros, subnormals, huge values), all of them where the range holds
+    fewer than ``_KERNEL_MIN_VALUES``."""
+    if len(floats) >= _KERNEL_MIN_VALUES:
+        fast = (np.abs(floats) >= 1e-10) & (np.abs(floats) < 1e15)
+        if fast.sum() >= _KERNEL_MIN_VALUES:
+            tokens = _g17(floats[fast]).split("\n")[:-1] + _percent_tokens(floats[~fast].tolist())
+            at = np.where(fast, np.cumsum(fast), fast.sum() + np.cumsum(~fast)) - 1
+            return tokens, at[cell_float]
+    return _percent_tokens(floats.tolist()), cell_float
 
 
 def write_grid_csv(path, values: np.ndarray, row_name: str, row_labels, col_labels):
@@ -612,11 +822,11 @@ def write_grid_csv(path, values: np.ndarray, row_name: str, row_labels, col_labe
             block = np.ascontiguousarray(values[lo : lo + slices_per_block]).reshape(-1, width)
             rows = len(block)
             bits, cell_token = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-            floats = bits.view(np.float64).tolist()
             # tokens: the row labels, then ",<cell>" per distinct value, then "\n"
-            tokens = np.empty(rows + len(floats) + 1, dtype=object)
+            tokens = np.empty(rows + len(bits) + 1, dtype=object)
             tokens[:rows] = [str(lab) for lab in itertools.islice(labels, rows)]
-            tokens[rows:-1] = (("\n,%.17g" * len(floats)) % tuple(floats)).split("\n")[1:]
+            cells, cell_token = _cell_tokens(bits.view(np.float64), cell_token)
+            tokens[rows:-1] = cells
             tokens[-1] = "\n"
             layout = np.empty((rows, width + 2), dtype=np.intp)
             layout[:, 0] = np.arange(rows)

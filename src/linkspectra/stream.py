@@ -13,8 +13,10 @@ the caller's array stays the caller's. A grid the package has just computed
 and hands over, wrapped in ``_Fresh``, is adopted instead: marked read-only
 in place, not copied.
 
-This module also holds the worker count, ``LINKSPECTRA_THREADS``, and
-``_in_parts``, which splits a kernel's grid over that many threads.
+This module also holds the worker count, ``LINKSPECTRA_THREADS``,
+``_in_parts``, which splits a kernel's grid over that many threads, and
+``_plain``, the rule every number read from text passes (the worker count
+and, through ``io``, every text format).
 """
 
 from __future__ import annotations
@@ -69,13 +71,23 @@ def _frozen(x, dtype=None) -> np.ndarray:
     return _readonly(np.array(x, dtype=dtype, order="K"))
 
 
+def _plain(text):
+    """``text``, refusing a string that holds ``_`` or a non-ASCII character
+    with a ValueError: ``int()`` and ``float()`` would read ``1_0`` as 10 and
+    a fullwidth digit three as 3. Every number parsed from text passes here;
+    a number that is not a string (an NDJSON field) passes unchanged."""
+    if type(text) is str and ("_" in text or not text.isascii()):
+        raise ValueError(f"number {text!r} holds '_' or a non-ASCII character")
+    return text
+
+
 def _max_threads() -> int:
     """The worker cap for the Monte-Carlo pool and the spectral kernels:
     LINKSPECTRA_THREADS, else min(4, the CPUs this process may run on)."""
     raw = os.environ.get("LINKSPECTRA_THREADS", "")
     if raw.strip():
         try:
-            value = int(raw)
+            value = int(_plain(raw))
         except ValueError:
             raise ValueError(f"LINKSPECTRA_THREADS={raw!r} is not an integer") from None
         if value < 1:

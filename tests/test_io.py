@@ -2,6 +2,8 @@ import json
 import os
 import re
 import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -203,10 +205,13 @@ def test_ndjson_valid_records_keep_their_values():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["insert", "delete", "join", "split"]),
-                          st.floats(0, 1, exclude_max=True), st.sampled_from(_NDJSON_PIECES)),
-                max_size=4))
-def test_ndjson_parse_matches_json_loads_on_mutated_files(mutations):
+@given(mutations=st.lists(st.tuples(st.sampled_from(["insert", "delete", "join", "split"]),
+                                    st.floats(0, 1, exclude_max=True),
+                                    st.sampled_from(_NDJSON_PIECES)),
+                          max_size=4),
+       chunk=st.sampled_from([1, 2, 3, 1024]), active_only=st.booleans())
+def test_ndjson_parse_matches_json_loads_on_mutated_files(tmp_path_factory, mutations, chunk,
+                                                          active_only):
     text = _NDJSON_VALID
     for op, at, piece in mutations:
         i = int(at * len(text))
@@ -222,6 +227,81 @@ def test_ndjson_parse_matches_json_loads_on_mutated_files(mutations):
     lines = text.splitlines()
     want = _outcome(_ndjson_records_loads("in.ndjson", lines))
     assert _outcome(lio._iter_triplets_ndjson("in.ndjson", lines)) == want
+    path = tmp_path_factory.mktemp("ndjson") / "in.ndjson"
+    path.write_text(text)
+    for window in (None, (1, 3)):
+        _assert_chunks_match_lines(path, chunk, window=window, active_only=active_only)
+
+
+def _ingest_outcome(path, **kw):
+    """What NDJSON ingest gives: the stream bitwise, its labels, vertices, t0
+    and dropped count, or the refusal message."""
+    try:
+        result = lio.ingest_triplets(path, "ndjson", **kw)
+    except IngestError as exc:
+        return str(exc)
+    stream = result.stream
+    return (stream.values.shape, stream.values.tobytes(), lio.relation_labels(stream.space),
+            stream.space.vertices, stream.t0, result.dropped)
+
+
+def _assert_chunks_match_lines(path, chunk, **kw):
+    """Chunked NDJSON ingest, ``chunk`` lines per json.loads call, gives what
+    the per-line reader alone gives; and where the chunks pass, so do their
+    arrays, bitwise."""
+    with mock.patch.object(lio, "_NDJSON_CHUNK", chunk):
+        got = _ingest_outcome(path, **kw)
+        with mock.patch.object(lio, "_ndjson_chunks", side_effect=ValueError("per line")):
+            want = _ingest_outcome(path, **kw)
+        assert got == want
+        lines = lio._text(path).splitlines()
+        try:
+            fast = lio._ndjson_chunks(path, lines, kw.get("window"))
+        except (ValueError, TypeError, KeyError, OverflowError, RecursionError):
+            return
+    slow = lio._ingest_records(path, lio._iter_triplets_ndjson(path, lines), kw.get("window"))
+    assert list(fast[0].items()) == list(slow[0].items()) and fast[5] == slow[5]
+    for a, b in zip(fast[1:5], slow[1:5]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_CHUNK_EDGE_RECORDS = [f'{{"t": {i % 5}, "u": "v{i % 3}", "v": "v{i % 4}", "w": {i / 8}}}'
+                       for i in range(9)]
+
+
+@pytest.mark.parametrize("text", [
+    # one chunk (4 lines) plus one line
+    "\n".join(_CHUNK_EDGE_RECORDS[:5]) + "\n",
+    # a bad record on the first and on the last line of the second chunk
+    "\n".join(_CHUNK_EDGE_RECORDS[:4] + ['{"t": 0.5, "u": "a", "v": "b"}']
+              + _CHUNK_EDGE_RECORDS[5:]),
+    "\n".join(_CHUNK_EDGE_RECORDS[:7] + ['{"t": 1, "u": "a"}'] + _CHUNK_EDGE_RECORDS[8:]),
+    # blank and white lines at a chunk boundary
+    "\n".join(_CHUNK_EDGE_RECORDS[:4]) + "\n\n \t\n" + "\n".join(_CHUNK_EDGE_RECORDS[4:]),
+    # two records on one line, and one record over two lines, at a boundary
+    "\n".join(_CHUNK_EDGE_RECORDS[:3]) + "\n" + ", ".join(_CHUNK_EDGE_RECORDS[3:5]) + "\n"
+    + "\n".join(_CHUNK_EDGE_RECORDS[5:]),
+    "\n".join(_CHUNK_EDGE_RECORDS[:4]) + '\n{"t": 1, "u": "a",\n"v": "b"}\n',
+    # a record over two lines and two records on one line, in one chunk: as
+    # many records as lines once the lines are joined; flat, and nested
+    '{"t": 0, "u": "a"\n"v": "b"}\n{"t": 1, "u": "a", "v": "b"}, {"t": 2, "u": "a", "v": "b"}\n',
+    '{"t": 0, "u": "a", "v": "b", "x": {"y": {}\n"z": 1}}\n'
+    '{"t": 1, "u": "a", "v": "b"}, {"t": 2, "u": "a", "v": "b"}\n',
+    # a record over two lines whose first ends in a nested object's "}"
+    '{"t": 0, "u": "a", "v": "b", "x": {}\n"z": 1}\n',
+    # a brace in a name, and a nested value: valid, read line by line
+    "\n".join(_CHUNK_EDGE_RECORDS[:3]) + '\n{"t": 1, "u": "{a}", "v": "b", "x": [1]}\n',
+    # names that are JSON integers, and a name refused at its first sight
+    '{"t": 0, "u": 7, "v": "7"}\n' * 6 + '{"t": 1, "u": "x,y", "v": 7}\n',
+], ids=["chunk-plus-one", "bad-first-of-chunk", "bad-last-of-chunk", "blank-at-boundary",
+        "two-on-a-line", "split-over-lines", "split-and-joined", "nested-split-and-joined",
+        "nested-split", "brace-in-name", "integer-and-refused-names"])
+@pytest.mark.parametrize("window", [None, (1, 3)])
+def test_ndjson_chunks_match_the_per_line_reader_at_chunk_boundaries(tmp_path, text, window):
+    path = tmp_path / "in.ndjson"
+    path.write_text(text)
+    for active_only in (False, True):
+        _assert_chunks_match_lines(path, 4, window=window, active_only=active_only)
 
 
 def test_sparse_long_window_ingest_holds_one_grid(tmp_path):
@@ -776,9 +856,78 @@ def _write_grid_rows(path, values, row_name, row_labels, col_labels):
             fh.write(fmt % (lab, *row.tolist()))
 
 
-# repeated values, signed zeros, subnormals and a large integer
+# repeated values, signed zeros, subnormals, a large integer, the edges of
+# the kernel's range 1e-10 <= |x| < 1e15 and ties of its rounding
 _GRID_POOL = [0.0, -0.0, 1.0, -1.0, 0.1 + 0.2, 5e-324, -5e-324, 1e-310,
-              2.2250738585072014e-308, 2.0**60, -(2.0**60), 1 / 3]
+              2.2250738585072014e-308, 2.0**60, -(2.0**60), 1 / 3,
+              1e-10, 9.9999999999999994e-11, 1e15, 999999999999999.875,
+              2.0**-25, -3 * 2.0**-24, 100000000000000.125, 123456789012345.375]
+
+
+def _percent(floats) -> list:
+    return [",%.17g" % x for x in floats]
+
+
+def _kernel_tokens(floats) -> list:
+    return lio._g17(np.array(floats, dtype=np.float64)).split("\n")[:-1]
+
+
+def _cell_tokens_in_order(floats) -> list:
+    tokens, at = lio._cell_tokens(np.array(floats, dtype=np.float64), np.arange(len(floats)))
+    return [tokens[i] for i in at]
+
+
+def _ties() -> list:
+    """Doubles m * 2^-j, m odd, of 1e-10 <= x < 1e15 whose exact decimal,
+    the digits of m * 5^j, has 18 significant digits and ends in 5: ties
+    for %.17g's round half to even."""
+    ties = []
+    for j in range(1, 30):
+        lo, hi = -(-(10**17) // 5**j), min((10**18 - 1) // 5**j, 2**53 - 1)
+        for m in range(lo | 1, hi + 1, max(2, (hi - lo) // 32 * 2)):   # odd m
+            assert m % 2 and len(str(m * 5**j)) == 18
+            if 1e-10 <= m * 2.0**-j < 1e15:
+                ties.append(m * 2.0**-j)
+    return ties
+
+
+def _kernel_edges() -> list:
+    """10^k and its neighbours for k in -12 .. 17, the range's edges, signed
+    zeros, subnormals and the ties, each with both signs."""
+    powers = [float(f"1e{k}") for k in range(-12, 18)]
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-10, 1e15, *powers, *_ties()]
+    edges += [float(np.nextafter(x, d)) for x in powers + [1e-10, 1e15] for d in (0, np.inf)]
+    return edges + [-x for x in edges]
+
+
+def test_g17_kernel_matches_percent_on_the_edges():
+    edges = _kernel_edges()
+    assert len(_ties()) >= 105
+    inside = [x for x in edges if 1e-10 <= abs(x) < 1e15]
+    assert _kernel_tokens(inside) == _percent(inside)
+    assert _cell_tokens_in_order(edges) == _percent(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(1e-10, 1e15, exclude_max=True),
+                          st.floats(-1e15, -1e-10, exclude_min=True)),
+                min_size=1, max_size=64))
+def test_g17_kernel_matches_percent_format(floats):
+    inside = [x for x in floats if 1e-10 <= abs(x) < 1e15]
+    assert _kernel_tokens(inside) == _percent(inside)
+    cells = floats * -(-lio._KERNEL_MIN_VALUES // len(floats))   # past the kernel's cut-over
+    assert _cell_tokens_in_order(cells) == _percent(cells)
+
+
+def test_no_double_of_the_kernel_range_rounds_up_to_a_power_of_ten():
+    # _g17 keeps 17 digits without a carry: below each power of ten 10^k that
+    # ends a decade of 1e-10 <= x < 1e15, the largest double rounds under 10^17
+    for k in range(-9, 16):
+        power = Fraction(10) ** k
+        x = float(power)
+        x = x if Fraction(x) < power else float(np.nextafter(x, 0))
+        assert round(Fraction(x) * Fraction(10) ** (17 - k)) < 10**17   # half to even
 
 
 @settings(max_examples=80, deadline=None)
@@ -795,7 +944,10 @@ def test_grid_writer_matches_per_row_writer(tmp_path_factory, width, depth, orde
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     values = np.array(_GRID_POOL)[rng.integers(0, len(_GRID_POOL), shape)]
     fresh = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
-    values[fresh] = rng.standard_normal(fresh.sum()) * 10.0 ** rng.integers(-320, 300, fresh.sum())
+    # about half the fresh values in the kernel's range, so blocks mix it with %
+    scale = np.where(rng.random(fresh.sum()) < 0.5, rng.integers(-320, 300, fresh.sum()),
+                     rng.integers(-12, 17, fresh.sum()))
+    values[fresh] = rng.standard_normal(fresh.sum()) * 10.0**scale
     values = np.asarray(values, order=order)
     num_rows = values.size // width
     if data.draw(st.booleans()):

@@ -271,6 +271,17 @@ def test_default_thread_cap_counts_usable_cpus(monkeypatch):
     assert lstream._max_threads() == 1
 
 
+@pytest.mark.parametrize("raw", ["1_0", "\uff12", "\u0663", "2.0", "two"])
+def test_thread_count_is_a_plain_integer(monkeypatch, raw):
+    # int() reads 1_0 as 10 and a fullwidth or Arabic-Indic digit as its value
+    monkeypatch.setenv("LINKSPECTRA_THREADS", raw)
+    want = f"LINKSPECTRA_THREADS={raw!r} is not an integer"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        lstream._max_threads()
+    monkeypatch.setenv("LINKSPECTRA_THREADS", " 3 ")
+    assert lstream._max_threads() == 3
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 5, 64])
 def test_in_parts_covers_the_range_in_order(monkeypatch, workers, n):
