@@ -31,7 +31,7 @@ def main():
 
     stream = synth.gen_daynight(2, args.per_comm, args.period, args.duty,
                                 args.p_active, args.times, args.seed)
-    basis = default_basis(stream, synth.block_level(args.per_comm), args.seed)
+    basis = default_basis(stream, synth.block_level(args.per_comm))
     coeffs = decompose(stream, basis)
     kept, mask = backbone_from(coeffs,
                                KeepRule.box(0, args.freq_cut, 0, basis.num_scaling - 1))

@@ -53,7 +53,7 @@ def _load(args, window):
     if choice is None:
         return stream, None
     if choice == "svd":
-        return stream, default_basis(stream, args.level, args.seed)
+        return stream, default_basis(stream, args.level)
     if choice == "bfs":
         pairs = [stream.space.relations[k] for k in sorted(stream.aggregate_graph().edge_set)]
         space = active_space(stream.space.num_vertices, pairs)
@@ -174,15 +174,28 @@ def _flag(*names, **kwargs):
     return names, kwargs
 
 
+def _number(kind):
+    """argparse ``type=`` for an int or float flag: the text passes
+    ``_plain`` first, so ``1_0`` and fullwidth digits are refused as a text
+    format refuses them. Named after ``kind`` for argparse's message."""
+    def parse(text):
+        return kind(lio._plain(text))
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_INT, _FLOAT = _number(int), _number(float)
+
+
 _STREAM_FLAGS = [
     _flag("--input", required=True),
     _flag("--format", default="csv", choices=["csv", "ndjson", "raw", "dense"]),
     _flag("--window", default=None, help="time window t0:T (triplet formats)"),
 ]
-_RUN_FLAGS = [_flag("--seed", type=int, default=0), _flag("--out", required=True)]
+_RUN_FLAGS = [_flag("--seed", type=_INT, default=0), _flag("--out", required=True)]
 _BASIS_FLAGS = [
     _flag("--basis", default="svd", help="'svd', 'bfs', or a path to a tree JSON file"),
-    _flag("--level", type=int, default=None),
+    _flag("--level", type=_INT, default=None),
 ]
 
 
@@ -220,7 +233,7 @@ def build_parser() -> _Parser:
              _flag("--keep", required=True, help="top:<k> or box:<u0:u1,k0:k1>"),
              basis=True, help="keep dominant coefficients and reconstruct")
     _command(sub, "aggregate", _aggregate,
-             _flag("--window", dest="agg_window", type=int, required=True, metavar="K",
+             _flag("--window", dest="agg_window", type=_INT, required=True, metavar="K",
                    help="aggregation window size (samples)"),
              params=("agg_window",), help="k-sample aggregation of the stream")
     _command(sub, "embed", _embed, basis=True,
@@ -234,24 +247,24 @@ def build_parser() -> _Parser:
     gens = sub.add_parser("synth", help="generate synthetic fixtures").add_subparsers(
         dest="generator", required=True)
     fixture = dict(stream=False, params=("generator",))
-    _command(gens, "oscillating", _oscillating, _flag("--times", type=int, default=32),
+    _command(gens, "oscillating", _oscillating, _flag("--times", type=_INT, default=32),
              **fixture)
     _command(gens, "sbm-pair", _sbm_pair,
-             _flag("--blocks", type=int, default=2),
-             _flag("--per-block", type=int, default=16),
-             _flag("--p-in", type=float, default=0.5),
-             _flag("--p-out", type=float, default=0.01), **fixture)
+             _flag("--blocks", type=_INT, default=2),
+             _flag("--per-block", type=_INT, default=16),
+             _flag("--p-in", type=_FLOAT, default=0.5),
+             _flag("--p-out", type=_FLOAT, default=0.01), **fixture)
     _command(gens, "daynight", _daynight,
-             _flag("--communities", type=int, default=2),
-             _flag("--per-comm", type=int, default=16),
-             _flag("--period", type=int, default=20),
-             _flag("--duty", type=float, default=0.5),
-             _flag("--p-active", type=float, default=0.5),
-             _flag("--times", type=int, default=200), **fixture)
+             _flag("--communities", type=_INT, default=2),
+             _flag("--per-comm", type=_INT, default=16),
+             _flag("--period", type=_INT, default=20),
+             _flag("--duty", type=_FLOAT, default=0.5),
+             _flag("--p-active", type=_FLOAT, default=0.5),
+             _flag("--times", type=_INT, default=200), **fixture)
 
     _command(sub, "verify-lemmas", _verify_lemmas,
-             _flag("--trials", type=int, default=20000),
-             _flag("--lemma", type=int, default=None, choices=[1, 2, 3, 4]),
+             _flag("--trials", type=_INT, default=20000),
+             _flag("--lemma", type=_INT, default=None, choices=[1, 2, 3, 4]),
              stream=False, params=("trials",),
              help="run the lemma oracles, emit a JSON report")
     return parser

@@ -7,11 +7,8 @@ are built either from recursive SVD bisection of the aggregate adjacency
 (community-like graphs) or from repeated BFS halving (infrastructure
 graphs), or loaded from an explicit leaf order.
 
-The SVD split runs a seeded power iteration on each set's Gram matrix. Most
-of those matrices have 4 to 16 rows, so the iteration reuses two buffers
-and calls no ``np.linalg.norm``: per-call overhead, not arithmetic, is its
-cost. It gives bitwise the same vectors, and so the same trees, as the
-plain loop.
+The SVD split takes each set's second eigenvector of its Gram matrix from
+``np.linalg.eigh``, so an SVD tree is a function of the aggregate graph.
 """
 
 from __future__ import annotations
@@ -125,98 +122,45 @@ class VertexSplit:
         return _readonly(np.argsort(self.order) + 1)
 
 
-_POWER_TOL = 1e-10
+_RANK_TOL = 1e-10
+_TIE_TOL = 1e-9
 
 
-def _power_leading(mat: np.ndarray, rng: np.random.Generator, max_iter: int, orth=None):
-    """Leading eigenpair of a symmetric PSD matrix by seeded power iteration.
-
-    When ``orth`` is given the iteration is confined to its orthogonal
-    complement, which deflates the previously found leading vector.
-
-    The loop reuses two buffers, ``v`` and ``w``, which swap roles each
-    step, plus one scratch vector, so it allocates no array per step (the
-    ufuncs take their output positionally, which numpy dispatches faster
-    than ``out=``). Each norm is ``math.sqrt(x.dot(x))``, which is what
-    ``np.linalg.norm`` computes for a real vector, and the stop test
-    ``min(|w - v|, |w + v|) < _POWER_TOL`` skips ``|w + v|`` where it
-    cannot decide. So every iterate, the step count and ``lam`` are bitwise
-    those of the plain ``w = mat @ v`` loop with ``np.linalg.norm``.
-    """
-    n = mat.shape[0]
-    v = rng.standard_normal(n)
-    if orth is not None:
-        v -= orth * (orth @ v)
-    norm = math.sqrt(v.dot(v))
-    if norm == 0.0:
-        v = np.zeros(n)
-        v[0] = 1.0
-        if orth is not None:
-            v -= orth * (orth @ v)
-        norm = math.sqrt(v.dot(v))
-        if norm == 0.0:
-            return None, 0.0
-    v /= norm
-    w = np.empty(n)
-    scratch = np.empty(n)
-    for _ in range(max_iter):
-        np.matmul(mat, v, w)
-        if orth is not None:
-            np.multiply(orth, orth @ w, scratch)
-            w -= scratch
-        norm = math.sqrt(w.dot(w))
-        if norm < 1e-300:
-            return None, 0.0
-        w /= norm
-        np.subtract(w, v, scratch)
-        gap = math.sqrt(scratch.dot(scratch))
-        # v and w are unit vectors, so |w + v| >= 2 - |w - v|: at a gap of at
-        # most 1 the sum is far above _POWER_TOL and the min is the gap (a
-        # NaN gap takes the full test, as in the plain loop)
-        if not gap <= 1.0:
-            np.add(w, v, scratch)
-            gap = min(gap, math.sqrt(scratch.dot(scratch)))
-        done = gap < _POWER_TOL
-        v, w = w, v
-        if done:
-            break
-    lam = float(v @ (mat @ v))
-    return v, lam
-
-
-def second_left_singular_vector(sub: np.ndarray, rng: np.random.Generator):
+def second_left_singular_vector(sub: np.ndarray):
     """Second largest left singular vector of ``sub`` or None when degenerate.
 
-    Degenerate means all-zero or numerically rank-1 input; callers then fall
-    back to an index split. Sign is fixed so the largest-magnitude entry is
-    positive.
+    The vector is the eigenvector of the second largest eigenvalue of
+    ``sub @ sub.T``, from ``np.linalg.eigh``. Degenerate means fewer than two
+    rows, all-zero or numerically rank-1 input, s2 <= 1e-10 * max(1, s1);
+    callers then fall back to an index split. Sign is fixed so the
+    largest-magnitude entry is positive; entries within 1e-9 of it tie, and
+    the first of them wins, so the sign of (1, -1) / sqrt(2) does not rest on
+    rounding.
     """
-    if not np.any(sub):
+    if sub.shape[0] < 2 or not np.any(sub):
         return None
-    gram = sub @ sub.T
-    max_iter = 10 * max(sub.shape[1], gram.shape[0])
-    u1, lam1 = _power_leading(gram, rng, max_iter)
-    if u1 is None:
+    lam, vecs = np.linalg.eigh(sub @ sub.T)
+    u2 = vecs[:, -2]
+    # s2 as |sub.T @ u2|, rounded to about eps * s1; on a rank-1 set the square
+    # root of lam[-2] or of u2's Rayleigh quotient is rounding of about 1e-8 * s1
+    s1 = math.sqrt(max(lam[-1], 0.0))
+    w = sub.T @ u2
+    if math.sqrt(w.dot(w)) <= _RANK_TOL * max(1.0, s1):
         return None
-    u2, lam2 = _power_leading(gram, rng, max_iter, orth=u1)
-    if u2 is None:
-        return None
-    s1 = np.sqrt(max(lam1, 0.0))
-    s2 = np.sqrt(max(lam2, 0.0))
-    if s2 <= _POWER_TOL * max(1.0, s1):
-        return None
-    top = int(np.argmax(np.abs(u2)))
+    mag = np.abs(u2)
+    top = int(np.argmax(mag >= mag.max() - _TIE_TOL))
     if u2[top] < 0:
         u2 = -u2
     return u2
 
 
-def svd_vertex_split(adj: GraphSlice, seed: int) -> VertexSplit:
+def svd_vertex_split(adj: GraphSlice) -> VertexSplit:
     """Recursive SVD bisection of the adjacency rows.
 
     Each set is split by sorting its second largest left singular vector in
     descending order (ties by ascending vertex index) and taking the top
-    half. Degenerate submatrices split by ascending vertex index.
+    half. Degenerate submatrices split by ascending vertex index. The split
+    depends on the adjacency alone.
     """
     n = adj.space.num_vertices
     if not is_power_of_two(n):
@@ -224,13 +168,12 @@ def svd_vertex_split(adj: GraphSlice, seed: int) -> VertexSplit:
     if not adj.space.is_full:
         raise ValueError("SVD partitioning requires a full relation space")
     mat = adj.adjacency()
-    rng = np.random.default_rng(seed)
 
     def split(verts: np.ndarray) -> list:
         if verts.size == 1:
             return [int(verts[0])]
         half = verts.size // 2
-        u2 = second_left_singular_vector(mat[verts, :], rng)
+        u2 = second_left_singular_vector(mat[verts, :])
         if u2 is None:
             top, bottom = verts[:half], verts[half:]
         else:
@@ -264,8 +207,11 @@ def tree_from_vertex_order(split: VertexSplit, space: RelationSpace) -> Partitio
 
 
 def partition_svd(adj: GraphSlice, seed: int = 0) -> PartitionTree:
-    """SVD-based partition of a full relation space (see svd_vertex_split)."""
-    return tree_from_vertex_order(svd_vertex_split(adj, seed), adj.space)
+    """SVD-based partition of a full relation space (see svd_vertex_split).
+
+    ``seed`` is accepted and ignored: the tree depends on the graph alone.
+    """
+    return tree_from_vertex_order(svd_vertex_split(adj), adj.space)
 
 
 def _bfs_explore(edges: list, count: int, priority: np.ndarray) -> list:

@@ -73,9 +73,9 @@ class JointFilter:
         object.__setattr__(self, "struct", s)
 
 
-def default_basis(stream: LinkStreamMatrix, level: int = None, seed: int = 0) -> GraphBasis:
+def default_basis(stream: LinkStreamMatrix, level: int = None) -> GraphBasis:
     """Basis fixed from the all-time aggregate graph via SVD partitioning."""
-    tree = partition_svd(stream.aggregate_graph(), seed=seed)
+    tree = partition_svd(stream.aggregate_graph())
     return GraphBasis(tree, level)
 
 

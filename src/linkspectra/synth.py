@@ -33,6 +33,8 @@ from .stream import (
 )
 
 MIN_TRIALS = 100
+# a Monte-Carlo statistic holds one float64 per trial: 10^7 trials are 80 MB
+MAX_TRIALS = 10**7
 _Z_THRESHOLD = 4.0
 _MC_CHUNK = 4096
 # the oracles' fixed sizes: 8 vertices (M = 64 relations), level 4 (motifs
@@ -299,6 +301,8 @@ def verify_lemma(lemma: int, trials: int = 20000, seed: int = 0) -> list:
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trial count {trials} too small for a meaningful check")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trial count {trials} is above the cap of {MAX_TRIALS}")
     if lemma not in (1, 2, 3, 4):
         raise ValueError("lemma must be 1, 2, 3, or 4")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])

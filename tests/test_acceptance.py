@@ -194,7 +194,7 @@ def test_criterion_11_daynight_backbone():
     for seed in range(10):
         stream = synth.gen_daynight(2, 16, 20, duty=0.5, p_active=0.6,
                                     num_times=200, seed=seed)
-        basis = GraphBasis(partition_svd(stream.aggregate_graph(), seed=seed), 8)
+        basis = GraphBasis(partition_svd(stream.aggregate_graph()), 8)
         # identify the scaling columns of the two communities from the tree
         comm = [set(range(16)), set(range(16, 32))]
         within = [{u * 32 + v for u in c for v in c} for c in comm]

@@ -369,6 +369,49 @@ def test_numbers_with_an_underscore_or_non_ascii_digit_are_refused(tmp_path, cap
     assert _one_error(err) == message.format_map(paths)
 
 
+_STREAM_INPUT = ["--input", "in.csv"]
+
+
+@pytest.mark.parametrize("argv, flag, value, kind", [
+    (["synth", "daynight"], "--seed", "1_0", "int"),
+    (["decompose", *_STREAM_INPUT], "--level", "\uff14", "int"),
+    (["verify-lemmas"], "--trials", "1_000", "int"),
+    (["verify-lemmas"], "--lemma", "\uff11", "int"),
+    (["synth", "oscillating"], "--times", "\uff18", "int"),
+    (["synth", "daynight"], "--times", "1_0", "int"),
+    (["synth", "sbm-pair"], "--blocks", "\uff12", "int"),
+    (["synth", "sbm-pair"], "--per-block", "1_6", "int"),
+    (["synth", "daynight"], "--communities", "\uff12", "int"),
+    (["synth", "daynight"], "--per-comm", "\uff14", "int"),
+    (["synth", "daynight"], "--period", "2_0", "int"),
+    (["aggregate", *_STREAM_INPUT], "--window", "1_0", "int"),
+    (["synth", "sbm-pair"], "--p-in", "0.5_0", "float"),
+    (["synth", "sbm-pair"], "--p-out", "\uff10.1", "float"),
+    (["synth", "daynight"], "--duty", "0.2_5", "float"),
+    (["synth", "daynight"], "--p-active", "\uff10.5", "float"),
+])
+def test_number_flags_refuse_an_underscore_or_non_ascii_digit(tmp_path, capsys, monkeypatch,
+                                                              argv, flag, value, kind):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, flag, value, "--out", "out")
+    assert (code, out) == (2, "")
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": {"type": "usage", "message": f"argument {flag}: invalid {kind} value:"
+                                               f" {value!r}"}}]
+    assert not (tmp_path / "out").exists()
+
+
+def test_number_flags_parse_plain_values(tmp_path, capsys):
+    outdir = tmp_path / "dn"
+    code, _, err = run(capsys, "synth", "daynight", "--communities", "2", "--per-comm", "4",
+                       "--period", "10", "--duty", "0.5", "--p-active", "0.25",
+                       "--times", "20", "--seed", "10", "--out", str(outdir))
+    assert code == 0, err
+    want = synth.gen_daynight(2, 4, 10, 0.5, 0.25, 20, 10)
+    assert np.array_equal(lio.read_raw(outdir / "stream.raw").stream.values, want.values)
+    assert json.loads((outdir / "config.json").read_text())["seed"] == 10
+
+
 def test_dense_csv_with_only_a_header_is_refused(tmp_path, capsys):
     src = tmp_path / "dense.csv"
     src.write_text("t,a->a\n")
@@ -382,7 +425,7 @@ def test_cli_outputs_equal_library_results(tmp_path, capsys):
     stream = synth.gen_daynight(2, 4, 8, 0.5, 0.5, 24, seed=3)
     src = tmp_path / "daynight.raw"
     lio.write_raw(src, stream)
-    basis = default_basis(stream, level=4, seed=2)
+    basis = default_basis(stream, level=4)
     common = ["--input", str(src), "--format", "raw", "--basis", "svd", "--level", "4",
               "--seed", "2"]
 
@@ -494,6 +537,14 @@ def test_config_json_records_common_flags_and_params(tmp_path, capsys, monkeypat
     text = (tmp_path / "out" / "config.json").read_text()
     assert json.loads(text) == {**_CONFIG_DEFAULTS, "command": argv[0], **recorded}
     assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n"
+
+
+def test_verify_lemmas_refuses_trials_above_the_cap(tmp_path, capsys):
+    trials = synth.MAX_TRIALS + 1
+    code, out, err = run(capsys, "verify-lemmas", "--lemma", "2", "--trials", str(trials),
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert _one_error(err) == f"trial count {trials} is above the cap of {synth.MAX_TRIALS}"
 
 
 def test_verify_lemmas_failure_exits_1_with_report_and_config(tmp_path, capsys, monkeypatch):

@@ -151,7 +151,7 @@ def test_freq_relational_matches_dft(rng):
 def test_default_basis_from_aggregate():
     g1, _, _ = synth.gen_sbm_pair(2, 4, 0.9, 0.05, seed=2)
     stream = stream_from_slices([g1, g1])
-    basis = default_basis(stream, level=4, seed=1)
+    basis = default_basis(stream, level=4)
     assert basis.level == 4
     assert basis.num_relations == 64
 
@@ -268,7 +268,7 @@ def test_backbone_tie_break_deterministic(fig_basis):
 def test_backbone_top_k_keeps_conjugate_pairs(k):
     # the k largest entries alone hold a frequency without its mirror here
     stream = synth.gen_daynight(2, 16, 20, 0.5, 0.5, 200, seed=0)
-    basis = default_basis(stream, level=8, seed=0)
+    basis = default_basis(stream, level=8)
     out, mask = backbone(stream, basis, KeepRule.top_k(k))
     assert np.array_equal(mask, mask[(-np.arange(200)) % 200])
     assert k < mask.sum() <= 2 * k

@@ -320,6 +320,18 @@ def test_verify_lemma_rejects_tiny_trials():
         synth.verify_lemma(7, trials=1000, seed=0)
 
 
+def test_verify_lemma_refuses_trials_above_the_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw, seed or pool before the trial count was checked")
+    for name in ("ThreadPoolExecutor", "_mc_samples", "full_space"):
+        monkeypatch.setattr(synth, name, refuse)
+    monkeypatch.setattr(synth.np.random, "default_rng", refuse)
+    for lemma in (1, 2, 3, 4):
+        with pytest.raises(ValueError, match=f"^trial count {synth.MAX_TRIALS + 1} is above"
+                                             f" the cap of {synth.MAX_TRIALS}$"):
+            synth.verify_lemma(lemma, trials=synth.MAX_TRIALS + 1, seed=0)
+
+
 def test_verify_all_deterministic():
     a = synth.verify_all(trials=500, seed=21)
     b = synth.verify_all(trials=500, seed=21)
