@@ -187,12 +187,24 @@ def _number(kind):
 _INT, _FLOAT = _number(int), _number(float)
 
 
+def _seed(text):
+    """argparse ``type=`` for ``--seed``: an ``_INT`` that numpy's generators
+    accept, so a negative seed is a usage error before any command runs."""
+    value = _INT(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
+_seed.__name__ = "int"   # argparse's "invalid int value" for text that is no integer
+
+
 _STREAM_FLAGS = [
     _flag("--input", required=True),
     _flag("--format", default="csv", choices=["csv", "ndjson", "raw", "dense"]),
     _flag("--window", default=None, help="time window t0:T (triplet formats)"),
 ]
-_RUN_FLAGS = [_flag("--seed", type=_INT, default=0), _flag("--out", required=True)]
+_RUN_FLAGS = [_flag("--seed", type=_seed, default=0), _flag("--out", required=True)]
 _BASIS_FLAGS = [
     _flag("--basis", default="svd", help="'svd', 'bfs', or a path to a tree JSON file"),
     _flag("--level", type=_INT, default=None),

@@ -233,16 +233,6 @@ class GraphCoefficients:
         return self.values[self.basis.wavelet_slice(level)]
 
 
-def _clear_inert(space, values: np.ndarray) -> np.ndarray:
-    """Force padding columns of a fresh synthesis output to exact zero, in place.
-
-    Pads exist only to align M to a power of two; any mass the transform
-    assigns them (or float residue on reconstruction) is a padding artifact.
-    """
-    values[..., space.inert] = 0.0
-    return values
-
-
 def analyze(g: GraphSlice, basis: GraphBasis) -> GraphCoefficients:
     """Coefficients <f_G, phi_k> and <f_G, theta_k> via the fast filter bank.
 
@@ -257,7 +247,7 @@ def synthesize(coeffs: GraphCoefficients, space) -> GraphSlice:
     """Reconstruct the graph whose decomposition is ``coeffs``."""
     if space.num_relations != coeffs.basis.num_relations:
         raise ValueError("space size does not match the basis")
-    return GraphSlice(space, _clear_inert(space, coeffs.basis.synthesize_values(coeffs.values)))
+    return GraphSlice(space, coeffs.basis.synthesize_values(coeffs.values))
 
 
 def edit_distance_spectrum(g1: GraphSlice, g2: GraphSlice, basis: GraphBasis) -> np.ndarray:
@@ -279,7 +269,7 @@ def structural_filter_graph(g: GraphSlice, basis: GraphBasis, response) -> Graph
     if response.shape != (basis.num_relations,):
         raise ValueError("filter response must have one entry per basis element")
     x = analyze(g, basis).values * response
-    return GraphSlice(g.space, _clear_inert(g.space, basis.synthesize_values(x)))
+    return GraphSlice(g.space, basis.synthesize_values(x))
 
 
 def coarse_pass_response(basis: GraphBasis) -> np.ndarray:

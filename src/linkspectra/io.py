@@ -282,17 +282,18 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
 
     Vertices are indexed in first-seen order; duplicate triplets sum in
     record order; out-of-window triplets are dropped and counted.
-    ``pad_vertices`` grows the vertex set to the next power of two (required
-    before SVD partitioning). By default the columns are the full relation
-    space; ``active_only`` keeps only the relations that have records in the
-    window, in lexicographic order and padded to a power of two, so nothing
-    of size N^2 is allocated (BFS mode). The aggregate graph alone picks the
-    relations of a BFS basis (``cli._load``): a relation whose records cancel
-    in every cell is an all-zero column here, which ``restrict_stream`` drops.
-    A grid of more than ``MAX_INGEST_CELLS`` cells is refused before it is
-    allocated. NDJSON is parsed in chunks (``_ndjson_chunks``); a file the
-    chunks do not pass is read again line by line, which accepts it or
-    refuses it at its line.
+    ``pad_vertices`` grows the vertex set to the next power of two with
+    vertices ``~vK`` (required before SVD partitioning, and the only padding
+    the package does). By default the columns are the full relation space,
+    the N^2 pairs; ``active_only`` keeps only the relations that have records
+    in the window, in lexicographic order, so nothing of size N^2 is
+    allocated (BFS mode). The aggregate graph alone picks the relations of a
+    BFS basis (``cli._load``): a relation whose records cancel in every cell
+    is an all-zero column here, which ``restrict_stream`` drops. A grid of
+    more than ``MAX_INGEST_CELLS`` cells is refused before it is allocated.
+    NDJSON is parsed in chunks (``_ndjson_chunks``); a file the chunks do not
+    pass is read again line by line, which accepts it or refuses it at its
+    line.
     """
     parse = {"csv": _iter_triplets_csv, "ndjson": _iter_triplets_ndjson}.get(fmt)
     if parse is None:
@@ -335,11 +336,10 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
 
 
 def _check_cells(num_times: int, num_relations: int):
-    """Refuse a T x next_pow2(M) float64 grid over ``MAX_INGEST_CELLS`` cells."""
-    m = next_power_of_two(num_relations)
-    cells = num_times * m
+    """Refuse a T x M float64 grid over ``MAX_INGEST_CELLS`` cells."""
+    cells = num_times * num_relations
     if cells > MAX_INGEST_CELLS:
-        raise ValueError(f"a T = {num_times} by M = {m} stream needs"
+        raise ValueError(f"a T = {num_times} by M = {num_relations} stream needs"
                          f" {cells * 8} bytes, over the {MAX_INGEST_CELLS * 8}-byte"
                          " ingest limit")
 
@@ -363,15 +363,13 @@ def _check_vertex_name(path, name: str, triplets: bool = False):
 
 
 def relation_labels(space: RelationSpace) -> list:
-    """Column labels ``u->v`` by vertex name; inert pads are ``~padK``."""
+    """Column labels ``u->v`` by vertex name."""
     names = space.vertices
-    pads = itertools.count()
-    return [f"~pad{next(pads)}" if rel is None else f"{names[rel[0]]}->{names[rel[1]]}"
-            for rel in space.relations]
+    return [f"{names[u]}->{names[v]}" for u, v in space.relations]
 
 
 def _parse_labels(path, labels, vertices=None) -> RelationSpace:
-    """Relation labels ``u->v`` (pads ``~padK``) to their relation space.
+    """Relation labels ``u->v`` to their relation space.
 
     Vertex indices follow ``vertices`` when given (it keeps isolated
     vertices), otherwise the order in which names first appear. A repeated
@@ -386,9 +384,6 @@ def _parse_labels(path, labels, vertices=None) -> RelationSpace:
     rels = []
     seen = set()
     for lab in labels:
-        if isinstance(lab, str) and lab.startswith("~pad"):
-            rels.append(None)
-            continue
         pair = lab.split("->") if isinstance(lab, str) else ()
         if len(pair) != 2 or vertices is not None and not (pair[0] in index and pair[1] in index):
             raise IngestError(f"{path}: bad relation label {lab!r}")

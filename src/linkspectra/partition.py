@@ -262,16 +262,16 @@ def _bfs_explore(edges: list, count: int, priority: np.ndarray) -> list:
 def partition_bfs(active: RelationSpace, seed: int = 0) -> PartitionTree:
     """BFS-based partition: each set is halved into explored/unexplored edges.
 
-    Requires a nonempty active relation set whose count is a power of two (no
-    pads). The seed draws one vertex-priority permutation that rules
-    start-vertex choice, neighbour order, and restarts: the first BFS root is
-    the vertex of lowest priority.
+    Requires a nonempty active relation set whose count is a power of two.
+    The seed draws one vertex-priority permutation that rules start-vertex
+    choice, neighbour order, and restarts: the first BFS root is the vertex
+    of lowest priority.
     """
-    if active.num_active == 0:
+    if active.num_relations == 0:
         raise ValueError("empty active relation set")
-    if active.num_active != active.num_relations:
+    if not is_power_of_two(active.num_relations):
         raise ValueError(f"BFS partitioning needs a power-of-two active relation count,"
-                         f" got {active.num_active}")
+                         f" got {active.num_relations}")
     rels = list(active.relations)
     rng = np.random.default_rng(seed)
     priority = np.empty(active.num_vertices, dtype=np.int64)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphbasis import GraphBasis, _clear_inert
+from .graphbasis import GraphBasis
 from .partition import partition_svd
 from .stream import LinkStreamMatrix, _Fresh, _frozen, _readonly
 from .timebasis import (
@@ -109,7 +109,7 @@ def _synthesize_stream(grid: np.ndarray, out: np.ndarray, basis: GraphBasis, spa
     The inverse FFT writes into ``out``: a complex128 grid the caller owns and
     gives up, which may be ``grid`` itself."""
     x = _realify(FourierBasis(grid.shape[0]).inverse(grid, out))
-    return LinkStreamMatrix(space, t0, _Fresh(_clear_inert(space, basis.synthesize_values(x))))
+    return LinkStreamMatrix(space, t0, _Fresh(basis.synthesize_values(x)))
 
 
 def reconstruct(coeffs: CoefficientMatrix) -> LinkStreamMatrix:
@@ -143,7 +143,7 @@ def apply_joint_filter_sequential(stream: LinkStreamMatrix, jf: JointFilter,
     _check_fits(stream, jf)
     intermediate = apply_frequency_filter(stream, jf.freq)
     x = basis.analyze_values(intermediate.values) * jf.struct[None, :]
-    return stream.with_values(_clear_inert(stream.space, basis.synthesize_values(x)))
+    return stream.with_values(basis.synthesize_values(x))
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,7 @@ def regularity(stream: LinkStreamMatrix, basis: GraphBasis,
     scaling = x[:, : basis.num_scaling]
     relaxed = _sum_of_squares(_time_derivative(scaling, boundary, "F"))  # the filter bank's layout
     scaling[...] = 0.0   # the detail pass
-    reg_e = _sum_of_squares(_clear_inert(stream.space, basis.synthesize_values(x)))
+    reg_e = _sum_of_squares(basis.synthesize_values(x))
     return RegularityReport(reg_t, reg_e, relaxed, boundary)
 
 

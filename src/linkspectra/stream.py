@@ -3,9 +3,9 @@
 A link stream over a bounded integer window [t0, t0+T-1] is stored as a dense
 T x M matrix whose row t is the weight function of the graph observed at time
 t0+t and whose column k is the time series of relation e_k. The relation space
-enumerates every directed vertex pair (self-loops included) in a fixed order;
-when the relation count is not a power of two it is padded with inert
-relations that carry exact zeros everywhere.
+holds distinct directed vertex pairs (self-loops included) in a fixed order:
+every pair, or the active ones. A graph basis needs a power-of-two relation
+count; only the vertex set is padded for it (``io.ingest_triplets``).
 
 Containers (``LinkStreamMatrix`` here, ``CoefficientMatrix`` in ``spectra``)
 hold read-only arrays. Their constructors copy what a caller passes in, so
@@ -147,10 +147,9 @@ def _in_parts(work, n: int, grid: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class RelationSpace:
-    """Ordered space of directed relations (u, v); ``None`` entries are inert pads.
+    """Ordered space of distinct directed relations (u, v), of any count.
 
-    Invariants: relation indices form a bijection onto 0..M-1, the number of
-    columns M is a power of two, inert pads sit at the tail of the order, and
+    Invariants: relation indices form a bijection onto 0..M-1, and
     ``vertices`` holds one distinct string per vertex (default "0".."N-1").
     """
 
@@ -168,12 +167,8 @@ class RelationSpace:
             dup = next(nm for i, nm in enumerate(names) if index[nm] != i)
             raise ValueError(f"duplicate vertex {dup!r}")
         object.__setattr__(self, "vertices", names)
-        if not is_power_of_two(len(self.relations)):
-            raise ValueError(f"relation count {len(self.relations)} is not a power of two")
         seen = set()
         for rel in self.relations:
-            if rel is None:
-                continue
             u, v = rel
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError(f"relation {rel} out of vertex range")
@@ -186,17 +181,8 @@ class RelationSpace:
         return len(self.relations)
 
     @cached_property
-    def inert(self) -> np.ndarray:
-        """Boolean mask of padding columns."""
-        return _readonly(np.array([rel is None for rel in self.relations], dtype=bool))
-
-    @cached_property
-    def num_active(self) -> int:
-        return int((~self.inert).sum())
-
-    @cached_property
     def _index(self) -> dict:
-        return {rel: k for k, rel in enumerate(self.relations) if rel is not None}
+        return {rel: k for k, rel in enumerate(self.relations)}
 
     def index_of(self, u: int, v: int) -> int:
         try:
@@ -206,34 +192,26 @@ class RelationSpace:
 
     @cached_property
     def is_full(self) -> bool:
-        """True when the relations are exactly V x V, lexicographic, pad-free."""
+        """True when the relations are exactly V x V, lexicographic."""
         n = self.num_vertices
-        if self.num_relations != n * n or self.num_active != n * n:
+        if self.num_relations != n * n:
             return False
         expected = [(u, v) for u in range(n) for v in range(n)]
         return list(self.relations) == expected
 
 
 def full_space(num_vertices: int, vertices=None) -> RelationSpace:
-    """All directed pairs over ``num_vertices`` vertices, lexicographic order.
-
-    Pads with inert relations when num_vertices is not a power of two.
-    """
+    """All num_vertices^2 directed pairs, lexicographic order."""
     rels = [(u, v) for u in range(num_vertices) for v in range(num_vertices)]
-    target = next_power_of_two(len(rels))
-    rels.extend([None] * (target - len(rels)))
     return RelationSpace(num_vertices, tuple(rels), vertices)
 
 
 def active_space(num_vertices: int, pairs) -> RelationSpace:
-    """Restricted relation space (BFS mode), sorted lexicographically and padded.
-
-    An empty pair list gives a space of one pad, which ``partition_bfs`` refuses.
-    """
+    """Restricted relation space (BFS mode): the distinct pairs, sorted
+    lexicographically. An empty pair list gives an empty space, which
+    ``partition_bfs`` refuses."""
     rels = sorted(set((int(u), int(v)) for u, v in pairs))
-    target = next_power_of_two(len(rels))
-    out = list(rels) + [None] * (target - len(rels))
-    return RelationSpace(num_vertices, tuple(out))
+    return RelationSpace(num_vertices, tuple(rels))
 
 
 def _as_weights(space: RelationSpace, weights) -> np.ndarray:
@@ -242,8 +220,6 @@ def _as_weights(space: RelationSpace, weights) -> np.ndarray:
         raise ValueError(f"weights shape {w.shape} != ({space.num_relations},)")
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
-    if np.any(w[space.inert] != 0.0):
-        raise ValueError("inert (padding) relations must carry zero weight")
     return w
 
 
@@ -274,7 +250,7 @@ class GraphSlice:
         if not self.space.is_full:
             raise ValueError("adjacency requires a full relation space")
         n = self.space.num_vertices
-        return self.weights[: n * n].reshape(n, n)
+        return self.weights.reshape(n, n)
 
 
 def slice_from_edges(space: RelationSpace, edges) -> GraphSlice:
@@ -322,10 +298,10 @@ class LinkStreamMatrix:
             raise ValueError(f"values shape {vals.shape} incompatible with M={self.space.num_relations}")
         if vals.shape[0] < 1:
             raise ValueError("empty time window")
+        if vals.shape[1] < 1:
+            raise ValueError("stream has no relations")
         if not np.all(np.isfinite(vals)):
             raise ValueError("stream values must be finite")
-        if np.any(vals[:, self.space.inert] != 0.0):
-            raise ValueError("inert (padding) columns must be zero")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -384,13 +360,12 @@ def stream_from_slices(slices, t0: int = 0) -> LinkStreamMatrix:
 
 
 def restrict_stream(stream: LinkStreamMatrix, space: RelationSpace) -> LinkStreamMatrix:
-    """Project a stream onto a restricted relation space (BFS mode).
+    """Project a stream onto a restricted relation space (BFS mode): the
+    columns of the target's relations, in its order.
 
     Every active relation must be in the target space; vertex names are kept.
     """
-    src = [stream.space.index_of(*rel) for rel in space.relations if rel is not None]
-    vals = np.zeros((stream.num_times, space.num_relations))
-    vals[:, ~space.inert] = stream.values[:, src]
+    src = [stream.space.index_of(*rel) for rel in space.relations]
     rest = np.ones(stream.num_relations, dtype=bool)
     rest[src] = False
     others = np.flatnonzero(rest)
@@ -399,4 +374,4 @@ def restrict_stream(stream: LinkStreamMatrix, space: RelationSpace) -> LinkStrea
         rel = tuple(stream.space.vertices[i] for i in stream.space.relations[outside[0]])
         raise ValueError(f"active relation {rel} is outside the restricted space")
     return LinkStreamMatrix(replace(space, vertices=stream.space.vertices), stream.t0,
-                            _Fresh(vals))
+                            _Fresh(stream.values.take(src, axis=1)))

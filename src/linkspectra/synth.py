@@ -125,15 +125,18 @@ def gen_sbm_pair(blocks: int, n_per_block: int, p_in: float, p_out: float, seed:
 
 
 def _daynight_layout(n_communities, per_community, period, duty, num_times):
-    """The full relation space, the within-community relations (a mask over
-    its first N^2 columns) and the day steps; the pad columns of a vertex
-    count that is not a power of two stay zero."""
+    """The full relation space over the N = n_communities * per_community
+    vertices (N^2 columns, whatever N is), the within-community relations (a
+    mask over those columns) and the day steps."""
     if n_communities < 1 or per_community < 1:
         raise ValueError(f"invalid day/night parameters: communities and per_community"
                          f" must be >= 1, got {n_communities} and {per_community}")
     if not (0 < duty <= 1 and period >= 1):
         raise ValueError(f"invalid day/night parameters: need 0 < duty <= 1 and"
                          f" period >= 1, got duty={duty}, period={period}")
+    if num_times < 1:
+        raise ValueError(f"invalid day/night parameters: num_times must be >= 1,"
+                         f" got {num_times}")
     _check_cells(num_times, (n_communities * per_community) ** 2)
     membership = np.repeat(np.arange(n_communities), per_community)
     within = (membership[:, None] == membership[None, :]).reshape(-1)

@@ -49,9 +49,7 @@ def random_unweighted(space, rng, density=0.4):
 
 
 def random_weighted(space, rng):
-    w = rng.standard_normal(space.num_relations)
-    w[space.inert] = 0.0
-    return GraphSlice(space, w)
+    return GraphSlice(space, rng.standard_normal(space.num_relations))
 
 
 @pytest.fixture

@@ -133,7 +133,7 @@ def test_synth_daynight_vertex_count_not_a_power_of_two(tmp_path, capsys):
     assert code == 0, err
     back = lio.read_raw(tmp_path / "o" / "stream.raw").stream
     expected = synth.gen_daynight(3, 3, 20, 0.5, 0.5, 8, seed=4)
-    assert back.space.num_relations == 128
+    assert back.space.num_relations == 81   # the 9^2 pairs, no relation pads
     assert np.array_equal(back.values, expected.values)
 
 
@@ -401,6 +401,21 @@ def test_number_flags_refuse_an_underscore_or_non_ascii_digit(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "daynight"],
+    ["verify-lemmas"],
+    ["decompose", *_STREAM_INPUT, "--basis", "bfs"],
+    ["decompose", *_STREAM_INPUT],
+], ids=["synth", "verify-lemmas", "bfs", "svd"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--seed", "-3", "--out", "out")
+    assert (code, out) == (2, "")
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": {"type": "usage", "message": "argument --seed: seed must be >= 0, got -3"}}]
+    assert not (tmp_path / "out").exists()
+
+
 def test_number_flags_parse_plain_values(tmp_path, capsys):
     outdir = tmp_path / "dn"
     code, _, err = run(capsys, "synth", "daynight", "--communities", "2", "--per-comm", "4",
@@ -638,6 +653,39 @@ def test_malformed_window_is_one_ingest_error(tmp_path, capsys, window, message)
                          "--window", window, "--out", str(tmp_path / "out"))
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": {"type": "IngestError", "message": message}}
+
+
+def test_ingest_of_odd_vertex_count_writes_the_n_squared_pairs(tmp_path, capsys):
+    src = tmp_path / "three.csv"
+    src.write_text("0,a,b\n1,b,c\n2,c,a,2.5\n")
+    labels = [f"{u}->{v}" for u in "abc" for v in "abc"]
+    outs = [tmp_path / "ing", tmp_path / "raw", tmp_path / "dense"]
+    for argv, out in zip([[str(src)], [str(outs[0] / "stream.raw"), "--format", "raw"],
+                          [str(outs[0] / "stream.csv"), "--format", "dense"]], outs):
+        code, _, err = run(capsys, "ingest", "--input", *argv, "--out", str(out))
+        assert code == 0, err
+    assert json.loads((outs[0] / "stream.raw").read_bytes().split(b"\n")[0])["labels"] == labels
+    assert (outs[0] / "stream.csv").read_text().splitlines()[0] == ",".join(["t", *labels])
+    back = lio.read_raw(outs[0] / "stream.raw").stream
+    assert back.values.tolist() == [[0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 0, 0],
+                                    [0, 0, 0, 0, 0, 0, 2.5, 0, 0]]
+    for out in outs[1:]:   # raw and dense re-ingest to the same bytes
+        for name in ("stream.raw", "stream.csv"):
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
+def test_bfs_basis_skips_a_recorded_relation_that_cancels_in_every_cell(tmp_path, capsys):
+    # 1025 recorded relations; a->b sums to zero in its one cell, so the
+    # aggregate graph leaves the 1024 others for the basis
+    src = tmp_path / "in.csv"
+    src.write_text("".join(f"{u % 3},v{u},v{v}\n" for u in range(32) for v in range(32))
+                   + "0,a,b,1\n0,a,b,-1\n")
+    assert lio.ingest_triplets(src, "csv", active_only=True).stream.num_relations == 1025
+    code, _, err = run(capsys, "basis", "--input", str(src), "--basis", "bfs",
+                       "--out", str(tmp_path / "basis"))
+    assert code == 0, err
+    doc = json.loads((tmp_path / "basis" / "tree.json").read_text())
+    assert doc["num_relations"] == 1024 and "a->b" not in doc["labels"]
 
 
 def test_svd_tree_reused_on_padded_triplet_input(tmp_path, capsys):

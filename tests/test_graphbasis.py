@@ -284,22 +284,6 @@ def test_regularity_closed_form_random(rng):
     assert graph_regularity(g, basis) == pytest.approx(np.sum(m - m ** 2 / 16), abs=1e-9)
 
 
-def test_padded_space_round_trip_and_filters(rng):
-    # 3 vertices: 9 real relations padded to 16; pads stay exactly zero
-    space = full_space(3)
-    basis = make_basis(16, 4, rng)
-    w = rng.standard_normal(16)
-    w[space.inert] = 0.0
-    g = GraphSlice(space, w)
-    back = synthesize(analyze(g, basis), space)
-    assert np.abs(back.weights - g.weights).max() < 1e-12
-    assert np.all(back.weights[space.inert] == 0.0)
-    c = structural_filter_graph(g, basis, coarse_pass_response(basis))
-    d = detail_filter(g, basis)
-    assert np.all(c.weights[space.inert] == 0.0)
-    assert np.abs((c.weights + d.weights - g.weights)[~space.inert]).max() < 1e-12
-
-
 def test_coefficient_layout_metadata(fig_basis):
     assert list(fig_basis.columns())[:3] == [("s", 3, 0), ("s", 3, 1), ("w", 3, 0)]
     assert fig_basis.wavelet_slice(3) == slice(2, 4)

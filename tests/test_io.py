@@ -428,12 +428,12 @@ def test_vertex_names_round_trip_triplets_raw_dense(tmp_path_factory, names, rec
 
 def test_ingest_refuses_a_grid_over_the_cell_limit(tmp_path, monkeypatch):
     path = tmp_path / "in.csv"
-    path.write_text("0,a,b\n3,b,c\n")     # T = 4, M = 16 (3 vertices, padded)
-    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 64)
-    assert lio.ingest_triplets(path, "csv").stream.values.shape == (4, 16)
-    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 63)
+    path.write_text("0,a,b\n3,b,c\n")     # T = 4, M = 9 (3 vertices)
+    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 36)
+    assert lio.ingest_triplets(path, "csv").stream.values.shape == (4, 9)
+    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 35)
     with pytest.raises(IngestError, match=re.escape(
-            f"{path}: a T = 4 by M = 16 stream needs 512 bytes, over the 504-byte"
+            f"{path}: a T = 4 by M = 9 stream needs 288 bytes, over the 280-byte"
             " ingest limit")):
         lio.ingest_triplets(path, "csv")
 
@@ -441,12 +441,12 @@ def test_ingest_refuses_a_grid_over_the_cell_limit(tmp_path, monkeypatch):
 def test_active_ingest_refuses_a_grid_over_the_cell_limit(tmp_path, monkeypatch):
     path = tmp_path / "in.ndjson"
     write_triplets(path, [(0, "a", "b", None), (1, "b", "c", None), (5, "c", "a", None)],
-                   "ndjson")                # T = 6, three active relations padded to M = 4
-    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 24)
-    assert lio.ingest_triplets(path, "ndjson", active_only=True).stream.values.shape == (6, 4)
-    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 23)
+                   "ndjson")                # T = 6, M = 3 active relations
+    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 18)
+    assert lio.ingest_triplets(path, "ndjson", active_only=True).stream.values.shape == (6, 3)
+    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 17)
     with pytest.raises(IngestError, match=re.escape(
-            f"{path}: a T = 6 by M = 4 stream needs 192 bytes, over the 184-byte"
+            f"{path}: a T = 6 by M = 3 stream needs 144 bytes, over the 136-byte"
             " ingest limit")):
         lio.ingest_triplets(path, "ndjson", active_only=True)
 
@@ -533,8 +533,7 @@ def test_active_ingest_keeps_zero_aggregate_relation_for_refusal(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("0,a,b,1\n1,a,b,-1\n0,b,a\n0,a,a\n1,b,b\n2,b,c\n")
     active = lio.ingest_triplets(path, "csv", active_only=True).stream
-    assert active.space.relations == ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2),
-                                      None, None, None)
+    assert active.space.relations == ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2))
     space = active_space(3, aggregate_pairs(active))
     assert space.relations == ((0, 0), (1, 0), (1, 1), (1, 2))
     for stream in (active, lio.ingest_triplets(path, "csv").stream):
@@ -578,23 +577,23 @@ def test_raw_header_duplicates(tmp_path, capsys, labels, vertices, message):
 
 def test_dense_csv_duplicate_relation_label(tmp_path):
     path = tmp_path / "dup.csv"
-    path.write_text("t,a->b,b->a,a->b,~pad0\n0,1,0,1,0\n")
+    path.write_text("t,a->b,b->a,a->b\n0,1,0,1\n")
     with pytest.raises(IngestError, match=re.escape(f"{path}: duplicate relation label 'a->b'")):
         lio.read_dense_csv(path)
 
 
 @pytest.mark.parametrize("fmt", ["raw", "dense"])
-def test_nonzero_pad_column_names_the_file(tmp_path, capsys, fmt):
-    # a label that starts with ~pad is an inert column, which must hold zeros
+def test_pad_label_is_refused_naming_the_file(tmp_path, capsys, fmt):
+    # a relation space holds only u->v pairs: ~padK is no label
     if fmt == "raw":
         path = tmp_path / "pad.raw"
-        header = {"T": 1, "M": 2, "t0": 0, "labels": ["~pad0->a", "a->a"]}
+        header = {"T": 1, "M": 2, "t0": 0, "labels": ["a->a", "~pad0"]}
         path.write_bytes((json.dumps(header) + "\n").encode()
                          + np.array([1.0, 0.0], "<f8").tobytes())
     else:
         path = tmp_path / "pad.csv"
-        path.write_text("t,~pad0->a,a->a\n0,1,0\n")
-    message = f"{path}: inert (padding) columns must be zero"
+        path.write_text("t,a->a,~pad0\n0,1,0\n")
+    message = f"{path}: bad relation label '~pad0'"
     with pytest.raises(IngestError, match=re.escape(message)):
         lio.read_stream(path, fmt)
     code = main(["ingest", "--input", str(path), "--format", fmt,
@@ -657,7 +656,7 @@ def _tree_doc(**changes):
      "no triplets inside the window"),
     (lio.read_dense_csv, "t,a->b\n0,1,2\n", "line 2: expected 2 fields"),
     (lio.read_dense_csv, "t,a->b\n0,1\n2,1\n", "dense CSV times must be contiguous"),
-    (lio.read_dense_csv, "t,a->b,b->a,a->a\n0,1,0,1\n", "relation count 3 is not a power of two"),
+    (lio.read_dense_csv, "t\n0\n", "stream has no relations"),
     (lio.read_raw, '{"T": 0, "M": 2, "t0": 0, "labels": ["a->b"]}\n',
      "header has M = 2 but 1 labels"),
     (_read_struct, "s,3,0\n", "line 1: expected 'kind,level,index,value'"),
@@ -786,8 +785,7 @@ def test_tree_json_refuses_a_number_that_is_not_an_integer(tmp_path, changes):
 
 
 def test_dense_csv_round_trip(tmp_path, rng):
-    stream = LinkStreamMatrix(full_space(3), 7, np.round(rng.standard_normal((4, 16)), 3)
-                              * (~full_space(3).inert))
+    stream = LinkStreamMatrix(full_space(3), 7, np.round(rng.standard_normal((4, 9)), 3))
     path = tmp_path / "dense.csv"
     lio.write_dense_csv(path, LinkStreamMatrix(full_space(3, ["x", "y", "z"]), 7, stream.values))
     back = lio.read_dense_csv(path)
@@ -962,9 +960,9 @@ def test_grid_writer_matches_per_row_writer(tmp_path_factory, width, depth, orde
 
 
 def test_grid_exports_are_the_same_bytes_in_either_memory_order(tmp_path, rng):
-    space = full_space(3)
+    space = full_space(4)
     basis = GraphBasis(PartitionTree(rng.permutation(16)), 2)
-    vals = rng.standard_normal((6, 16)) * ~space.inert
+    vals = rng.standard_normal((6, 16))
     grid = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
     grid[0, :3] = [-0.0, complex(0.0, -0.0), 5e-324]
     written = []

@@ -45,6 +45,17 @@ def test_one_freeze_idiom_in_src():
     assert sum(p.read_text().count("setflags(") for p in src.glob("*.py")) == 1
 
 
+def test_padding_is_decided_in_io_alone():
+    # a relation space holds only its real (u, v) pairs; the one padding rule,
+    # ~vK vertices up to a power of two for a basis, lives in io.ingest_triplets
+    src = Path(linkspectra.__file__).parent
+    texts = {p.name: p.read_text() for p in src.glob("*.py")}
+    for name, text in texts.items():
+        for word in ("inert", "num_active", "_clear_inert", "~pad"):
+            assert word not in text, f"{name} holds {word!r}"
+    assert [name for name, text in texts.items() if "~v" in text] == ["io.py"]
+
+
 def test_cli_import_leaves_synth_unloaded():
     # only the synth and verify-lemmas commands need synth and its thread
     # pool; concurrent.futures alone costs about 8 ms of start-up

@@ -337,13 +337,13 @@ def test_bfs_disconnected_restarts():
 
 
 def test_bfs_rejects_padded_space():
-    space = active_space(4, [(0, 1), (1, 2), (2, 3)])  # pads to 4
+    space = active_space(4, [(0, 1), (1, 2), (2, 3)])  # three relations, not a power of two
     with pytest.raises(ValueError, match="power-of-two active relation count, got 3$"):
         partition_bfs(space, seed=0)
 
 
 def test_bfs_rejects_empty_active_set():
     space = active_space(3, [])
-    assert space.relations == (None,)
+    assert space.relations == ()
     with pytest.raises(ValueError, match="^empty active relation set$"):
         partition_bfs(space, seed=0)

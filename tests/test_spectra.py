@@ -276,13 +276,12 @@ def test_backbone_top_k_keeps_conjugate_pairs(k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([2, 3, 4]), st.data())
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([2, 4]), st.data())
 def test_backbone_mask_closed_under_mirror(seed, t, n, data):
     rng = np.random.default_rng(seed)
     space = full_space(n)
     m = space.num_relations
     vals = rng.standard_normal((t, m))
-    vals[:, space.inert] = 0.0
     basis = GraphBasis(random_tree(m, rng), data.draw(st.integers(1, m.bit_length() - 1)))
     if data.draw(st.booleans()):
         rule = KeepRule.top_k(data.draw(st.integers(1, t * m)))
@@ -443,10 +442,8 @@ def _ref_circulant(kernel, values):
     return out
 
 
-def _ref_round_trip(grid, basis, space):
-    vals = _ref_synthesize(basis, _ref_inverse(grid).real)
-    vals[..., space.inert] = 0.0
-    return vals
+def _ref_round_trip(grid, basis):
+    return _ref_synthesize(basis, _ref_inverse(grid).real)
 
 
 def _same_bits(got, want):
@@ -456,10 +453,14 @@ def _same_bits(got, want):
 
 
 def _weighted_stream(rng, t, n):
-    space = full_space(n)
+    """A sparse weighted stream on n vertices, padded to a power of two with
+    vertices whose relations stay zero, as ingest pads for a basis."""
+    p = lstream.next_power_of_two(n)
+    space = full_space(p)
     vals = rng.standard_normal((t, space.num_relations))
     vals[rng.random(vals.shape) < 0.3] = 0.0
-    vals[:, space.inert] = 0.0
+    real = np.arange(p) < n
+    vals[:, ~np.outer(real, real).reshape(-1)] = 0.0
     return LinkStreamMatrix(space, 0, vals)
 
 
@@ -480,19 +481,18 @@ def test_in_place_kernels_match_allocating_references_bitwise(t, n, level):
 
     coeffs = decompose(stream, basis)
     _same_bits(coeffs.values, c)
-    _same_bits(reconstruct(coeffs).values, _ref_round_trip(c, basis, space))
+    _same_bits(reconstruct(coeffs).values, _ref_round_trip(c, basis))
     for rule in (KeepRule.box(0, t // 4, 0, basis.num_scaling - 1), KeepRule.top_k(3)):
         kept, mask = backbone(stream, basis, rule)
-        _same_bits(kept.values, _ref_round_trip(np.where(mask, c, 0.0), basis, space))
+        _same_bits(kept.values, _ref_round_trip(np.where(mask, c, 0.0), basis))
     jf = JointFilter(lowpass_filter(0.2, t), rng.standard_normal(space.num_relations))
     _same_bits(apply_joint_filter(stream, jf, basis).values,
-               _ref_round_trip(jf.freq.response[:, None] * c * jf.struct[None, :], basis, space))
+               _ref_round_trip(jf.freq.response[:, None] * c * jf.struct[None, :], basis))
     _same_bits(apply_frequency_filter(stream, jf.freq).values,
                _ref_inverse(jf.freq.response[:, None] * _ref_forward(vals)).real)
 
     dt = _ref_derivative(vals)
     de = _ref_synthesize(basis, x * detail_pass_response(basis)[None, :])
-    de[..., space.inert] = 0.0
     rep = regularity(stream, basis)
     _same_bits(rep.reg_t, float(np.sum(dt * dt)))
     _same_bits(rep.reg_e, float(np.sum(de * de)))
@@ -579,15 +579,14 @@ def _signature(result):
 
 
 @settings(max_examples=40, deadline=None)
-@given(t=st.sampled_from([1, 2, 3, 7, 8, 13]), relations=st.integers(2, 40),
+@given(t=st.sampled_from([1, 2, 3, 7, 8, 13]), relations=st.sampled_from([2, 4, 8, 16, 32]),
        order=st.sampled_from("CF"), data=st.data())
 def test_kernels_give_the_same_bits_and_layout_for_any_worker_count(t, relations, order,
                                                                    data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     space = active_space(7, [(k // 7, k % 7) for k in range(relations)])
-    m = space.num_relations   # 2 to 64, padded above the active relations
+    m = space.num_relations
     vals = rng.standard_normal((t, m))
-    vals[:, space.inert] = 0.0
     stream = LinkStreamMatrix(space, 0, np.asarray(vals, order=order))
     basis = GraphBasis(random_tree(m, rng), data.draw(st.integers(1, m.bit_length() - 1)))
     jf = JointFilter(lowpass_filter(0.2, t), rng.standard_normal(m))

@@ -40,23 +40,17 @@ def test_full_space_lexicographic():
     assert space.relations[0] == (0, 0)
     assert space.relations[5] == (1, 1)
     assert space.index_of(2, 3) == 11
-    assert not space.inert.any()
     assert space.is_full
+    odd = full_space(3)   # any vertex count: exactly the N^2 pairs, no padding
+    assert odd.relations == tuple((u, v) for u in range(3) for v in range(3))
+    assert odd.is_full
 
 
-def test_full_space_pads_to_power_of_two():
-    space = full_space(3)
-    assert space.num_relations == 16
-    assert space.num_active == 9
-    assert space.inert.sum() == 7
-    assert not space.is_full  # pads present
-
-
-def test_active_space_sorted_and_padded():
-    space = active_space(5, [(3, 1), (0, 2), (0, 1)])
-    assert space.relations[:3] == ((0, 1), (0, 2), (3, 1))
-    assert space.num_relations == 4
-    assert space.relations[3] is None
+def test_active_space_sorted():
+    space = active_space(5, [(3, 1), (0, 2), (0, 1), (3, 1)])
+    assert space.relations == ((0, 1), (0, 2), (3, 1))
+    assert not space.is_full
+    assert active_space(5, []).relations == ()
 
 
 def test_duplicate_relation_rejected():
@@ -139,16 +133,9 @@ def test_round_trip_slices_bit_exact(rng):
     assert list(stream.times) == list(range(5, 12))
 
 
-def test_inert_columns_must_be_zero():
-    space = full_space(3)  # 7 pads
-    w = np.zeros(16)
-    w[space.num_active] = 1.0
-    with pytest.raises(ValueError):
-        GraphSlice(space, w)
-    vals = np.zeros((2, 16))
-    vals[0, -1] = 1.0
-    with pytest.raises(ValueError):
-        LinkStreamMatrix(space, 0, vals)
+def test_stream_without_relations_is_refused():
+    with pytest.raises(ValueError, match="^stream has no relations$"):
+        LinkStreamMatrix(active_space(2, []), 0, np.zeros((3, 0)))
 
 
 def test_restrict_stream_round_trip(osc_stream, osc_space):

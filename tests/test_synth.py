@@ -123,18 +123,17 @@ def test_daynight_vertex_count_not_a_power_of_two(communities, per_comm):
     stream = synth.gen_daynight(communities, per_comm, 4, 0.5, 0.7, 12, seed=2)
     tmpl = synth.daynight_template(communities, per_comm, 4, 0.5, 12)
     assert stream.space == tmpl.space == full_space(n)
-    assert stream.space.num_relations > n * n
-    assert not np.any(stream.values[:, n * n:]) and not np.any(tmpl.values[:, n * n:])
-    # the first N^2 columns are the unpadded generator's: the same draws in
-    # the same cells, full blocks in the template
+    assert stream.space.num_relations == n * n   # the N^2 pairs, no relation pads
+    # the draws fill the within-community cells of the day steps in order;
+    # the template holds full blocks there
     membership = np.repeat(np.arange(communities), per_comm)
     within = (membership[:, None] == membership[None, :]).reshape(-1)
     day = np.arange(12) % 4 < 2
     rng = np.random.default_rng(2)
     expected = np.zeros((12, n * n))
     expected[np.ix_(day, within)] = rng.random((day.sum(), within.sum())) < 0.7
-    assert np.array_equal(stream.values[:, : n * n], expected)
-    assert np.array_equal(tmpl.values[:, : n * n] != 0, day[:, None] & within)
+    assert np.array_equal(stream.values, expected)
+    assert np.array_equal(tmpl.values != 0, day[:, None] & within)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -143,14 +142,17 @@ def test_daynight_vertex_count_not_a_power_of_two(communities, per_comm):
     (dict(per_community=-2), "communities and per_community must be >= 1, got 2 and -2"),
     (dict(p_active=1.5), "p_active must lie in [0, 1], got 1.5"),
     (dict(duty=0.0), "need 0 < duty <= 1 and period >= 1, got duty=0.0, period=20"),
+    (dict(num_times=0), "num_times must be >= 1, got 0"),
 ])
 def test_daynight_refuses_bad_parameters(kwargs, message):
+    kwargs = {"num_times": 8, **kwargs}
     with pytest.raises(ValueError) as info:
-        synth.gen_daynight(num_times=8, **kwargs)
+        synth.gen_daynight(**kwargs)
     assert str(info.value) == f"invalid day/night parameters: {message}"
     if "p_active" not in kwargs:
-        with pytest.raises(ValueError, match="invalid day/night parameters"):
-            synth.daynight_template(num_times=8, **kwargs)
+        with pytest.raises(ValueError) as info:
+            synth.daynight_template(**kwargs)
+        assert str(info.value) == f"invalid day/night parameters: {message}"
 
 
 @pytest.mark.parametrize("p_in, p_out", [(2.0, 0.1), (0.5, -0.1), (float("nan"), 0.0)])
@@ -164,8 +166,8 @@ def test_sbm_pair_refuses_probabilities_outside_unit_interval(p_in, p_out):
 @pytest.mark.parametrize("generate, times, relations", [
     (lambda: synth.gen_oscillating(40), 40, 16),
     (lambda: synth.gen_sbm_pair(2, 4, 0.5, 0.1, seed=0), 2, 64),
-    (lambda: synth.gen_daynight(3, 2, num_times=10), 10, 64),
-    (lambda: synth.daynight_template(3, 2, num_times=10), 10, 64),
+    (lambda: synth.gen_daynight(3, 2, num_times=10), 10, 36),
+    (lambda: synth.daynight_template(3, 2, num_times=10), 10, 36),
 ], ids=["oscillating", "sbm-pair", "daynight", "daynight-template"])
 def test_generators_refuse_a_grid_over_the_cell_limit(monkeypatch, generate, times, relations):
     from linkspectra import io as lio
