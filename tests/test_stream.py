@@ -41,7 +41,11 @@ def test_full_space_lexicographic():
     assert space.relations[5] == (1, 1)
     assert space.index_of(2, 3) == 11
     assert space.is_full
-    odd = full_space(3)   # any vertex count: exactly the N^2 pairs, no padding
+
+
+def test_full_space_any_vertex_count():
+    odd = full_space(3)   # exactly the N^2 pairs, no padding to a power of two
+    assert odd.num_relations == 9
     assert odd.relations == tuple((u, v) for u in range(3) for v in range(3))
     assert odd.is_full
 
