@@ -52,6 +52,9 @@ class GraphBasis:
     level: int = None
 
     def __post_init__(self):
+        if self.tree.num_relations < 2:
+            raise ValueError(f"a graph basis needs at least two relations, the tree has"
+                             f" {self.tree.num_relations}")
         if self.level is None:
             object.__setattr__(self, "level", self.tree.num_levels)
         if not (1 <= self.level <= self.tree.num_levels):

@@ -35,6 +35,7 @@ from .stream import (
     _plain,
     active_space,
     full_space,
+    is_power_of_two,
     next_power_of_two,
 )
 from .timebasis import (
@@ -282,11 +283,10 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
 
     Vertices are indexed in first-seen order; duplicate triplets sum in
     record order; out-of-window triplets are dropped and counted.
-    ``pad_vertices`` grows the vertex set to the next power of two with
-    vertices ``~vK`` (required before SVD partitioning, and the only padding
-    the package does). By default the columns are the full relation space,
-    the N^2 pairs; ``active_only`` keeps only the relations that have records
-    in the window, in lexicographic order, so nothing of size N^2 is
+    ``pad_vertices`` grows the vertex set with ``_padded_names`` (required
+    before SVD partitioning). By default the columns are the full relation
+    space, the N^2 pairs; ``active_only`` keeps only the relations that have
+    records in the window, in lexicographic order, so nothing of size N^2 is
     allocated (BFS mode). The aggregate graph alone picks the relations of a
     BFS basis (``cli._load``): a relation whose records cancel in every cell
     is an all-zero column here, which ``restrict_stream`` drops. A grid of
@@ -318,8 +318,8 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
         else:
             t0 = int(times.min())
             count = int(times.max()) - t0 + 1
-        n = next_power_of_two(len(index)) if pad_vertices else len(index)
-        names = [*index, *(f"~v{i}" for i in range(len(index), n))]
+        names = _padded_names(index) if pad_vertices else list(index)
+        n = len(names)
         rows = times - t0
         cols = us * n + vs
         if active_only:
@@ -333,6 +333,30 @@ def ingest_triplets(path, fmt: str = "csv", window=None, pad_vertices: bool = Fa
         vals = np.zeros((count, space.num_relations))
         np.add.at(vals, (rows, cols), ws)
         return IngestResult(LinkStreamMatrix(space, t0, _Fresh(vals)), dropped)
+
+
+def _padded_names(names) -> list:
+    """``names``, then vertices ``~vK`` up to the next power of two: the
+    package's one padding rule, which an SVD or tree-file basis needs."""
+    return [*names, *(f"~v{i}" for i in range(len(names), next_power_of_two(len(names))))]
+
+
+def _padded_stream(stream: LinkStreamMatrix) -> LinkStreamMatrix:
+    """A full stream over a vertex count that is not a power of two, laid onto
+    the full space of its padded vertex set as ``ingest_triplets`` pads it:
+    relation (u, v) in column u * n + v, the other columns zero. Any other
+    stream is returned as it is: a full power-of-two one needs no padding, and
+    one over active relations (BFS mode) is never padded."""
+    space = stream.space
+    k = space.num_vertices
+    if is_power_of_two(k) or not space.is_full:
+        return stream
+    names = _padded_names(space.vertices)
+    n = len(names)
+    _check_cells(stream.num_times, n * n)
+    vals = np.zeros((stream.num_times, n * n))
+    vals.reshape(-1, n, n)[:, :k, :k] = stream.values.reshape(-1, k, k)
+    return LinkStreamMatrix(full_space(n, names), stream.t0, _Fresh(vals))
 
 
 def _check_cells(num_times: int, num_relations: int):
@@ -483,13 +507,19 @@ def read_raw(path) -> IngestResult:
 
 def read_stream(path, fmt: str, window=None, pad_vertices: bool = False,
                 active_only: bool = False) -> IngestResult:
-    """Any input format: dense and raw streams, otherwise triplets."""
+    """Any input format: dense and raw streams, otherwise triplets.
+    ``pad_vertices`` applies to every format (raw and dense streams through
+    ``_padded_stream``); ``active_only`` to triplets."""
     if fmt not in ("dense", "raw"):
         return ingest_triplets(path, fmt, window=window, pad_vertices=pad_vertices,
                                active_only=active_only)
     if window is not None:
         raise IngestError(f"{path}: a time window applies to csv and ndjson input only")
-    return read_dense_csv(path) if fmt == "dense" else read_raw(path)
+    result = read_dense_csv(path) if fmt == "dense" else read_raw(path)
+    if not pad_vertices:
+        return result
+    with _refusing(path):
+        return IngestResult(_padded_stream(result.stream))
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +614,10 @@ def write_coefficients_csv(path, coeffs: GraphCoefficients):
 def read_structural_response_csv(path, basis: GraphBasis) -> np.ndarray:
     """Structural filter file (kind,level,index,value) to a response vector.
 
-    Unlisted coefficients default to zero.
+    Unlisted coefficients default to zero; a repeated coefficient is refused.
     """
     response = np.zeros(basis.num_relations)
+    seen = np.zeros(basis.num_relations, dtype=bool)
     with _refusing(path):
         lines = _text(path).splitlines()
     with _refusing(path, "malformed numeric field") as at:
@@ -596,16 +627,20 @@ def read_structural_response_csv(path, basis: GraphBasis) -> np.ndarray:
             if kind == "s":
                 if level != basis.level or not (0 <= idx < basis.num_scaling):
                     raise IngestError(f"{at}: scaling index out of range")
-                response[idx] = value
+                col = idx
             elif kind == "w":
                 if not (1 <= level <= basis.level):
                     raise IngestError(f"{at}: wavelet level {level} out of range 1..{basis.level}")
                 sl = basis.wavelet_slice(level)
                 if not (0 <= idx < sl.stop - sl.start):
                     raise IngestError(f"{at}: wavelet index out of range")
-                response[sl.start + idx] = value
+                col = sl.start + idx
             else:
                 raise IngestError(f"{at}: kind must be 's' or 'w'")
+            if seen[col]:
+                raise IngestError(f"{at}: duplicate coefficient {kind},{level},{idx}")
+            response[col] = value
+            seen[col] = True
     return response
 
 
@@ -629,6 +664,8 @@ def read_frequency_filter_csv(path, length: int) -> FrequencyFilter:
             u, real, imag = int(_plain(u)), _float(real), _float(imag)
             if not (0 <= u < length):
                 raise IngestError(f"{at}: frequency index {u} out of range")
+            if seen[u]:
+                raise IngestError(f"{at}: duplicate frequency index {u}")
             response[u] = real + 1j * imag
             seen[u] = True
     if not seen.any():

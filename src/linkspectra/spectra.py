@@ -273,18 +273,17 @@ def regularity(stream: LinkStreamMatrix, basis: GraphBasis,
 
     reg_t = ||H^(diff) L||_F^2 counts (for unweighted streams) the edge
     changes between consecutive graphs; reg_e = ||L Q^(diff)||_F^2 is the
-    summed graph regularity of the slices; relaxed_reg_t = ||H^(diff) S||_F^2
-    on the scaling block S of X = L Phi.T is zero iff the slices are
-    structurally equal at the basis level.
+    summed graph regularity of the slices, which by Parseval (Phi is
+    orthonormal) is the energy of the wavelet block W of X = L Phi.T;
+    relaxed_reg_t = ||H^(diff) S||_F^2 on the scaling block S is zero iff the
+    slices are structurally equal at the basis level.
     """
-    # C: the layout of a stream read from a file; the synthesis below leaves
-    # de column-major for any input, as its last step is a column gather
+    # C: the layout of a stream read from a file; X is in the filter bank's
+    # column-major layout for any input
     reg_t = _sum_of_squares(_time_derivative(stream.values, boundary, "C"))
     x = basis.analyze_values(stream.values)
-    scaling = x[:, : basis.num_scaling]
-    relaxed = _sum_of_squares(_time_derivative(scaling, boundary, "F"))  # the filter bank's layout
-    scaling[...] = 0.0   # the detail pass
-    reg_e = _sum_of_squares(basis.synthesize_values(x))
+    relaxed = _sum_of_squares(_time_derivative(x[:, : basis.num_scaling], boundary, "F"))
+    reg_e = _sum_of_squares(x[:, basis.num_scaling :])
     return RegularityReport(reg_t, reg_e, relaxed, boundary)
 
 

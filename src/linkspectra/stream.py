@@ -5,7 +5,7 @@ T x M matrix whose row t is the weight function of the graph observed at time
 t0+t and whose column k is the time series of relation e_k. The relation space
 holds distinct directed vertex pairs (self-loops included) in a fixed order:
 every pair, or the active ones. A graph basis needs a power-of-two relation
-count; only the vertex set is padded for it (``io.ingest_triplets``).
+count; only the vertex set is padded for it (``io._padded_names``).
 
 Containers (``LinkStreamMatrix`` here, ``CoefficientMatrix`` in ``spectra``)
 hold read-only arrays. Their constructors copy what a caller passes in, so

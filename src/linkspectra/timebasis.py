@@ -2,10 +2,11 @@
 
 Conventions: the basis matrix has entries Psi[t, u] = exp(+2i pi u t / T) /
 sqrt(T), so the forward (analysis) transform applies exp(-2i pi u t / T) and
-both directions carry the 1/sqrt(T) factor. All time-domain operators are
-circulant (periodic boundary), which makes them exactly diagonalizable by
-the Fourier basis; an operator with kernel h acts as (H L)_t = sum_d h_d
-L_{t-d} and has frequency response chi_u = sum_d h_d exp(-2i pi u d / T).
+both directions carry the 1/sqrt(T) factor, which numpy's FFT applies within
+its own pass (``norm="ortho"``). All time-domain operators are circulant
+(periodic boundary), which makes them exactly diagonalizable by the Fourier
+basis; an operator with kernel h acts as (H L)_t = sum_d h_d L_{t-d} and has
+frequency response chi_u = sum_d h_d exp(-2i pi u d / T).
 
 The Fourier dictionary is the only one implemented; any other orthonormal
 time dictionary (wavelets, say) would slot in behind the same
@@ -42,8 +43,7 @@ class FourierBasis:
         """Analysis transform along axis 0: F = conj(Psi).T @ values, as a new
         complex128 array in the memory order of ``values``."""
         values = np.asarray(values)
-        return self._transform(values, np.empty_like(values, np.complex128), np.fft.fft,
-                               np.divide)
+        return self._transform(values, np.empty_like(values, np.complex128), np.fft.fft)
 
     def inverse(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Synthesis transform along axis 0: values = Psi @ coeffs, written into
@@ -53,21 +53,19 @@ class FourierBasis:
         coeffs = np.asarray(coeffs)
         if out is None:
             out = np.empty_like(coeffs, np.complex128)
-        return self._transform(coeffs, out, np.fft.ifft, np.multiply)
+        return self._transform(coeffs, out, np.fft.ifft)
 
-    def _transform(self, values, out, fft, rescale) -> np.ndarray:
-        """``out = rescale(fft(values), sqrt(T))`` along axis 0. Each column
-        is transformed on its own, so the columns are split over the workers;
-        each copies its columns into ``out`` and transforms them there."""
+    def _transform(self, values, out, fft) -> np.ndarray:
+        """``out = fft(values, norm="ortho")`` along axis 0. Each column is
+        transformed on its own, so the columns are split over the workers;
+        each copies (casts) its columns into ``out`` and transforms them there."""
         self._check_rows(values)
-        root = np.sqrt(self.length)
 
         def part(cols):
             o = out[..., cols]
             if values is not out:
                 np.copyto(o, values[..., cols])
-            fft(o, axis=0, out=o)
-            rescale(o, root, out=o)
+            fft(o, axis=0, out=o, norm="ortho")
 
         _in_parts(part, out.shape[-1], out)
         return out

@@ -489,17 +489,20 @@ def test_cli_outputs_equal_library_results(tmp_path, capsys):
     assert json.loads(out) == doc
 
 
-def test_svd_basis_rejects_unpadded_raw_stream(tmp_path, capsys):
+def test_svd_basis_pads_an_odd_vertex_raw_or_dense_stream(tmp_path, capsys):
     src = tmp_path / "three.csv"
     src.write_text("0,a,b\n1,b,c\n2,c,a\n")
     code, _, err = run(capsys, "ingest", "--input", str(src), "--out", str(tmp_path / "ing"))
     assert code == 0, err
-    code, _, err = run(capsys, "basis", "--input", str(tmp_path / "ing" / "stream.raw"),
-                       "--format", "raw", "--out", str(tmp_path / "basis"))
-    assert code == 1
-    message = json.loads(err.strip().splitlines()[-1])["error"]["message"]
-    assert "vertex count 3 is not a power of two" in message
-    assert "pad" in message
+    trees = []
+    for argv in ([str(src)], [str(tmp_path / "ing" / "stream.raw"), "--format", "raw"],
+                 [str(tmp_path / "ing" / "stream.csv"), "--format", "dense"]):
+        out = tmp_path / f"basis{len(trees)}"
+        code, _, err = run(capsys, "basis", "--input", *argv, "--out", str(out))
+        assert code == 0, err
+        trees.append((out / "tree.json").read_bytes())
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+    assert "a->~v3" in json.loads(trees[0])["labels"]
 
 
 def test_verify_lemmas_cli_equals_verify_all(tmp_path, capsys):
@@ -704,3 +707,56 @@ def test_svd_tree_reused_on_padded_triplet_input(tmp_path, capsys):
                         if p.name != "config.json"})
     assert sorted(outputs[0]) == ["C_abs.csv", "C_rect.csv", "F_abs.csv", "L.csv", "X.csv"]
     assert outputs[0] == outputs[1]
+
+
+def test_decompose_of_the_raw_and_dense_exports_equals_the_triplet_input(tmp_path, capsys):
+    src = tmp_path / "three.csv"
+    src.write_text("0,a,b\n1,b,c\n2,c,a,2.5\n3,a,a\n")   # 3 vertices, padded to 4 for a basis
+    for command in ("ingest", "basis"):
+        code, _, err = run(capsys, command, "--input", str(src), "--out", str(tmp_path / command))
+        assert code == 0, err
+    inputs = [[str(src)], [str(tmp_path / "ingest" / "stream.raw"), "--format", "raw"],
+              [str(tmp_path / "ingest" / "stream.csv"), "--format", "dense"]]
+    for basis in ("svd", str(tmp_path / "basis" / "tree.json")):
+        outputs = []
+        for argv in inputs:
+            outdir = tmp_path / f"dec{len(outputs)}"
+            code, _, err = run(capsys, "decompose", "--input", *argv, "--basis", basis,
+                               "--level", "1", "--out", str(outdir))
+            assert code == 0, err
+            outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()
+                            if p.name != "config.json"})
+        assert len(outputs[0]) == 5
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_bfs_tree_file_decomposes_a_bfs_export_unpadded(tmp_path, capsys):
+    # an export over the active relations is never vertex-padded, so the BFS
+    # tree it was made with fits it as a tree file
+    bfs = ["--input", str(ring_csv(tmp_path)), "--basis", "bfs", "--level", "1"]
+    for argv in (["basis", *bfs], ["backbone", *bfs, "--keep", "top:1"]):
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / argv[0]))
+        assert code == 0, err
+    code, _, err = run(capsys, "decompose", "--input", str(tmp_path / "backbone" / "backbone.raw"),
+                       "--format", "raw", "--basis", str(tmp_path / "basis" / "tree.json"),
+                       "--level", "1", "--out", str(tmp_path / "dec"))
+    assert code == 0, err
+    assert (tmp_path / "dec" / "L.csv").read_text().splitlines()[0] == \
+        (tmp_path / "backbone" / "backbone.csv").read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--basis", "svd"],
+    ["decompose", "--basis", "svd", "--level", "1"],
+    ["regularity", "--basis", "bfs"],
+    ["regularity", "--basis", "bfs", "--level", "1"],
+], ids=["svd", "svd-level1", "bfs", "bfs-level1"])
+def test_one_relation_stream_is_refused_as_too_small_for_a_basis(tmp_path, capsys, argv):
+    src = tmp_path / "one.csv"
+    src.write_text("0,a,a\n1,a,a,2\n")
+    code, out, err = run(capsys, argv[0], "--input", str(src), *argv[1:],
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {"type": "ValueError", "message":
+                                         "a graph basis needs at least two relations,"
+                                         " the tree has 1"}}

@@ -116,6 +116,14 @@ def test_level_out_of_range():
         GraphBasis(tree, 0)
 
 
+@pytest.mark.parametrize("level", [None, 0, 1])
+def test_one_leaf_tree_is_refused_before_the_level(level):
+    with pytest.raises(ValueError, match="^a graph basis needs at least two relations,"
+                                         " the tree has 1$"):
+        GraphBasis(PartitionTree(np.arange(1)), level)
+    assert GraphBasis(PartitionTree(np.arange(2))).level == 1
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_round_trip_property(seed):

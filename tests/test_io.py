@@ -366,6 +366,37 @@ def test_ingest_pad_vertices(tmp_path):
     assert result.stream.space.vertices == ("a", "b", "c", "~v3")
 
 
+@pytest.mark.parametrize("fmt", ["raw", "dense"])
+def test_read_stream_pads_a_raw_or_dense_stream_as_ingest_pads_it(tmp_path, fmt):
+    write = lio.write_raw if fmt == "raw" else lio.write_dense_csv
+    path = tmp_path / f"s.{fmt}"
+    three = LinkStreamMatrix(full_space(3, list("xyz")), 4, np.arange(18.0).reshape(2, 9))
+    write(path, three)
+    assert lio.read_stream(path, fmt).stream.space == three.space   # unpadded without a basis
+    padded = lio.read_stream(path, fmt, pad_vertices=True).stream
+    assert padded.space == full_space(4, ["x", "y", "z", "~v3"]) and padded.t0 == 4
+    assert padded.values.tolist() == [[0, 1, 2, 0, 3, 4, 5, 0, 6, 7, 8, 0, 0, 0, 0, 0],
+                                      [9, 10, 11, 0, 12, 13, 14, 0, 15, 16, 17, 0, 0, 0, 0, 0]]
+    # a stream over active relations, as BFS mode writes one, is never padded
+    active = LinkStreamMatrix(RelationSpace(3, ((0, 1), (2, 2)), ("x", "y", "z")), 0,
+                              np.ones((2, 2)))
+    write(path, active)
+    assert lio.read_stream(path, fmt, pad_vertices=True).stream.space == active.space
+
+
+def test_a_full_power_of_two_stream_is_not_copied_for_padding():
+    stream = LinkStreamMatrix(full_space(2), 0, np.ones((3, 4)))
+    assert lio._padded_stream(stream) is stream
+
+
+def test_padding_a_raw_stream_refuses_a_grid_over_the_cell_limit(tmp_path, monkeypatch):
+    path = tmp_path / "s.raw"
+    lio.write_raw(path, LinkStreamMatrix(full_space(3), 0, np.ones((4, 9))))
+    monkeypatch.setattr(lio, "MAX_INGEST_CELLS", 63)
+    with pytest.raises(IngestError, match=re.escape(f"{path}: a T = 4 by M = 16 stream needs")):
+        lio.read_stream(path, "raw", pad_vertices=True)
+
+
 _BAD_NAME = "holds '->', ',', a line break or a lone surrogate"
 _PAD_NAME = "starts with '~', which is reserved for padding vertices"
 
@@ -725,6 +756,10 @@ def _tree_doc(**changes):
      "line 2: malformed NDJSON record"),
     (lio.read_dense_csv, "t,a->b\n9223372036854775807,1\n9223372036854775808,0\n",
      "line 3: malformed numeric field"),
+    (_read_struct, "kind,level,index,value\ns,3,0,1\nw,1,2,0.5\ns,3,0,2\n",
+     "line 4: duplicate coefficient s,3,0"),
+    (_read_struct, "w,1,2,0.5\nw,1,2,0.5\n", "line 2: duplicate coefficient w,1,2"),
+    (_read_freq, "freq_index,re,im\n0,1,0\n1,0,0\n0,2,0\n", "line 4: duplicate frequency index 0"),
 ], ids=["dense-value", "dense-time", "struct-index", "struct-value", "freq-value",
         "tree-leaf-shape", "tree-internal-shape", "tree-stream-labels", "raw-negative-window",
         "freq-index", "tree-json", "csv-fields", "csv-weight", "ndjson-record",
@@ -738,7 +773,8 @@ def _tree_doc(**changes):
         "tree-deep", "raw-vertex-arrow", "raw-vertex-comma", "raw-vertex-newline",
         "ndjson-deep", "raw-header-deep", "csv-not-utf8", "ndjson-not-utf8",
         "dense-not-utf8", "struct-not-utf8", "freq-not-utf8",
-        "csv-time-int64", "ndjson-time-int64", "dense-time-int64"])
+        "csv-time-int64", "ndjson-time-int64", "dense-time-int64",
+        "struct-duplicate-scaling", "struct-duplicate-wavelet", "freq-duplicate"])
 def test_malformed_numbers_name_file_and_line(tmp_path, reader, text, where):
     path = tmp_path / "bad.txt"
     if isinstance(text, bytes):

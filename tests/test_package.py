@@ -47,7 +47,7 @@ def test_one_freeze_idiom_in_src():
 
 def test_padding_is_decided_in_io_alone():
     # a relation space holds only its real (u, v) pairs; the one padding rule,
-    # ~vK vertices up to a power of two for a basis, lives in io.ingest_triplets
+    # ~vK vertices up to a power of two for a basis, lives in io (_padded_names)
     src = Path(linkspectra.__file__).parent
     texts = {p.name: p.read_text() for p in src.glob("*.py")}
     for name, text in texts.items():

@@ -353,7 +353,7 @@ _GOLDEN_4000_13 = [
     (3, "regularity_closed_form", "0x1.0000000000000p-49", "0x0.0p+0"),
     (3, "regularity_mc_expected_dist", "0x1.8466666666666p+2", "0x1.b025477ac67c1p-7"),
     (4, "time_regularity_equals_edit_sum", "0x0.0p+0", "0x0.0p+0"),
-    (4, "edge_regularity_equals_slice_sum", "0x1.0000000000000p-43", "0x0.0p+0"),
+    (4, "edge_regularity_equals_slice_sum", "0x1.0000000000000p-44", "0x0.0p+0"),
     (4, "relaxed_regularity_zero_on_class", "0x0.0p+0", "0x0.0p+0"),
 ]
 
