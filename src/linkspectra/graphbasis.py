@@ -10,8 +10,17 @@ weight vector: sums and differences are accumulated unnormalized and the
 2^{-l/2} scale is applied once per output block, so integer inputs stay
 exact until the final multiply. The bank writes each level's differences
 straight into that level's slice of one output array (``np.subtract(...,
-out=)``, then an in-place scale) and keeps its sums in the gather buffer;
-synthesis builds the levels in two buffers, in turn. Cost is O(M) per graph.
+out=)``, then an in-place scale). Cost is O(M) per graph.
+
+Blocks: the bank on a block of 2^k leaf positions is the bank on a subtree,
+so both directions run levels 1..k a few whole subtrees at a time, in a
+scratch block of about ``_BLOCK_CELLS`` cells, and only the levels above
+the subtrees see every column: they run on one column per subtree. Analysis
+gathers a block's positions into its scratch, runs levels 1..k there and
+keeps each subtree's sum for the upper levels; synthesis runs the upper
+levels first, then levels k..1 of each block in two scratch blocks, and
+writes the finest sums straight to their relation columns. No transform
+allocates a grid-sized buffer besides its output.
 
 Memory order: the bank's buffers and outputs are column-major, so a
 T x M grid stays column-major through the bank and the FFT along time,
@@ -19,12 +28,12 @@ which then runs on contiguous columns; no transposing copy runs between the
 two. The one transpose is the leaf-order gather of a row-major input, done
 a small block of columns at a time.
 
-Threads: the bank on a block of 2^k leaf positions is the bank on a subtree,
-so ``analyze_values`` and ``synthesize_values`` split the columns, in whole
-subtrees, over the ``LINKSPECTRA_THREADS`` workers (``stream._in_parts``);
-the levels above those subtrees run on the caller over a few columns. The
-caller allocates every grid-sized buffer and each worker writes its own
-columns, so the bits and the memory order do not depend on the worker count.
+Threads: ``analyze_values`` and ``synthesize_values`` split the subtrees
+over the ``LINKSPECTRA_THREADS`` workers (``stream._in_parts``); the levels
+above them run on the caller. The caller allocates the output and each
+worker's scratch blocks, and each worker writes its own columns, so the
+bits and the memory order do not depend on the worker count or the block
+size.
 """
 
 from __future__ import annotations
@@ -38,11 +47,17 @@ from .stream import GraphSlice, _frozen, _in_parts
 
 #: The bank splits the leaf positions into at least this many subtrees.
 _MIN_SUBTREES = 16
-#: Cells of the scratch block through which a row-major gather is transposed:
-#: 256 KiB of float64, which stays in the cache while it is copied. A worker
-#: thread's malloc arena keeps it: with 1 MiB, a 2-worker analysis of a
-#: T = 70, M = 2^12 grid peaked 2 MB above a 1-worker one.
+#: Cells of the scratch block through which a row-major gather is transposed,
+#: at most: 256 KiB of float64, which stays in the cache while it is copied.
+#: Like every scratch block, the caller allocates one per worker: a block a
+#: worker thread allocated stayed in its malloc arena (with 1 MiB, a 2-worker
+#: analysis of a T = 70, M = 2^12 grid peaked 2 MB above a 1-worker one).
 _GATHER_CELLS = 1 << 15
+#: Cells of a worker's scratch block: as many whole subtrees as fit in
+#: 512 KiB of float64, and one subtree when a single one is larger. Each block
+#: costs a few numpy calls per level under the interpreter lock: with 256 KiB,
+#: a 2-worker synthesis of a T = 128, M = 2^14 grid took 15 ms, against 11 ms.
+_BLOCK_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class GraphBasis:
@@ -90,20 +105,40 @@ class GraphBasis:
         if not (values.flags.c_contiguous or values.flags.f_contiguous):
             values = np.ascontiguousarray(values)
         out = np.empty(values.shape, np.result_type(values, 1.0), order="F")
-        # scratch, made after ``out`` so that it is freed from the top of the
-        # heap; it then holds each level's sums, in place
-        gathered = np.empty(values.shape, values.dtype, order="F")
-        depth = self._subtree_level()
+        depth, per = self._subtree_blocks(values)
+        rows = values.shape[:-1]
+        cells = values.size // self.num_relations
+        scale = 2.0 ** (-self.level / 2.0)
+        # the sums of the subtrees, for the levels above them; when there are
+        # none, the subtrees are the scaling sets and their sums go to ``out``
+        top = (None if depth == self.level else
+               np.empty(rows + (self.num_relations >> depth,), values.dtype, order="F"))
 
-        def part(blocks):
-            pos = slice(blocks.start << depth, blocks.stop << depth)
-            _gather_columns(values, self.tree.position_to_relation[pos], gathered[..., pos])
-            self._analysis_levels(gathered[..., pos], out, range(1, depth + 1), pos.start)
+        def scratch():
+            """A worker's block and, for a row-major input, its gather buffer."""
+            block = np.empty(rows + (per << depth,), values.dtype, order="F")
+            if values.flags.f_contiguous:
+                return block, None
+            columns = min(per << depth, max(1, _GATHER_CELLS // cells))
+            return block, np.empty(cells * columns, values.dtype)
 
-        _in_parts(part, self.num_relations >> depth, out)
-        s = self._analysis_levels(gathered[..., :: 1 << depth], out,
-                                  range(depth + 1, self.level + 1), 0)
-        np.multiply(s, 2.0 ** (-self.level / 2.0), out=out[..., : self.num_scaling])
+        def part(subtrees, buffers):
+            block, gather = buffers
+            for lo in range(subtrees.start, subtrees.stop, per):
+                hi = min(lo + per, subtrees.stop)
+                pos = slice(lo << depth, hi << depth)
+                s = block[..., : pos.stop - pos.start]
+                _gather_columns(values, self.tree.position_to_relation[pos], s, gather)
+                s = self._analysis_levels(s, out, range(1, depth + 1), pos.start)
+                if top is None:
+                    np.multiply(s, scale, out=out[..., lo:hi])
+                else:
+                    top[..., lo:hi] = s
+
+        _in_parts(part, self.num_relations >> depth, out, scratch)
+        if top is not None:
+            s = self._analysis_levels(top, out, range(depth + 1, self.level + 1), 0)
+            np.multiply(s, scale, out=out[..., : self.num_scaling])
         return out
 
     def synthesize_values(self, coeffs: np.ndarray) -> np.ndarray:
@@ -112,32 +147,44 @@ class GraphBasis:
         if coeffs.shape[-1] != self.num_relations:
             raise ValueError("last axis must have length M")
         dtype = np.result_type(coeffs, 1.0)
-        # level l reads buffers[l % 2] and writes buffers[(l - 1) % 2], so
-        # the final level-1 sums land in ``finest``, and ``out`` is free for
-        # the gather once they are made
         out = np.empty(coeffs.shape, dtype, order="F")
-        finest = np.empty(coeffs.shape, dtype, order="F")   # scratch, after ``out``
-        buffers = (finest, out)
-        depth = self._subtree_level()
-        s = np.multiply(coeffs[..., : self.num_scaling], 2.0 ** (self.level / 2.0),
-                        out=buffers[self.level % 2][..., : self.num_scaling])
-        # the sums entering the workers' levels, one column per subtree,
-        # copied: the workers overwrite the buffer they are in
-        s = self._synthesis_levels(coeffs, buffers, s, range(self.level, depth, -1), 0).copy()
+        depth, per = self._subtree_blocks(coeffs)
+        rows = coeffs.shape[:-1]
+        scale = 2.0 ** (self.level / 2.0)
 
-        def part(blocks):
-            self._synthesis_levels(coeffs, buffers, s[..., blocks], range(depth, 0, -1),
-                                   blocks.start << depth)
+        def pair(width):
+            return tuple(np.empty(rows + (width,), dtype, order="F") for _ in range(2))
 
-        _in_parts(part, self.num_relations >> depth, out)
-        _in_parts(lambda cols: _gather_columns(finest, self.tree.leaf_order[cols], out[..., cols]),
-                  self.num_relations, out)
+        top = None
+        if depth < self.level:
+            # the levels above the subtrees; ``top`` ends as the sums entering
+            # the subtrees, one column each
+            upper = pair(self.num_relations >> depth)
+            top = np.multiply(coeffs[..., : self.num_scaling], scale,
+                              out=upper[self.level % 2][..., : self.num_scaling])
+            top = self._synthesis_levels(coeffs, upper, top, range(self.level, depth, -1), 0)
+
+        def part(subtrees, buffers):
+            for lo in range(subtrees.start, subtrees.stop, per):
+                hi = min(lo + per, subtrees.stop)
+                if top is None:   # the subtrees are the scaling sets
+                    s = np.multiply(coeffs[..., lo:hi], scale,
+                                    out=buffers[depth % 2][..., : hi - lo])
+                else:
+                    s = top[..., lo:hi]
+                s = self._synthesis_levels(coeffs, buffers, s, range(depth, 0, -1), lo << depth)
+                out.T[self.tree.position_to_relation[lo << depth : hi << depth]] = s.T
+
+        _in_parts(part, self.num_relations >> depth, out, lambda: pair(per << depth))
         return out
 
-    def _subtree_level(self) -> int:
-        """The levels 1..k that the workers run, each on its own subtrees:
-        blocks of 2^k leaf positions, at least ``_MIN_SUBTREES`` of them."""
-        return max(0, min(self.level, self.tree.num_levels - _MIN_SUBTREES.bit_length() + 1))
+    def _subtree_blocks(self, grid: np.ndarray):
+        """``(k, per)``: the levels 1..k that run a block of subtrees at a
+        time, on blocks of 2^k leaf positions, at least ``_MIN_SUBTREES`` of
+        them; and the subtrees per scratch block of ``grid``'s rows."""
+        depth = max(0, min(self.level, self.tree.num_levels - _MIN_SUBTREES.bit_length() + 1))
+        cells = (grid.size // self.num_relations) << depth
+        return depth, max(1, _BLOCK_CELLS // cells)
 
     def _analysis_levels(self, s, out, levels, lo: int):
         """Analysis ``levels`` on the sums ``s`` of the positions from ``lo``:
@@ -156,11 +203,11 @@ class GraphBasis:
     def _synthesis_levels(self, coeffs, buffers, s, levels, lo: int):
         """Synthesis ``levels`` from the sums ``s`` of the subtrees whose leaf
         positions start at ``lo``; level l writes the sums of the subtrees'
-        halves into ``buffers[(l - 1) % 2]`` from column ``lo`` on, within
-        those subtrees' positions, and the last level's are returned."""
+        halves into the first columns of ``buffers[(l - 1) % 2]``, and the
+        last level's are returned."""
         for l in levels:
             width = s.shape[-1]
-            nxt = buffers[(l - 1) % 2][..., lo : lo + 2 * width]
+            nxt = buffers[(l - 1) % 2][..., : 2 * width]
             even = nxt[..., 0::2]
             w = nxt[..., 1::2]
             first = (self.num_relations >> l) + (lo >> l)
@@ -195,19 +242,19 @@ class GraphBasis:
             raise ValueError("graph does not live in this basis's relation space")
 
 
-def _gather_columns(src: np.ndarray, cols: np.ndarray, dst: np.ndarray):
-    """``dst[..., j] = src[..., cols[j]]`` with no grid-sized temporary, for a
-    C- or F-contiguous ``src``. Column-major arrays copy whole columns with
-    ``np.take`` on their transposes. A row-major ``src`` goes through
-    ``np.take`` into a scratch block of ``_GATHER_CELLS``, which is then
-    copied (transposed, in the cache) into ``dst``. ``mode="wrap"`` because
-    with the default ``"raise"`` ``np.take`` copies ``out`` first."""
-    if src.flags.f_contiguous and dst.flags.f_contiguous:
+def _gather_columns(src: np.ndarray, cols: np.ndarray, dst: np.ndarray, scratch):
+    """``dst[..., j] = src[..., cols[j]]`` for a column-major ``dst`` and a C-
+    or F-contiguous ``src``, with no temporary. A column-major ``src`` copies
+    whole columns with ``np.take`` on the transposes. A row-major one goes
+    through ``np.take`` into ``scratch``, a flat buffer of one column or more,
+    a few columns at a time, which are then copied (transposed, in the cache)
+    into ``dst``. ``mode="wrap"`` because with the default ``"raise"``
+    ``np.take`` copies ``out`` first."""
+    if src.flags.f_contiguous:
         np.take(src.T, cols, axis=0, out=dst.T, mode="wrap")
         return
     rows = src.size // src.shape[-1]
-    step = max(1, _GATHER_CELLS // rows)
-    scratch = np.empty(rows * min(step, cols.size), src.dtype)
+    step = scratch.size // rows
     for lo in range(0, cols.size, step):
         part = cols[lo : lo + step]
         block = scratch[: rows * part.size].reshape(src.shape[:-1] + part.shape)

@@ -351,6 +351,9 @@ def _padded_stream(stream: LinkStreamMatrix) -> LinkStreamMatrix:
     k = space.num_vertices
     if is_power_of_two(k) or not space.is_full:
         return stream
+    for name in space.vertices:
+        if name.startswith("~"):
+            raise ValueError(_RESERVED.format(name))
     names = _padded_names(space.vertices)
     n = len(names)
     _check_cells(stream.num_times, n * n)
@@ -382,8 +385,10 @@ def _check_vertex_name(path, name: str, triplets: bool = False):
         raise IngestError(f"{path}: vertex name {name!r} holds '->', ',', a line break"
                           " or a lone surrogate")
     if triplets and name.startswith("~"):
-        raise IngestError(f"{path}: vertex name {name!r} starts with '~',"
-                          " which is reserved for padding vertices")
+        raise IngestError(f"{path}: {_RESERVED.format(name)}")
+
+
+_RESERVED = "vertex name {!r} starts with '~', which is reserved for padding vertices"
 
 
 def relation_labels(space: RelationSpace) -> list:
@@ -891,6 +896,7 @@ def write_plot_bundle(outdir, stream: LinkStreamMatrix, basis: GraphBasis):
                                stream.space, stream.t0)
     write_grid_csv(outdir / "L.csv", stream.values, "t", stream.times, labels)
     write_grid_csv(outdir / "X.csv", x, "t", stream.times, coefficient_labels(basis))
+    del x   # written: the export holds one grid fewer while |F| is made
     write_grid_csv(outdir / "F_abs.csv", np.abs(freq_relational(stream)), "freq",
                    range(stream.num_times), labels)
     write_coefficient_matrix(outdir, coeffs)

@@ -16,13 +16,12 @@ import numpy as np
 
 from .graphbasis import GraphBasis
 from .partition import partition_svd
-from .stream import LinkStreamMatrix, _Fresh, _frozen, _readonly
-from .timebasis import (
-    FourierBasis,
-    FrequencyFilter,
-    _realify,
-    apply_frequency_filter,
-)
+from .stream import LinkStreamMatrix, _Fresh, _frozen, _readonly, _write_flag
+from .timebasis import FourierBasis, FrequencyFilter, apply_frequency_filter
+
+#: Cells of each block of |C| from which top-k selection draws its k largest
+#: candidates: 512 KiB of float64.
+_TOP_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -102,20 +101,26 @@ def decompose(stream: LinkStreamMatrix, basis: GraphBasis) -> CoefficientMatrix:
     return CoefficientMatrix(_Fresh(c), basis, stream.space, stream.t0)
 
 
-def _synthesize_stream(grid: np.ndarray, out: np.ndarray, basis: GraphBasis, space,
-                       t0: int) -> LinkStreamMatrix:
-    """L = Psi grid Phi for a grid laid out like C, realified before Phi (see _realify).
-
-    The inverse FFT writes into ``out``: a complex128 grid the caller owns and
-    gives up, which may be ``grid`` itself."""
-    x = _realify(FourierBasis(grid.shape[0]).inverse(grid, out))
-    return LinkStreamMatrix(space, t0, _Fresh(basis.synthesize_values(x)))
+def _taken_back(coeffs: CoefficientMatrix) -> np.ndarray:
+    """The grid of a container that the caller has just made with ``decompose``
+    and holds alone, writable again: the caller drops the container and works
+    on the grid in place, with no grid-sized copy."""
+    return _write_flag(coeffs.values, True)
 
 
 def reconstruct(coeffs: CoefficientMatrix) -> LinkStreamMatrix:
     """L = Psi C Phi, realified (imaginary residue above tolerance is an error)."""
-    return _synthesize_stream(coeffs.values, np.empty_like(coeffs.values), coeffs.basis,
-                              coeffs.space, coeffs.t0)
+    c = coeffs.values
+    x = FourierBasis(coeffs.num_times).inverse(c, np.empty_like(c, np.float64))
+    return LinkStreamMatrix(coeffs.space, coeffs.t0, _Fresh(coeffs.basis.synthesize_values(x)))
+
+
+def _synthesized(grid: np.ndarray, basis: GraphBasis) -> np.ndarray:
+    """Psi grid Phi, realified, for a complex grid the caller owns and gives
+    up: the inverse FFT writes the real part over the grid's own real parts
+    (``FourierBasis.inverse`` copies each block out before it writes it), so
+    no real grid is allocated besides the graph synthesis's output."""
+    return basis.synthesize_values(FourierBasis(grid.shape[0]).inverse(grid, grid.real))
 
 
 def _check_fits(stream: LinkStreamMatrix, jf: JointFilter):
@@ -130,11 +135,10 @@ def apply_joint_filter(stream: LinkStreamMatrix, jf: JointFilter,
                        basis: GraphBasis) -> LinkStreamMatrix:
     """L_hat = Psi Lambda_H C Lambda_Q Phi in one pass through C."""
     _check_fits(stream, jf)
-    c = decompose(stream, basis)
-    filtered = jf.freq.response[:, None] * c.values
-    del c
-    filtered *= jf.struct[None, :]
-    return _synthesize_stream(filtered, filtered, basis, stream.space, stream.t0)
+    c = _taken_back(decompose(stream, basis))
+    np.multiply(jf.freq.response[:, None], c, out=c)
+    c *= jf.struct[None, :]
+    return stream.with_values(_Fresh(_synthesized(c, basis)))
 
 
 def apply_joint_filter_sequential(stream: LinkStreamMatrix, jf: JointFilter,
@@ -182,9 +186,8 @@ class KeepRule:
             # everything above the k-th magnitude, then its ties in (u, k)
             # order, as documented: nonzero walks the transpose (row-major for
             # the filter bank's column-major grid) and the few ties are sorted
-            mag = coeffs.magnitude
-            flat = mag.ravel(order="K")
-            thr = np.partition(flat, flat.size - self.top)[flat.size - self.top]
+            mag = np.abs(coeffs.values)
+            thr = _kth_largest(mag.ravel(order="K"), self.top)
             mask = mag > thr
             need = self.top - np.count_nonzero(mask)
             k, u = np.nonzero((mag == thr).T)
@@ -205,30 +208,49 @@ class KeepRule:
         raise ValueError(f"unknown keep mode {self.mode!r}")
 
 
+def _kth_largest(flat: np.ndarray, k: int) -> float:
+    """The k-th largest entry of ``flat``, from the k largest of each block
+    of ``_TOP_BLOCK_CELLS``, or of k when k is larger: ``np.partition``
+    copies what it is given, so no copy of the whole of ``flat`` is made."""
+    step = max(_TOP_BLOCK_CELLS, k)
+    # a slice of a partitioned copy would keep the whole block copy alive
+    candidates = np.concatenate([
+        np.partition(part, part.size - k)[part.size - k :].copy() if part.size > k else part
+        for part in (flat[lo : lo + step] for lo in range(0, flat.size, step))])
+    return np.partition(candidates, candidates.size - k)[candidates.size - k]
+
+
 def backbone(stream: LinkStreamMatrix, basis: GraphBasis, keep: KeepRule):
-    """Reconstruct the stream from the selected coefficients only:
-    ``backbone_from(decompose(stream, basis), keep)``.
+    """Reconstruct the stream from the selected coefficients only: the same
+    as ``backbone_from(decompose(stream, basis), keep)``, with the grid
+    zeroed outside the mask in place instead of copied.
 
     Returns the filtered stream and the boolean kept mask over (frequency,
     basis element).
     """
-    return backbone_from(decompose(stream, basis), keep)
+    coeffs = decompose(stream, basis)
+    mask = _selection(keep, coeffs)
+    kept = _taken_back(coeffs)
+    del coeffs
+    np.copyto(kept, 0, where=~mask)
+    return stream.with_values(_Fresh(_synthesized(kept, basis))), mask
 
 
 def backbone_from(coeffs: CoefficientMatrix, keep: KeepRule):
     """``backbone`` on a coefficient grid already computed: the stream made
     of the coefficients ``keep`` selects, and the boolean kept mask."""
+    mask = _selection(keep, coeffs)
+    kept = np.zeros_like(coeffs.values)
+    np.copyto(kept, coeffs.values, where=mask)
+    return (LinkStreamMatrix(coeffs.space, coeffs.t0, _Fresh(_synthesized(kept, coeffs.basis))),
+            mask)
+
+
+def _selection(keep: KeepRule, coeffs: CoefficientMatrix) -> np.ndarray:
     mask = keep.mask(coeffs)
     if not mask.any():
         raise ValueError("backbone selection is empty")
-    kept = np.zeros_like(coeffs.values)
-    np.copyto(kept, coeffs.values, where=mask)
-    basis, space, t0 = coeffs.basis, coeffs.space, coeffs.t0
-    # called from ``backbone`` this is the grid's last reference (CPython 3.11
-    # and later hand a call's arguments over to it), so the grid and its cached
-    # magnitude go before the synthesis
-    del coeffs
-    return _synthesize_stream(kept, kept, basis, space, t0), mask
+    return mask
 
 
 @dataclass(frozen=True)

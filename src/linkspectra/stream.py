@@ -41,7 +41,14 @@ def next_power_of_two(n: int) -> int:
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     """Mark an array the package has just computed read-only, in place."""
-    a.setflags(write=False)
+    return _write_flag(a, False)
+
+
+def _write_flag(a: np.ndarray, write: bool) -> np.ndarray:
+    """Set the write flag of ``a`` in place, the one place that does: off when
+    a container adopts a grid, on when the package takes back the grid of a
+    container it has just made, holds alone and drops (``spectra``)."""
+    a.setflags(write=write)
     return a
 
 
@@ -106,7 +113,7 @@ def _max_threads() -> int:
 _SPLIT_MIN_CELLS = 1 << 18
 
 
-def _in_parts(work, n: int, grid: np.ndarray) -> list:
+def _in_parts(work, n: int, grid: np.ndarray, scratch=None) -> list:
     """Run ``work(part)`` for contiguous slices ``part`` that split
     ``range(n)``, the units of work on ``grid``, over up to ``_max_threads()``
     workers, and return the results in part order.
@@ -117,26 +124,33 @@ def _in_parts(work, n: int, grid: np.ndarray) -> list:
     ``_SPLIT_MIN_CELLS`` cells, the one part ``slice(0, n)`` runs on the
     caller. Workers write into arrays the caller allocated: an array a thread
     allocates comes from that thread's malloc arena, which keeps freed memory
-    for its own later use and so raises the peak resident size."""
+    for its own later use and so raises the peak resident size. So a worker's
+    own scratch comes from ``scratch()``, when given, called on the caller
+    once per part before any part runs: each part then runs as
+    ``work(part, its scratch)``."""
     parts = min(_max_threads(), n)
     if parts <= 1 or grid.ndim != 2 or grid.size < _SPLIT_MIN_CELLS:
-        return [work(slice(0, n))]
-    bounds = [n * i // parts for i in range(parts + 1)]
-    slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    results = [None] * parts
+        slices = [slice(0, n)]
+    else:
+        bounds = [n * i // parts for i in range(parts + 1)]
+        slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    args = [(part,) if scratch is None else (part, scratch()) for part in slices]
+    if len(slices) == 1:
+        return [work(*args[0])]
+    results = [None] * len(slices)
     errors = []
 
     def run(i):
         try:
-            results[i] = work(slices[i])
+            results[i] = work(*args[i])
         except BaseException as exc:  # noqa: BLE001 - raised again on the caller
             errors.append(exc)
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(slices))]
     for th in threads:
         th.start()
     try:
-        results[0] = work(slices[0])
+        results[0] = work(*args[0])
     finally:
         for th in threads:
             th.join()

@@ -24,6 +24,9 @@ from .stream import LinkStreamMatrix, _Fresh, _frozen, _in_parts
 
 #: imaginary residue above this magnitude is an error when realifying output
 IMAG_TOL = 1e-9
+#: Complex cells of a worker's scratch block in a real inverse: as many
+#: columns as fit in 512 KiB, and one column when a single one is larger.
+_INVERSE_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -46,14 +49,48 @@ class FourierBasis:
         return self._transform(values, np.empty_like(values, np.complex128), np.fft.fft)
 
     def inverse(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Synthesis transform along axis 0: values = Psi @ coeffs, written into
-        ``out`` and returned. ``out`` is a complex128 grid of the same shape,
-        which may be ``coeffs`` itself; without it the result is a new array in
-        the memory order of ``coeffs``, which is left as it is."""
+        """Synthesis transform along axis 0: values = Psi @ coeffs.
+
+        Without ``out`` the result is a new complex128 array in the memory
+        order of ``coeffs``, which is left as it is. With ``out``, a float64
+        array of the same shape, the real part is written there and ``out``
+        returned; an imaginary residue above IMAG_TOL anywhere is then a
+        ValueError that quotes the largest over the whole grid. ``out`` may be
+        ``coeffs.real``: each block of columns is copied out before its real
+        part is written. Taking the real part before the graph synthesis is
+        exact: Phi multiplies by real scalars only, so it never mixes real and
+        imaginary parts."""
         coeffs = np.asarray(coeffs)
         if out is None:
-            out = np.empty_like(coeffs, np.complex128)
-        return self._transform(coeffs, out, np.fft.ifft)
+            return self._transform(coeffs, np.empty_like(coeffs, np.complex128), np.fft.ifft)
+        self._check_rows(coeffs)
+        if out.shape != coeffs.shape or out.dtype != np.float64:
+            raise ValueError("a real inverse writes into a float64 array of the grid's shape")
+        # column blocks through a complex scratch per worker; a vector is one column
+        grid, real = (coeffs, out) if coeffs.ndim > 1 else (coeffs[:, None], out[:, None])
+        step = max(1, _INVERSE_CELLS // (grid.size // grid.shape[-1]))
+
+        def part(cols, scratch):
+            residue = 0.0
+            for lo in range(cols.start, cols.stop, step):
+                hi = min(lo + step, cols.stop)
+                block = scratch[..., : hi - lo]
+                np.copyto(block, grid[..., lo:hi])
+                np.fft.ifft(block, axis=0, out=block, norm="ortho")
+                imag = block.imag
+                residue = max(residue, imag.max(), -imag.min())   # max |imag|, no |imag| array
+                np.copyto(real[..., lo:hi], block.real)
+            return residue
+
+        residue = float(max(_in_parts(
+            part, grid.shape[-1], grid,
+            lambda: np.empty(grid.shape[:-1] + (min(step, grid.shape[-1]),), np.complex128,
+                             order="F"))))
+        if residue > IMAG_TOL:
+            raise ValueError(
+                f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.0e};"
+                " the frequency response is not conjugate-symmetric")
+        return out
 
     def _transform(self, values, out, fft) -> np.ndarray:
         """``out = fft(values, norm="ortho")`` along axis 0. Each column is
@@ -63,8 +100,7 @@ class FourierBasis:
 
         def part(cols):
             o = out[..., cols]
-            if values is not out:
-                np.copyto(o, values[..., cols])
+            np.copyto(o, values[..., cols])
             fft(o, axis=0, out=o, norm="ortho")
 
         _in_parts(part, out.shape[-1], out)
@@ -179,25 +215,6 @@ def lowpass_filter(cutoff: float, length: int) -> FrequencyFilter:
     return FrequencyFilter((folded <= cutoff + 1e-12).astype(np.complex128))
 
 
-def _realify(values: np.ndarray) -> np.ndarray:
-    """Real part (a view) of a time-synthesized grid; imaginary residue above
-    IMAG_TOL is an error. Exact before the graph synthesis too: Phi multiplies
-    by real scalars only, so it never mixes real and imaginary parts. The
-    residue is the largest of the workers' column blocks' residues."""
-    imag = values.imag
-
-    def part_residue(cols):
-        part = imag[..., cols]
-        return max(part.max(), -part.min())   # max |imag| without an |imag| array
-
-    residue = float(max(_in_parts(part_residue, imag.shape[-1], imag)))
-    if residue > IMAG_TOL:
-        raise ValueError(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.0e};"
-            " the frequency response is not conjugate-symmetric")
-    return values.real
-
-
 def apply_frequency_filter(stream: LinkStreamMatrix, filt: FrequencyFilter) -> LinkStreamMatrix:
     """L_hat = Psi diag(chi) conj(Psi).T L via the FFT."""
     if filt.length != stream.num_times:
@@ -205,7 +222,7 @@ def apply_frequency_filter(stream: LinkStreamMatrix, filt: FrequencyFilter) -> L
     basis = FourierBasis(stream.num_times)
     grid = basis.forward(stream.values)
     np.multiply(filt.response[:, None], grid, out=grid)
-    return stream.with_values(_realify(basis.inverse(grid, grid)))
+    return stream.with_values(_Fresh(basis.inverse(grid, np.empty_like(grid, np.float64))))
 
 
 def aggregate(stream: LinkStreamMatrix, window: int) -> LinkStreamMatrix:

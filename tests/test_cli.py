@@ -505,6 +505,23 @@ def test_svd_basis_pads_an_odd_vertex_raw_or_dense_stream(tmp_path, capsys):
     assert "a->~v3" in json.loads(trees[0])["labels"]
 
 
+def test_padding_refuses_a_raw_or_dense_vertex_named_like_a_pad(tmp_path, capsys):
+    # the raw and dense readers accept '~' names; padding three vertices
+    # a, b, ~v3 would add a second ~v3
+    space = full_space(3, ["a", "b", "~v3"])
+    stream = LinkStreamMatrix(space, 0, np.eye(4, space.num_relations))
+    lio.write_raw(tmp_path / "bad.raw", stream)
+    lio.write_dense_csv(tmp_path / "bad.csv", stream)
+    for name, fmt in (("bad.raw", "raw"), ("bad.csv", "dense")):
+        code, out, err = run(capsys, "basis", "--input", str(tmp_path / name), "--format", fmt,
+                             "--out", str(tmp_path / fmt))
+        assert code == 1 and out == ""
+        (line,) = err.strip().splitlines()
+        assert json.loads(line)["error"]["message"] == (
+            f"{tmp_path / name}: vertex name '~v3' starts with '~',"
+            " which is reserved for padding vertices")
+
+
 def test_verify_lemmas_cli_equals_verify_all(tmp_path, capsys):
     code, out, err = run(capsys, "verify-lemmas", "--trials", "500", "--seed", "7",
                          "--out", str(tmp_path / "report"))

@@ -1,3 +1,5 @@
+import os
+import sys
 import threading
 import tracemalloc
 
@@ -37,6 +39,7 @@ from linkspectra.graphbasis import coarse_pass_response, detail_pass_response
 from linkspectra.partition import PartitionTree
 from linkspectra.spectra import apply_joint_filter_sequential, freq_relational, structure_split
 from linkspectra.timebasis import lowpass_filter
+from linkspectra import graphbasis, spectra, timebasis
 from linkspectra import stream as lstream
 from linkspectra import synth
 
@@ -634,10 +637,43 @@ def test_kernels_give_the_same_bits_and_layout_for_any_worker_count(t, relations
     runs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lstream, "_SPLIT_MIN_CELLS", 1)   # split even these small grids
-        for workers in ("1", "2", "3"):
-            mp.setenv("LINKSPECTRA_THREADS", workers)
-            runs.append([_signature(r) for r in _worker_results(stream, coeffs, basis, jf, top)])
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+        # the kernels' scratch blocks as they are, then at their smallest (one
+        # subtree per filter-bank block, one column per inverse FFT block, top-k
+        # candidates from blocks of k), then top-k blocks of 3 cells
+        for top_block in (None, 1, 3):
+            if top_block is not None:
+                mp.setattr(graphbasis, "_BLOCK_CELLS", 1)
+                mp.setattr(timebasis, "_INVERSE_CELLS", 1)
+                mp.setattr(spectra, "_TOP_BLOCK_CELLS", top_block)
+            for workers in ("1", "2", "3"):
+                mp.setenv("LINKSPECTRA_THREADS", workers)
+                runs.append([_signature(r)
+                             for r in _worker_results(stream, coeffs, basis, jf, top)])
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_kernels_keep_their_bits_with_more_workers_than_cores(monkeypatch, rng):
+    # the workers share each output grid and write their own columns of it; an
+    # in-place inverse writes over columns that its worker has copied out. A
+    # short switch interval interleaves them often.
+    stream = _weighted_stream(rng, 13, 8)   # M = 64
+    basis = GraphBasis(random_tree(64, rng), 3)
+    jf = JointFilter(lowpass_filter(0.2, 13), rng.standard_normal(64))
+    coeffs = decompose(stream, basis)
+    monkeypatch.setattr(lstream, "_SPLIT_MIN_CELLS", 1)
+    monkeypatch.setattr(graphbasis, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(timebasis, "_INVERSE_CELLS", 1)
+    monkeypatch.setenv("LINKSPECTRA_THREADS", "1")
+    want = [_signature(r) for r in _worker_results(stream, coeffs, basis, jf, 40)]
+    monkeypatch.setenv("LINKSPECTRA_THREADS", str((os.cpu_count() or 1) + 2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert [_signature(r)
+                    for r in _worker_results(stream, coeffs, basis, jf, 40)] == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_asymmetric_response_fails_the_same_way_for_any_worker_count(monkeypatch, rng):
@@ -645,15 +681,22 @@ def test_asymmetric_response_fails_the_same_way_for_any_worker_count(monkeypatch
     stream = LinkStreamMatrix(full_space(4), 0, rng.standard_normal((16, 16)))
     chi = np.zeros(16, dtype=complex)
     chi[3] = 1.0  # keeps one side only
+    # the largest residue over the whole grid, whichever block holds it
+    grid = chi[:, None] * np.fft.fft(stream.values.astype(complex), axis=0, norm="ortho")
+    residue = np.abs(np.fft.ifft(grid, axis=0, norm="ortho").imag).max()
     before = threading.active_count()
     messages = []
-    for workers in ("1", "2", "3"):
-        monkeypatch.setenv("LINKSPECTRA_THREADS", workers)
-        with pytest.raises(ValueError, match="not conjugate-symmetric") as err:
-            apply_frequency_filter(stream, FrequencyFilter(chi))
-        messages.append(str(err.value))
-        assert threading.active_count() == before
-    assert messages == messages[:1] * 3
+    # inverse FFT blocks of the default size, of one, three and sixteen columns
+    for cells in (timebasis._INVERSE_CELLS, 1, 48, 256):
+        monkeypatch.setattr(timebasis, "_INVERSE_CELLS", cells)
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("LINKSPECTRA_THREADS", workers)
+            with pytest.raises(ValueError, match="not conjugate-symmetric") as err:
+                apply_frequency_filter(stream, FrequencyFilter(chi))
+            messages.append(str(err.value))
+            assert threading.active_count() == before
+    assert messages[0].startswith(f"imaginary residue {residue:.3e} exceeds 1e-09;")
+    assert messages == messages[:1] * 12
 
 
 def test_each_grid_is_analysed_once_whatever_the_worker_count(monkeypatch, rng):
@@ -713,14 +756,19 @@ def test_spectral_kernels_stay_within_a_few_stream_sizes():
     coeffs = decompose(stream, basis)
     box = KeepRule.box(0, 3, 0, basis.num_scaling - 1)
     jf = JointFilter(lowpass_filter(0.05, 64), coarse_pass_response(basis))
+    # the multiples measured with one worker, plus a margin; each further
+    # worker adds its scratch blocks to the kernels whose peak is in the
+    # filter bank, up to 0.57 of this 2 MiB stream (measured with 2 to 4
+    # workers). A grid-sized buffer more breaks a bound.
+    scratch = 0.625 * (lstream._max_threads() - 1)
     bounds = {
-        "backbone top-k": (lambda: backbone(stream, basis, KeepRule.top_k(4)), 5.5),
-        "decompose": (lambda: decompose(stream, basis), 4.5),
-        "reconstruct": (lambda: reconstruct(coeffs), 4.5),
-        "backbone box": (lambda: backbone(stream, basis, box), 4.5),
-        "apply_joint_filter": (lambda: apply_joint_filter(stream, jf, basis), 4.5),
-        "regularity": (lambda: regularity(stream, basis), 3.5),
-        "aggregate": (lambda: aggregate(stream, 8), 3.5),
+        "backbone top-k": (lambda: backbone(stream, basis, KeepRule.top_k(4)), 3.85 + scratch),
+        "decompose": (lambda: decompose(stream, basis), 3.25),
+        "reconstruct": (lambda: reconstruct(coeffs), 2.75 + scratch),
+        "backbone box": (lambda: backbone(stream, basis, box), 3.85 + scratch),
+        "apply_joint_filter": (lambda: apply_joint_filter(stream, jf, basis), 3.75 + scratch),
+        "regularity": (lambda: regularity(stream, basis), 1.6 + scratch),
+        "aggregate": (lambda: aggregate(stream, 8), 1.25),
     }
     multiples = {name: _traced_peak(call) / stream.values.nbytes
                  for name, (call, _) in bounds.items()}
