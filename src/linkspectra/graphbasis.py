@@ -14,7 +14,7 @@ out=)``, then an in-place scale). Cost is O(M) per graph.
 
 Blocks: the bank on a block of 2^k leaf positions is the bank on a subtree,
 so both directions run levels 1..k a few whole subtrees at a time, in a
-scratch block of about ``_BLOCK_CELLS`` cells, and only the levels above
+worker's scratch block (``stream._block_bytes``), and only the levels above
 the subtrees see every column: they run on one column per subtree. Analysis
 gathers a block's positions into its scratch, runs levels 1..k there and
 keeps each subtree's sum for the upper levels; synthesis runs the upper
@@ -26,14 +26,15 @@ Memory order: the bank's buffers and outputs are column-major, so a
 T x M grid stays column-major through the bank and the FFT along time,
 which then runs on contiguous columns; no transposing copy runs between the
 two. The one transpose is the leaf-order gather of a row-major input, done
-a small block of columns at a time.
+a few columns at a time through half a scratch block.
 
 Threads: ``analyze_values`` and ``synthesize_values`` split the subtrees
 over the ``LINKSPECTRA_THREADS`` workers (``stream._in_parts``); the levels
 above them run on the caller. The caller allocates the output and each
-worker's scratch blocks, and each worker writes its own columns, so the
-bits and the memory order do not depend on the worker count or the block
-size.
+worker's scratch blocks, whose sizes share one budget
+(``stream._SCRATCH_BYTES``), and each worker writes its own columns, so
+the bits and the memory order do not depend on the worker count or the
+block size.
 """
 
 from __future__ import annotations
@@ -47,17 +48,6 @@ from .stream import GraphSlice, _frozen, _in_parts
 
 #: The bank splits the leaf positions into at least this many subtrees.
 _MIN_SUBTREES = 16
-#: Cells of the scratch block through which a row-major gather is transposed,
-#: at most: 256 KiB of float64, which stays in the cache while it is copied.
-#: Like every scratch block, the caller allocates one per worker: a block a
-#: worker thread allocated stayed in its malloc arena (with 1 MiB, a 2-worker
-#: analysis of a T = 70, M = 2^12 grid peaked 2 MB above a 1-worker one).
-_GATHER_CELLS = 1 << 15
-#: Cells of a worker's scratch block: as many whole subtrees as fit in
-#: 512 KiB of float64, and one subtree when a single one is larger. Each block
-#: costs a few numpy calls per level under the interpreter lock: with 256 KiB,
-#: a 2-worker synthesis of a T = 128, M = 2^14 grid took 15 ms, against 11 ms.
-_BLOCK_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class GraphBasis:
@@ -105,7 +95,7 @@ class GraphBasis:
         if not (values.flags.c_contiguous or values.flags.f_contiguous):
             values = np.ascontiguousarray(values)
         out = np.empty(values.shape, np.result_type(values, 1.0), order="F")
-        depth, per = self._subtree_blocks(values)
+        depth = self._subtree_depth()
         rows = values.shape[:-1]
         cells = values.size // self.num_relations
         scale = 2.0 ** (-self.level / 2.0)
@@ -114,16 +104,19 @@ class GraphBasis:
         top = (None if depth == self.level else
                np.empty(rows + (self.num_relations >> depth,), values.dtype, order="F"))
 
-        def scratch():
-            """A worker's block and, for a row-major input, its gather buffer."""
-            block = np.empty(rows + (per << depth,), values.dtype, order="F")
+        def scratch(nbytes):
+            """A worker's block and, for a row-major input, its gather buffer
+            of half a block (a worker's transposing copy stays in the cache)."""
+            width = self._subtrees_per_block(nbytes, values) << depth
+            block = np.empty(rows + (width,), values.dtype, order="F")
             if values.flags.f_contiguous:
                 return block, None
-            columns = min(per << depth, max(1, _GATHER_CELLS // cells))
+            columns = max(1, min(width, nbytes // 2 // values.itemsize // cells))
             return block, np.empty(cells * columns, values.dtype)
 
         def part(subtrees, buffers):
             block, gather = buffers
+            per = block.shape[-1] >> depth
             for lo in range(subtrees.start, subtrees.stop, per):
                 hi = min(lo + per, subtrees.stop)
                 pos = slice(lo << depth, hi << depth)
@@ -148,7 +141,7 @@ class GraphBasis:
             raise ValueError("last axis must have length M")
         dtype = np.result_type(coeffs, 1.0)
         out = np.empty(coeffs.shape, dtype, order="F")
-        depth, per = self._subtree_blocks(coeffs)
+        depth = self._subtree_depth()
         rows = coeffs.shape[:-1]
         scale = 2.0 ** (self.level / 2.0)
 
@@ -165,6 +158,7 @@ class GraphBasis:
             top = self._synthesis_levels(coeffs, upper, top, range(self.level, depth, -1), 0)
 
         def part(subtrees, buffers):
+            per = buffers[0].shape[-1] >> depth
             for lo in range(subtrees.start, subtrees.stop, per):
                 hi = min(lo + per, subtrees.stop)
                 if top is None:   # the subtrees are the scaling sets
@@ -175,16 +169,21 @@ class GraphBasis:
                 s = self._synthesis_levels(coeffs, buffers, s, range(depth, 0, -1), lo << depth)
                 out.T[self.tree.position_to_relation[lo << depth : hi << depth]] = s.T
 
-        _in_parts(part, self.num_relations >> depth, out, lambda: pair(per << depth))
+        _in_parts(part, self.num_relations >> depth, out,
+                  lambda nbytes: pair(self._subtrees_per_block(nbytes, out) << depth))
         return out
 
-    def _subtree_blocks(self, grid: np.ndarray):
-        """``(k, per)``: the levels 1..k that run a block of subtrees at a
-        time, on blocks of 2^k leaf positions, at least ``_MIN_SUBTREES`` of
-        them; and the subtrees per scratch block of ``grid``'s rows."""
-        depth = max(0, min(self.level, self.tree.num_levels - _MIN_SUBTREES.bit_length() + 1))
-        cells = (grid.size // self.num_relations) << depth
-        return depth, max(1, _BLOCK_CELLS // cells)
+    def _subtree_depth(self) -> int:
+        """The levels 1..k that run a block of subtrees at a time, on blocks
+        of 2^k leaf positions, at least ``_MIN_SUBTREES`` of them."""
+        return max(0, min(self.level, self.tree.num_levels - _MIN_SUBTREES.bit_length() + 1))
+
+    def _subtrees_per_block(self, nbytes: int, grid: np.ndarray) -> int:
+        """The whole subtrees of ``grid``'s rows that fit in a scratch block of
+        ``nbytes``: one when a single one is larger, all when they all fit."""
+        depth = self._subtree_depth()
+        subtree = (grid.size // self.num_relations << depth) * grid.itemsize
+        return max(1, min(self.num_relations >> depth, nbytes // subtree))
 
     def _analysis_levels(self, s, out, levels, lo: int):
         """Analysis ``levels`` on the sums ``s`` of the positions from ``lo``:

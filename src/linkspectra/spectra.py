@@ -16,12 +16,8 @@ import numpy as np
 
 from .graphbasis import GraphBasis
 from .partition import partition_svd
-from .stream import LinkStreamMatrix, _Fresh, _frozen, _readonly, _write_flag
+from .stream import LinkStreamMatrix, _block_bytes, _Fresh, _frozen, _readonly, _write_flag
 from .timebasis import FourierBasis, FrequencyFilter, apply_frequency_filter
-
-#: Cells of each block of |C| from which top-k selection draws its k largest
-#: candidates: 512 KiB of float64.
-_TOP_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,17 +97,9 @@ def decompose(stream: LinkStreamMatrix, basis: GraphBasis) -> CoefficientMatrix:
     return CoefficientMatrix(_Fresh(c), basis, stream.space, stream.t0)
 
 
-def _taken_back(coeffs: CoefficientMatrix) -> np.ndarray:
-    """The grid of a container that the caller has just made with ``decompose``
-    and holds alone, writable again: the caller drops the container and works
-    on the grid in place, with no grid-sized copy."""
-    return _write_flag(coeffs.values, True)
-
-
 def reconstruct(coeffs: CoefficientMatrix) -> LinkStreamMatrix:
     """L = Psi C Phi, realified (imaginary residue above tolerance is an error)."""
-    c = coeffs.values
-    x = FourierBasis(coeffs.num_times).inverse(c, np.empty_like(c, np.float64))
+    x = FourierBasis(coeffs.num_times).inverse(coeffs.values)
     return LinkStreamMatrix(coeffs.space, coeffs.t0, _Fresh(coeffs.basis.synthesize_values(x)))
 
 
@@ -135,7 +123,8 @@ def apply_joint_filter(stream: LinkStreamMatrix, jf: JointFilter,
                        basis: GraphBasis) -> LinkStreamMatrix:
     """L_hat = Psi Lambda_H C Lambda_Q Phi in one pass through C."""
     _check_fits(stream, jf)
-    c = _taken_back(decompose(stream, basis))
+    # the grid decompose has just made is held here alone: scale it in place
+    c = _write_flag(decompose(stream, basis).values, True)
     np.multiply(jf.freq.response[:, None], c, out=c)
     c *= jf.struct[None, :]
     return stream.with_values(_Fresh(_synthesized(c, basis)))
@@ -210,9 +199,10 @@ class KeepRule:
 
 def _kth_largest(flat: np.ndarray, k: int) -> float:
     """The k-th largest entry of ``flat``, from the k largest of each block
-    of ``_TOP_BLOCK_CELLS``, or of k when k is larger: ``np.partition``
-    copies what it is given, so no copy of the whole of ``flat`` is made."""
-    step = max(_TOP_BLOCK_CELLS, k)
+    as large as a lone worker's scratch block, or of k when k is larger:
+    ``np.partition`` copies what it is given, so no copy of the whole of
+    ``flat`` is made."""
+    step = max(_block_bytes(1) // flat.itemsize, k)
     # a slice of a partitioned copy would keep the whole block copy alive
     candidates = np.concatenate([
         np.partition(part, part.size - k)[part.size - k :].copy() if part.size > k else part
@@ -222,35 +212,34 @@ def _kth_largest(flat: np.ndarray, k: int) -> float:
 
 def backbone(stream: LinkStreamMatrix, basis: GraphBasis, keep: KeepRule):
     """Reconstruct the stream from the selected coefficients only: the same
-    as ``backbone_from(decompose(stream, basis), keep)``, with the grid
-    zeroed outside the mask in place instead of copied.
+    as ``backbone_from(decompose(stream, basis), keep)``, on the grid
+    ``decompose`` makes here, with no copy of it.
 
     Returns the filtered stream and the boolean kept mask over (frequency,
     basis element).
     """
     coeffs = decompose(stream, basis)
-    mask = _selection(keep, coeffs)
-    kept = _taken_back(coeffs)
-    del coeffs
-    np.copyto(kept, 0, where=~mask)
-    return stream.with_values(_Fresh(_synthesized(kept, basis))), mask
+    mask = keep.mask(coeffs)
+    # the grid decompose has just made is held here alone
+    return _backbone_of(_write_flag(coeffs.values, True), mask, coeffs)
 
 
 def backbone_from(coeffs: CoefficientMatrix, keep: KeepRule):
     """``backbone`` on a coefficient grid already computed: the stream made
     of the coefficients ``keep`` selects, and the boolean kept mask."""
-    mask = _selection(keep, coeffs)
-    kept = np.zeros_like(coeffs.values)
-    np.copyto(kept, coeffs.values, where=mask)
-    return (LinkStreamMatrix(coeffs.space, coeffs.t0, _Fresh(_synthesized(kept, coeffs.basis))),
-            mask)
-
-
-def _selection(keep: KeepRule, coeffs: CoefficientMatrix) -> np.ndarray:
     mask = keep.mask(coeffs)
+    return _backbone_of(coeffs.values.copy(order="K"), mask, coeffs)
+
+
+def _backbone_of(grid: np.ndarray, mask: np.ndarray, coeffs: CoefficientMatrix):
+    """The stream of the coefficients that ``mask`` keeps, and the mask.
+    ``grid`` holds the values of ``coeffs`` in a writable array that the
+    caller gives up: it is zeroed outside the mask and inverted in place."""
     if not mask.any():
         raise ValueError("backbone selection is empty")
-    return mask
+    np.copyto(grid, 0, where=~mask)
+    return (LinkStreamMatrix(coeffs.space, coeffs.t0, _Fresh(_synthesized(grid, coeffs.basis))),
+            mask)
 
 
 @dataclass(frozen=True)

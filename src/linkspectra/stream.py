@@ -111,6 +111,23 @@ def _max_threads() -> int:
 #: reconstruct slower at 2^16 and 2^17 cells and faster from 2^18 on
 #: (T = 128: decompose 7.6 -> 4.9 ms at 2^18 cells, 33.6 -> 19.1 ms at 2^20).
 _SPLIT_MIN_CELLS = 1 << 18
+#: Bytes of the scratch blocks that one kernel call allocates over all its
+#: workers: each of its p workers holds up to two blocks of
+#: ``_block_bytes(p)``, so more workers make smaller blocks, not more scratch
+#: (save that a block holds at least one filter-bank subtree or one column).
+#: Two workers get blocks of 512 KiB: with 256 KiB, their per-block numpy
+#: calls contend for the interpreter lock (2-vCPU VM, T = 128, M = 2^14,
+#: median of 25 calls: synthesis 15.3 ms at 256 KiB, 11.0 ms at 512 KiB).
+_SCRATCH_BYTES = 1 << 21
+
+
+def _block_bytes(parts: int) -> int:
+    """Bytes of each scratch block of one of ``parts`` workers. A lone worker
+    gets the blocks of one of two: it runs every grid below the split floor,
+    and alone 1 MiB blocks were no faster than 512 KiB (2-vCPU VM, T = 128,
+    M = 2^14: analysis, synthesis, inverse and top-k within the run-to-run
+    spread)."""
+    return _SCRATCH_BYTES // (2 * max(2, parts))
 
 
 def _in_parts(work, n: int, grid: np.ndarray, scratch=None) -> list:
@@ -125,8 +142,9 @@ def _in_parts(work, n: int, grid: np.ndarray, scratch=None) -> list:
     caller. Workers write into arrays the caller allocated: an array a thread
     allocates comes from that thread's malloc arena, which keeps freed memory
     for its own later use and so raises the peak resident size. So a worker's
-    own scratch comes from ``scratch()``, when given, called on the caller
-    once per part before any part runs: each part then runs as
+    own scratch comes from ``scratch(nbytes)``, when given, called on the
+    caller once per part before any part runs with the bytes of each of the
+    part's blocks, ``_block_bytes(parts)``: each part then runs as
     ``work(part, its scratch)``."""
     parts = min(_max_threads(), n)
     if parts <= 1 or grid.ndim != 2 or grid.size < _SPLIT_MIN_CELLS:
@@ -134,7 +152,8 @@ def _in_parts(work, n: int, grid: np.ndarray, scratch=None) -> list:
     else:
         bounds = [n * i // parts for i in range(parts + 1)]
         slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    args = [(part,) if scratch is None else (part, scratch()) for part in slices]
+    nbytes = _block_bytes(len(slices))
+    args = [(part,) if scratch is None else (part, scratch(nbytes)) for part in slices]
     if len(slices) == 1:
         return [work(*args[0])]
     results = [None] * len(slices)

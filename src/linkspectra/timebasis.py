@@ -15,6 +15,7 @@ forward/inverse surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,9 +25,6 @@ from .stream import LinkStreamMatrix, _Fresh, _frozen, _in_parts
 
 #: imaginary residue above this magnitude is an error when realifying output
 IMAG_TOL = 1e-9
-#: Complex cells of a worker's scratch block in a real inverse: as many
-#: columns as fit in 512 KiB, and one column when a single one is larger.
-_INVERSE_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -44,66 +42,66 @@ class FourierBasis:
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Analysis transform along axis 0: F = conj(Psi).T @ values, as a new
-        complex128 array in the memory order of ``values``."""
-        values = np.asarray(values)
-        return self._transform(values, np.empty_like(values, np.complex128), np.fft.fft)
-
-    def inverse(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Synthesis transform along axis 0: values = Psi @ coeffs.
-
-        Without ``out`` the result is a new complex128 array in the memory
-        order of ``coeffs``, which is left as it is. With ``out``, a float64
-        array of the same shape, the real part is written there and ``out``
-        returned; an imaginary residue above IMAG_TOL anywhere is then a
-        ValueError that quotes the largest over the whole grid. ``out`` may be
-        ``coeffs.real``: each block of columns is copied out before its real
-        part is written. Taking the real part before the graph synthesis is
-        exact: Phi multiplies by real scalars only, so it never mixes real and
-        imaginary parts."""
-        coeffs = np.asarray(coeffs)
-        if out is None:
-            return self._transform(coeffs, np.empty_like(coeffs, np.complex128), np.fft.ifft)
-        self._check_rows(coeffs)
-        if out.shape != coeffs.shape or out.dtype != np.float64:
-            raise ValueError("a real inverse writes into a float64 array of the grid's shape")
-        # column blocks through a complex scratch per worker; a vector is one column
-        grid, real = (coeffs, out) if coeffs.ndim > 1 else (coeffs[:, None], out[:, None])
-        step = max(1, _INVERSE_CELLS // (grid.size // grid.shape[-1]))
-
-        def part(cols, scratch):
-            residue = 0.0
-            for lo in range(cols.start, cols.stop, step):
-                hi = min(lo + step, cols.stop)
-                block = scratch[..., : hi - lo]
-                np.copyto(block, grid[..., lo:hi])
-                np.fft.ifft(block, axis=0, out=block, norm="ortho")
-                imag = block.imag
-                residue = max(residue, imag.max(), -imag.min())   # max |imag|, no |imag| array
-                np.copyto(real[..., lo:hi], block.real)
-            return residue
-
-        residue = float(max(_in_parts(
-            part, grid.shape[-1], grid,
-            lambda: np.empty(grid.shape[:-1] + (min(step, grid.shape[-1]),), np.complex128,
-                             order="F"))))
-        if residue > IMAG_TOL:
-            raise ValueError(
-                f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.0e};"
-                " the frequency response is not conjugate-symmetric")
-        return out
-
-    def _transform(self, values, out, fft) -> np.ndarray:
-        """``out = fft(values, norm="ortho")`` along axis 0. Each column is
+        complex128 array in the memory order of ``values``. Each column is
         transformed on its own, so the columns are split over the workers;
-        each copies (casts) its columns into ``out`` and transforms them there."""
+        each copies (casts) its columns into the output and transforms them
+        there."""
+        values = np.asarray(values)
         self._check_rows(values)
+        out = np.empty_like(values, np.complex128)
 
         def part(cols):
             o = out[..., cols]
             np.copyto(o, values[..., cols])
-            fft(o, axis=0, out=o, norm="ortho")
+            np.fft.fft(o, axis=0, out=o, norm="ortho")
 
         _in_parts(part, out.shape[-1], out)
+        return out
+
+    def inverse(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Synthesis transform along axis 0, realified: values = Psi @ coeffs
+        for the spectrum of a real signal, whose imaginary part is rounding.
+
+        The result is written into ``out``, a float64 array of the grid's
+        shape, or a new one in the memory order of ``coeffs``, which is left
+        as it is; ``out`` may be ``coeffs.real``, since each block of columns
+        is copied out before its real part is written. An imaginary residue
+        above IMAG_TOL anywhere is a ValueError that quotes the largest over
+        the whole grid. Taking the real part before the graph synthesis is
+        exact: Phi multiplies by real scalars only, so it never mixes real and
+        imaginary parts."""
+        coeffs = np.asarray(coeffs)
+        self._check_rows(coeffs)
+        if out is None:
+            out = np.empty_like(coeffs, np.float64)
+        elif out.shape != coeffs.shape or out.dtype != np.float64:
+            raise ValueError("the inverse writes into a float64 array of the grid's shape")
+        # column blocks through a complex scratch per worker; a vector is one column
+        grid, real = (coeffs, out) if coeffs.ndim > 1 else (coeffs[:, None], out[:, None])
+        rows = grid.shape[:-1]
+
+        def scratch(nbytes):
+            columns = nbytes // np.dtype(np.complex128).itemsize // math.prod(rows)
+            return np.empty(rows + (max(1, min(grid.shape[-1], columns)),), np.complex128,
+                            order="F")
+
+        def part(cols, block):
+            residue = 0.0
+            for lo in range(cols.start, cols.stop, block.shape[-1]):
+                hi = min(lo + block.shape[-1], cols.stop)
+                b = block[..., : hi - lo]
+                np.copyto(b, grid[..., lo:hi])
+                np.fft.ifft(b, axis=0, out=b, norm="ortho")
+                imag = b.imag
+                residue = max(residue, imag.max(), -imag.min())   # max |imag|, no |imag| array
+                np.copyto(real[..., lo:hi], b.real)
+            return residue
+
+        residue = float(max(_in_parts(part, grid.shape[-1], grid, scratch)))
+        if residue > IMAG_TOL:
+            raise ValueError(
+                f"imaginary residue {residue:.3e} exceeds {IMAG_TOL:.0e};"
+                " the frequency response is not conjugate-symmetric")
         return out
 
     def _check_rows(self, grid: np.ndarray) -> np.ndarray:
@@ -222,7 +220,7 @@ def apply_frequency_filter(stream: LinkStreamMatrix, filt: FrequencyFilter) -> L
     basis = FourierBasis(stream.num_times)
     grid = basis.forward(stream.values)
     np.multiply(filt.response[:, None], grid, out=grid)
-    return stream.with_values(_Fresh(basis.inverse(grid, np.empty_like(grid, np.float64))))
+    return stream.with_values(_Fresh(basis.inverse(grid)))
 
 
 def aggregate(stream: LinkStreamMatrix, window: int) -> LinkStreamMatrix:

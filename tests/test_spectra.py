@@ -39,7 +39,6 @@ from linkspectra.graphbasis import coarse_pass_response, detail_pass_response
 from linkspectra.partition import PartitionTree
 from linkspectra.spectra import apply_joint_filter_sequential, freq_relational, structure_split
 from linkspectra.timebasis import lowpass_filter
-from linkspectra import graphbasis, spectra, timebasis
 from linkspectra import stream as lstream
 from linkspectra import synth
 
@@ -396,7 +395,7 @@ def test_inverse_fft_is_the_rescaled_ifft_within_the_contract(data):
     coeffs = decompose(stream, basis)
     t = stream.num_times
     old = np.fft.ifft(coeffs.values, axis=0) * np.sqrt(t)   # the rescale pass norm="ortho" replaced
-    _within_contract(FourierBasis(t).inverse(coeffs.values), old)
+    _within_contract(FourierBasis(t).inverse(coeffs.values), old.real)
     _within_contract(reconstruct(coeffs).values, basis.synthesize_values(old.real))
 
 
@@ -518,7 +517,7 @@ def test_in_place_kernels_match_allocating_references_bitwise(t, n, level):
     _same_bits(basis.synthesize_values(x), _ref_synthesize(basis, x))
     c = _ref_forward(x)
     _same_bits(FourierBasis(t).forward(x), c)
-    _same_bits(FourierBasis(t).inverse(c), _ref_inverse(c))
+    _same_bits(FourierBasis(t).inverse(c), _ref_inverse(c).real)
 
     coeffs = decompose(stream, basis)
     _same_bits(coeffs.values, c)
@@ -639,12 +638,10 @@ def test_kernels_give_the_same_bits_and_layout_for_any_worker_count(t, relations
         mp.setattr(lstream, "_SPLIT_MIN_CELLS", 1)   # split even these small grids
         # the kernels' scratch blocks as they are, then at their smallest (one
         # subtree per filter-bank block, one column per inverse FFT block, top-k
-        # candidates from blocks of k), then top-k blocks of 3 cells
-        for top_block in (None, 1, 3):
-            if top_block is not None:
-                mp.setattr(graphbasis, "_BLOCK_CELLS", 1)
-                mp.setattr(timebasis, "_INVERSE_CELLS", 1)
-                mp.setattr(spectra, "_TOP_BLOCK_CELLS", top_block)
+        # candidates from blocks of k), then with top-k blocks of 3 cells (a
+        # lone worker's block is a quarter of the budget)
+        for scratch in (lstream._SCRATCH_BYTES, 1, 4 * 3 * 8):
+            mp.setattr(lstream, "_SCRATCH_BYTES", scratch)
             for workers in ("1", "2", "3"):
                 mp.setenv("LINKSPECTRA_THREADS", workers)
                 runs.append([_signature(r)
@@ -661,8 +658,7 @@ def test_kernels_keep_their_bits_with_more_workers_than_cores(monkeypatch, rng):
     jf = JointFilter(lowpass_filter(0.2, 13), rng.standard_normal(64))
     coeffs = decompose(stream, basis)
     monkeypatch.setattr(lstream, "_SPLIT_MIN_CELLS", 1)
-    monkeypatch.setattr(graphbasis, "_BLOCK_CELLS", 1)
-    monkeypatch.setattr(timebasis, "_INVERSE_CELLS", 1)
+    monkeypatch.setattr(lstream, "_SCRATCH_BYTES", 1)
     monkeypatch.setenv("LINKSPECTRA_THREADS", "1")
     want = [_signature(r) for r in _worker_results(stream, coeffs, basis, jf, 40)]
     monkeypatch.setenv("LINKSPECTRA_THREADS", str((os.cpu_count() or 1) + 2))
@@ -686,9 +682,11 @@ def test_asymmetric_response_fails_the_same_way_for_any_worker_count(monkeypatch
     residue = np.abs(np.fft.ifft(grid, axis=0, norm="ortho").imag).max()
     before = threading.active_count()
     messages = []
-    # inverse FFT blocks of the default size, of one, three and sixteen columns
-    for cells in (timebasis._INVERSE_CELLS, 1, 48, 256):
-        monkeypatch.setattr(timebasis, "_INVERSE_CELLS", cells)
+    # inverse FFT blocks of the default size, of one column, and of three and
+    # sixteen columns with one or two workers (16 x 16 bytes a column, a
+    # quarter of the budget a block; three workers make them smaller)
+    for scratch in (lstream._SCRATCH_BYTES, 1, 4 * 3 * 256, 4 * 16 * 256):
+        monkeypatch.setattr(lstream, "_SCRATCH_BYTES", scratch)
         for workers in ("1", "2", "3"):
             monkeypatch.setenv("LINKSPECTRA_THREADS", workers)
             with pytest.raises(ValueError, match="not conjugate-symmetric") as err:
@@ -756,18 +754,17 @@ def test_spectral_kernels_stay_within_a_few_stream_sizes():
     coeffs = decompose(stream, basis)
     box = KeepRule.box(0, 3, 0, basis.num_scaling - 1)
     jf = JointFilter(lowpass_filter(0.05, 64), coarse_pass_response(basis))
-    # the multiples measured with one worker, plus a margin; each further
-    # worker adds its scratch blocks to the kernels whose peak is in the
-    # filter bank, up to 0.57 of this 2 MiB stream (measured with 2 to 4
-    # workers). A grid-sized buffer more breaks a bound.
-    scratch = 0.625 * (lstream._max_threads() - 1)
+    # the largest multiples measured with 1 to 16 workers, plus a margin. The
+    # kernels' scratch blocks share one budget over all workers, one stream
+    # size of this 2 MiB stream with two workers or more and half that with
+    # one, so a grid-sized buffer more breaks a bound at any worker count.
     bounds = {
-        "backbone top-k": (lambda: backbone(stream, basis, KeepRule.top_k(4)), 3.85 + scratch),
+        "backbone top-k": (lambda: backbone(stream, basis, KeepRule.top_k(4)), 4.4),
         "decompose": (lambda: decompose(stream, basis), 3.25),
-        "reconstruct": (lambda: reconstruct(coeffs), 2.75 + scratch),
-        "backbone box": (lambda: backbone(stream, basis, box), 3.85 + scratch),
-        "apply_joint_filter": (lambda: apply_joint_filter(stream, jf, basis), 3.75 + scratch),
-        "regularity": (lambda: regularity(stream, basis), 1.6 + scratch),
+        "reconstruct": (lambda: reconstruct(coeffs), 3.35),
+        "backbone box": (lambda: backbone(stream, basis, box), 4.4),
+        "apply_joint_filter": (lambda: apply_joint_filter(stream, jf, basis), 4.3),
+        "regularity": (lambda: regularity(stream, basis), 2.1),
         "aggregate": (lambda: aggregate(stream, 8), 1.25),
     }
     multiples = {name: _traced_peak(call) / stream.values.nbytes
@@ -783,11 +780,12 @@ def test_transforms_leave_caller_arrays_unchanged(rng):
     stream = _weighted_stream(rng, t, 4)
     real = rng.standard_normal((t, 16))
     grid = real + 1j * rng.standard_normal((t, 16))
+    spectrum = fourier.forward(real)
     coeffs = decompose(stream, GraphBasis(random_tree(16, rng)))
     calls = [
         (lambda: fourier.forward(real), real),
         (lambda: fourier.forward(grid), grid),
-        (lambda: fourier.inverse(grid), grid),
+        (lambda: fourier.inverse(spectrum), spectrum),
         (lambda: apply_frequency_filter(stream, lowpass_filter(0.25, t)), stream.values),
         (lambda: reconstruct(coeffs), coeffs.values),
     ]
